@@ -8,11 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <queue>
-#include <unordered_map>
-#include <utility>
-
 #include "bench/bench_util.h"
 #include "src/common/random.h"
 #include "src/partition/recursive_bisection.h"
@@ -133,65 +128,7 @@ void BM_StaticCreate(benchmark::State& state) {
 BENCHMARK(BM_StaticCreate)->Arg(512)->Arg(1024)->Arg(4096)->Unit(
     benchmark::kMillisecond);
 
-// --- Search-core rewrite: lazy-deletion PQ vs 4-ary heap ------------------
-
-/// The pre-rewrite Dijkstra core, kept verbatim as the benchmark baseline:
-/// a lazy-deletion std::priority_queue plus three per-node unordered_maps
-/// (dist, parent, closed). The production core in src/query/search.cc
-/// replaced it with one open-addressing table over dense slots and a
-/// 4-ary heap with decrease-key; BM_DijkstraCore shows the delta on the
-/// identical access-method I/O sequence.
-Result<SearchResult> LegacyDijkstra(AccessMethod* am, NodeId src,
-                                    NodeId dst) {
-  SearchResult result;
-  IoStats before = am->DataIoStats();
-  NodeRecord dst_rec;
-  CCAM_ASSIGN_OR_RETURN(dst_rec, am->Find(dst));
-  NodeRecord src_rec;
-  CCAM_ASSIGN_OR_RETURN(src_rec, am->Find(src));
-
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> open;
-  std::unordered_map<NodeId, double> dist;
-  std::unordered_map<NodeId, NodeId> parent;
-  std::unordered_map<NodeId, bool> closed;
-  dist[src] = 0.0;
-  open.push({0.0, src});
-  while (!open.empty()) {
-    auto [g, node] = open.top();
-    open.pop();
-    if (closed[node]) continue;  // stale duplicate entry
-    closed[node] = true;
-    ++result.nodes_expanded;
-    if (node == dst) {
-      result.cost = g;
-      for (NodeId at = dst;; at = parent.at(at)) {
-        result.path.push_back(at);
-        if (at == src) break;
-      }
-      std::reverse(result.path.begin(), result.path.end());
-      break;
-    }
-    std::vector<NodeRecord> successors;
-    CCAM_ASSIGN_OR_RETURN(successors, am->GetSuccessors(node));
-    NodeRecord expanded;
-    CCAM_ASSIGN_OR_RETURN(expanded, am->Find(node));
-    for (const NodeRecord& succ : successors) {
-      if (closed[succ.id]) continue;
-      auto cost = expanded.SuccessorCost(succ.id);
-      if (!cost.ok()) continue;
-      double ng = g + *cost;
-      auto it = dist.find(succ.id);
-      if (it == dist.end() || ng < it->second) {
-        dist[succ.id] = ng;
-        parent[succ.id] = node;
-        open.push({ng, succ.id});
-      }
-    }
-  }
-  result.page_accesses = (am->DataIoStats() - before).Accesses();
-  return result;
-}
+// --- Search core (4-ary heap + open addressing) ---------------------------
 
 void BM_DijkstraCore(benchmark::State& state) {
   AccessMethodOptions options;
@@ -204,19 +141,15 @@ void BM_DijkstraCore(benchmark::State& state) {
   if (!am.Create(net).ok()) std::abort();
   auto ids = net.NodeIds();
   Random rng(4);
-  const bool legacy = state.range(0) == 0;
   for (auto _ : state) {
     NodeId src = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
     NodeId dst = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
-    auto res = legacy ? LegacyDijkstra(&am, src, dst)
-                      : ShortestPathDijkstra(&am, src, dst);
+    auto res = ShortestPathDijkstra(&am, src, dst);
     benchmark::DoNotOptimize(res);
   }
 }
-BENCHMARK(BM_DijkstraCore)
-    ->Arg(0)  // legacy: priority_queue + 3 unordered_maps
-    ->Arg(1)  // current: 4-ary heap + open addressing
-    ->Unit(benchmark::kMicrosecond);
+// The Arg keeps the recorded series name, BM_DijkstraCore/1.
+BENCHMARK(BM_DijkstraCore)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

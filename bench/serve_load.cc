@@ -246,7 +246,7 @@ int Run() {
 
   BenchJsonWriter json("serve_load");
   TablePrinter table({"phase", "mode", "qps", "p50 us", "p95 us", "p99 us",
-                      "reject rate", "occupancy", "reads/query",
+                      "reject rate", "failed", "occupancy", "reads/query",
                       "hit rate", "conserved"});
   auto emit = [&](const char* phase, const char* mode,
                   const serve::LoadReport& r) {
@@ -256,7 +256,8 @@ int Run() {
                                static_cast<double>(r.completed);
     table.AddRow({phase, mode, Fmt(r.qps, 0), std::to_string(r.p50_us),
                   std::to_string(r.p95_us), std::to_string(r.p99_us),
-                  Fmt(r.reject_rate, 3), Fmt(r.mean_batch_occupancy, 2),
+                  Fmt(r.reject_rate, 3), std::to_string(r.failed),
+                  Fmt(r.mean_batch_occupancy, 2),
                   Fmt(reads_per_query, 3), Fmt(r.hit_rate, 3),
                   r.conserved ? "yes" : "NO"});
     json.AddRecord(phase,
@@ -268,6 +269,7 @@ int Run() {
                     {"p95_us", std::to_string(r.p95_us)},
                     {"p99_us", std::to_string(r.p99_us)},
                     {"reject_rate", Fmt(r.reject_rate, 4)},
+                    {"failed", std::to_string(r.failed)},
                     {"batch_occupancy", Fmt(r.mean_batch_occupancy, 3)},
                     {"batched_rate", Fmt(r.batched_fraction, 4)},
                     {"reads_per_query", Fmt(reads_per_query, 4)},

@@ -9,11 +9,14 @@
 #                  family must collect nonzero data)
 #   3. perf      — scripts/check_perf.sh --smoke: bench JSON artifacts
 #                  round-trip through the regression gate
-#   4. serve     — bench/serve_load in smoke mode: short load through the
-#                  query-serving layer; the binary itself gates on nonzero
-#                  qps, zero batched-vs-serial equivalence mismatches, and
-#                  IoStats conservation (wall-clock speedup gates are
-#                  skipped in the smoke run — they belong to full perf runs)
+#   4. serve     — serve_test and chaos_serve_test repeated until-fail:10
+#                  (a timing-dependent NoSpace or ticket failure fails CI
+#                  instead of passing as a flake), then bench/serve_load in
+#                  smoke mode: short load through the query-serving layer;
+#                  the binary itself gates on nonzero qps, zero
+#                  batched-vs-serial equivalence mismatches, and IoStats
+#                  conservation (wall-clock speedup gates are skipped in
+#                  the smoke run — they belong to full perf runs)
 #   5. swap      — snapshot store: the 8-reader swap hammer, a quick
 #                  mid-swap crashsim sweep over every snapshot.* failpoint
 #                  (recovery must land on exactly the old or exactly the
@@ -72,7 +75,10 @@ metrics() {
 }
 
 serve_smoke() {
-  cmake --build "$BUILD" --target serve_load -j "$(nproc)" &&
+  cmake --build "$BUILD" --target serve_load serve_test chaos_serve_test \
+    -j "$(nproc)" &&
+  ctest --test-dir "$BUILD" -R 'serve_test|chaos_serve_test' \
+    --repeat until-fail:10 --output-on-failure &&
   CCAM_SERVE_DURATION_MS=400 CCAM_SERVE_QPS=8000 CCAM_SERVE_SKIP_GATE=1 \
     "$BUILD/bench/serve_load"
 }
@@ -106,7 +112,7 @@ swap_stage() {
 run_stage "tier-1 (ctest)" tier1
 run_stage "metrics (tools/stats)" metrics
 run_stage "perf (check_perf.sh --smoke)" scripts/check_perf.sh --smoke "$BUILD"
-run_stage "serve (serve_load smoke)" serve_smoke
+run_stage "serve (repeat + smoke)" serve_smoke
 run_stage "swap (hammer + mid-swap crashsim)" swap_stage
 run_stage "shard (oracle + hammer + bench)" shard_stage
 run_stage "chaos (check_chaos.sh)" scripts/check_chaos.sh "$BUILD"

@@ -54,17 +54,6 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
   return agg;
 }
 
-std::vector<Result<RouteUnitAggregate>> AggregateRouteUnitBatch(
-    AccessMethod* am, const std::vector<const RouteUnit*>& units) {
-  QuerySpan span(am->metrics(), "query.aggregate_batch");
-  std::vector<Result<RouteUnitAggregate>> results;
-  results.reserve(units.size());
-  for (const RouteUnit* unit : units) {
-    results.push_back(AggregateRouteUnit(am, *unit));
-  }
-  return results;
-}
-
 Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {
   TourEvalResult result;
   if (tour.nodes.size() < 2) {

@@ -35,13 +35,6 @@ struct RouteUnitAggregate {
 Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
                                               const RouteUnit& unit);
 
-/// Region-batched entry point: aggregates `units` back-to-back under one
-/// "query.aggregate_batch" span, one Result per unit in input order (a
-/// per-unit failure fails only its own entry). Route-units anchored in one
-/// cluster share that cluster's pages out of the buffers across the batch.
-std::vector<Result<RouteUnitAggregate>> AggregateRouteUnitBatch(
-    AccessMethod* am, const std::vector<const RouteUnit*>& units);
-
 /// Tour evaluation (paper future work): evaluates a closed route (the last
 /// node must equal the first, or the closing edge must exist). Returns the
 /// route-evaluation aggregate of the closed tour.

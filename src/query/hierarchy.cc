@@ -227,15 +227,4 @@ Result<SearchResult> ShortestPathCH(AccessMethod* am, NodeId src,
   return finish(result);
 }
 
-std::vector<Result<SearchResult>> ShortestPathCHBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  QuerySpan span(am->metrics(), "query.hierarchy_batch");
-  std::vector<Result<SearchResult>> results;
-  results.reserve(pairs.size());
-  for (const auto& [src, dst] : pairs) {
-    results.push_back(ShortestPathCH(am, src, dst));
-  }
-  return results;
-}
-
 }  // namespace ccam

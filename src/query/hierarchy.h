@@ -23,14 +23,6 @@ namespace ccam {
 /// overlay (not built, or invalidated by a mutation).
 Result<SearchResult> ShortestPathCH(AccessMethod* am, NodeId src, NodeId dst);
 
-/// Region-batched entry point: answers the origin/destination pairs
-/// back-to-back under one "query.hierarchy_batch" span, one Result per
-/// pair in input order (a per-pair failure fails only its own entry).
-/// Every CH query climbs through the same top-of-hierarchy overlay pages,
-/// so a batch re-reads them from the overlay pool instead of per query.
-std::vector<Result<SearchResult>> ShortestPathCHBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs);
-
 }  // namespace ccam
 
 #endif  // CCAM_QUERY_HIERARCHY_H_

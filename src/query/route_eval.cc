@@ -32,17 +32,6 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route) {
   return result;
 }
 
-std::vector<Result<RouteEvalResult>> EvaluateRouteBatch(
-    AccessMethod* am, const std::vector<const Route*>& routes) {
-  QuerySpan span(am->metrics(), "query.route_eval_batch");
-  std::vector<Result<RouteEvalResult>> results;
-  results.reserve(routes.size());
-  for (const Route* route : routes) {
-    results.push_back(EvaluateRoute(am, *route));
-  }
-  return results;
-}
-
 Result<double> MeanRouteEvalAccesses(AccessMethod* am,
                                      const std::vector<Route>& routes) {
   if (routes.empty()) return 0.0;

@@ -31,16 +31,6 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route);
 Result<double> MeanRouteEvalAccesses(AccessMethod* am,
                                      const std::vector<Route>& routes);
 
-/// Region-batched entry point: evaluates `routes` back-to-back under one
-/// "query.route_eval_batch" span, returning one Result per route in input
-/// order. A per-route failure (missing node or edge) fails only its own
-/// entry, never the rest of the batch. The serving layer groups concurrent
-/// requests whose origin nodes share a data page and calls this with that
-/// page pinned, so the batch's hot pages are fetched once and every
-/// subsequent route reads them as buffer hits.
-std::vector<Result<RouteEvalResult>> EvaluateRouteBatch(
-    AccessMethod* am, const std::vector<const Route*>& routes);
-
 }  // namespace ccam
 
 #endif  // CCAM_QUERY_ROUTE_EVAL_H_

@@ -266,18 +266,6 @@ Result<SearchResult> ShortestPathAStar(AccessMethod* am, NodeId src,
   return BestFirst(am, src, dst, heuristic_weight);
 }
 
-std::vector<Result<SearchResult>> ShortestPathAStarBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    double heuristic_weight) {
-  QuerySpan span(am->metrics(), "query.astar_batch");
-  std::vector<Result<SearchResult>> results;
-  results.reserve(pairs.size());
-  for (const auto& [src, dst] : pairs) {
-    results.push_back(BestFirst(am, src, dst, heuristic_weight));
-  }
-  return results;
-}
-
 Result<MultiSourceResult> MultiSourceDistances(
     AccessMethod* am, const std::vector<NodeId>& sources) {
   MultiSourceResult result;

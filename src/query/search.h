@@ -32,15 +32,6 @@ Result<SearchResult> ShortestPathAStar(AccessMethod* am, NodeId src,
                                        NodeId dst,
                                        double heuristic_weight = 0.7);
 
-/// Region-batched entry point: runs the origin/destination pairs
-/// back-to-back under one "query.astar_batch" span, returning one Result
-/// per pair in input order (a per-pair failure fails only its own entry).
-/// Batched searches that start from one region re-expand that region's
-/// pages out of the shared buffers instead of re-reading them per query.
-std::vector<Result<SearchResult>> ShortestPathAStarBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    double heuristic_weight = 0.7);
-
 /// Multi-source Dijkstra: shortest distance from any of `sources` to every
 /// reachable node. Returns (node, distance) pairs and charges the I/O to
 /// `page_accesses`. Used by location-allocation evaluation.

@@ -150,7 +150,7 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
 
   struct Issued {
     ServeTicketPtr ticket;
-    uint64_t submit_us;
+    uint64_t due_us;  // scheduled arrival time: latency is measured from it
   };
   std::vector<Issued> issued;
   issued.reserve(static_cast<size_t>(options.offered_qps *
@@ -182,7 +182,8 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
       request.deadline_us =
           static_cast<int64_t>(submit_us + options.deadline_budget_us);
     }
-    issued.push_back({service->Submit(std::move(request)), submit_us});
+    issued.push_back({service->Submit(std::move(request)),
+                      static_cast<uint64_t>(next_us)});
     ++cursor;
     double u = rng.NextDouble();
     if (u <= 0.0) u = 1e-12;
@@ -190,7 +191,10 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
   }
 
   // Wait out every ticket, then measure exact end-to-end latencies from
-  // the service-stamped completion times (same steady clock as submit_us).
+  // each request's scheduled arrival to its service-stamped completion
+  // (same steady clock). Stamping from the due time, not from after the
+  // submitter's sleep, keeps a late submitter's queueing delay in the
+  // latency instead of hiding it (coordinated omission).
   std::vector<uint64_t> latencies;
   latencies.reserve(issued.size());
   double occupancy_sum = 0.0;
@@ -209,10 +213,13 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
       ++report.deadline_failures;
       continue;
     }
+    if (!response.status.ok()) {
+      ++report.failed;
+      continue;
+    }
     ++report.completed;
-    latencies.push_back(response.done_us > entry.submit_us
-                            ? response.done_us - entry.submit_us
-                            : 0);
+    latencies.push_back(
+        response.done_us > entry.due_us ? response.done_us - entry.due_us : 0);
     occupancy_sum += response.batch_size;
     if (response.batch_size > 1) ++batched;
     if (response.done_us > last_done_us) last_done_us = response.done_us;

@@ -48,12 +48,17 @@ struct LoadgenOptions {
 };
 
 /// What one load run measured. Latency percentiles are client-observed
-/// end-to-end (submit to completion, exact — not histogram buckets) over
-/// completed requests only; rejected requests count into reject_rate.
+/// end-to-end (scheduled arrival to completion, exact — not histogram
+/// buckets) over completed requests only; rejected requests count into
+/// reject_rate.
 struct LoadReport {
   uint64_t submitted = 0;
-  uint64_t completed = 0;
+  uint64_t completed = 0;  // executed with an OK status
   uint64_t rejected = 0;
+  /// Executed requests that failed with a status other than Overloaded or
+  /// DeadlineExceeded (I/O, corruption, not-found, ...); excluded from
+  /// completed and from the latency percentiles.
+  uint64_t failed = 0;
   double elapsed_sec = 0.0;
   double qps = 0.0;  // completed / elapsed
   double reject_rate = 0.0;

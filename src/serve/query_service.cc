@@ -80,7 +80,7 @@ void QueryService::StartWorkers(int n) {
     if (file_ != nullptr) {
       w->session = file_->OpenSession();
     } else {
-      w->snap_session = manager_->OpenSession();
+      w->session = manager_->OpenSession();
     }
     workers_.push_back(std::move(w));
   }
@@ -242,10 +242,7 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
 void QueryService::WorkerLoop(Worker* worker) {
   // The service constructed this session on its own thread; the worker
   // adopts it here, at the single-threaded handoff.
-  if (worker->session != nullptr) worker->session->RebindToCurrentThread();
-  if (worker->snap_session != nullptr) {
-    worker->snap_session->RebindToCurrentThread();
-  }
+  worker->session->RebindToCurrentThread();
   std::vector<QueuedRequest> batch;
   const size_t cap = options_.region_batching ? options_.max_batch : 1;
   std::unique_lock<std::mutex> lock(worker->mu);
@@ -282,109 +279,60 @@ void QueryService::WorkerLoop(Worker* worker) {
     // executing. In-flight batches never migrate versions — the refresh
     // happens strictly between batches, with no pins held — so a reader
     // drains off a retired version one batch after a swap publishes.
-    if (worker->snap_session != nullptr) worker->snap_session->Refresh();
+    worker->session->Refresh();
     ExecuteBatch(worker, &batch);
     lock.lock();
   }
 }
 
-void QueryService::SetSessionContext(Worker* worker, RequestContext* ctx) {
-  if (worker->session != nullptr) {
-    worker->session->SetRequestContext(ctx);
-  } else {
-    worker->snap_session->SetRequestContext(ctx);
-  }
-}
-
 void QueryService::ExecuteOps(AccessMethod* am,
-                              std::vector<QueuedRequest>* batch,
+                              const std::vector<QueuedRequest>& batch,
                               const std::vector<size_t>& indices,
                               std::vector<ServeResponse>* responses) {
-  std::vector<size_t> by_op[4];
-  for (size_t i : indices) {
-    by_op[static_cast<size_t>((*batch)[i].request.op)].push_back(i);
-  }
-
-  const std::vector<size_t>& route_idx =
-      by_op[static_cast<size_t>(ServeOp::kRouteEval)];
-  if (!route_idx.empty()) {
-    std::vector<const Route*> routes;
-    routes.reserve(route_idx.size());
-    for (size_t i : route_idx) routes.push_back(&(*batch)[i].request.route);
-    auto results = EvaluateRouteBatch(am, routes);
-    for (size_t k = 0; k < route_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[route_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().total_cost;
-        r.num_edges = results[k].value().num_edges;
-      } else {
-        r.status = results[k].status();
-      }
+  auto fill_search = [](Result<SearchResult> result, ServeResponse* r) {
+    if (!result.ok()) {
+      r->status = result.status();
+      return;
     }
-  }
-
-  const std::vector<size_t>& astar_idx =
-      by_op[static_cast<size_t>(ServeOp::kAStar)];
-  if (!astar_idx.empty()) {
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    pairs.reserve(astar_idx.size());
-    for (size_t i : astar_idx) {
-      const Route& route = (*batch)[i].request.route;
-      pairs.emplace_back(route.nodes.front(), route.nodes.back());
-    }
-    auto results = ShortestPathAStarBatch(am, pairs);
-    for (size_t k = 0; k < astar_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[astar_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().cost;
-        r.num_edges = results[k].value().path.empty()
-                          ? 0
-                          : results[k].value().path.size() - 1;
-        r.path = std::move(results[k].value().path);
-      } else {
-        r.status = results[k].status();
-      }
-    }
-  }
-
-  const std::vector<size_t>& ch_idx =
-      by_op[static_cast<size_t>(ServeOp::kHierarchy)];
-  if (!ch_idx.empty()) {
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    pairs.reserve(ch_idx.size());
-    for (size_t i : ch_idx) {
-      const Route& route = (*batch)[i].request.route;
-      pairs.emplace_back(route.nodes.front(), route.nodes.back());
-    }
-    auto results = ShortestPathCHBatch(am, pairs);
-    for (size_t k = 0; k < ch_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[ch_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().cost;
-        r.num_edges = results[k].value().path.empty()
-                          ? 0
-                          : results[k].value().path.size() - 1;
-        r.path = std::move(results[k].value().path);
-      } else {
-        r.status = results[k].status();
-      }
-    }
-  }
-
-  const std::vector<size_t>& agg_idx =
-      by_op[static_cast<size_t>(ServeOp::kAggregate)];
-  if (!agg_idx.empty()) {
-    std::vector<const RouteUnit*> units;
-    units.reserve(agg_idx.size());
-    for (size_t i : agg_idx) units.push_back(&(*batch)[i].request.unit);
-    auto results = AggregateRouteUnitBatch(am, units);
-    for (size_t k = 0; k < agg_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[agg_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().total_edge_cost;
-        r.num_edges = results[k].value().num_edges;
-      } else {
-        r.status = results[k].status();
+    r->cost = result->cost;
+    r->num_edges = result->path.empty() ? 0 : result->path.size() - 1;
+    r->path = std::move(result->path);
+  };
+  for (ServeOp op : {ServeOp::kRouteEval, ServeOp::kAStar,
+                     ServeOp::kHierarchy, ServeOp::kAggregate}) {
+    for (size_t i : indices) {
+      const ServeRequest& request = batch[i].request;
+      if (request.op != op) continue;
+      ServeResponse* r = &(*responses)[i];
+      // Submit admitted only requests with an origin, so OD pairs exist.
+      const std::vector<NodeId>& od = request.route.nodes;
+      switch (op) {
+        case ServeOp::kRouteEval: {
+          auto result = EvaluateRoute(am, request.route);
+          if (result.ok()) {
+            r->cost = result->total_cost;
+            r->num_edges = result->num_edges;
+          } else {
+            r->status = result.status();
+          }
+          break;
+        }
+        case ServeOp::kAStar:
+          fill_search(ShortestPathAStar(am, od.front(), od.back()), r);
+          break;
+        case ServeOp::kHierarchy:
+          fill_search(ShortestPathCH(am, od.front(), od.back()), r);
+          break;
+        case ServeOp::kAggregate: {
+          auto result = AggregateRouteUnit(am, request.unit);
+          if (result.ok()) {
+            r->cost = result->total_edge_cost;
+            r->num_edges = result->num_edges;
+          } else {
+            r->status = result.status();
+          }
+          break;
+        }
       }
     }
   }
@@ -432,28 +380,11 @@ void QueryService::ExecuteBatch(Worker* worker,
     if (batch->empty()) return;
   }
 
-  // Pin the batch's region page once through the worker's session: the one
-  // fetch (charged to this session iff it misses the shared pool) then
-  // serves every request of the batch as a buffer hit.
-  std::vector<PageGuard> pins;
-  if (options_.region_batching && batch->front().region != kInvalidPageId) {
-    // In snapshot mode the region was stamped against the version current
-    // at submit time; after a swap the page id may be gone from this
-    // worker's version, in which case the pin simply fails — batching
-    // affinity degrades for that batch, results are untouched. A
-    // quarantined or corrupt region page also fails the pin; the requests
-    // still execute and surface their own typed statuses.
-    if (worker->snap_session != nullptr) {
-      (void)worker->snap_session->PinDataPages({batch->front().region},
-                                               &pins);
-    } else {
-      (void)worker->session->PinDataPages({batch->front().region}, &pins);
-    }
-  }
-
+  // No page pin is held across the batch: the requests all start in the
+  // region page, which the first one reads and the rest find in the pool.
+  ReadSession* session = worker->session.get();
   const size_t n = batch->size();
   std::vector<ServeResponse> responses(n);
-  AccessMethod* am = SessionOf(worker);
 
   // Deadline-free requests execute with no context attached — exactly the
   // pre-lifecycle code path, so healthy traffic keeps serial-oracle
@@ -472,12 +403,12 @@ void QueryService::ExecuteBatch(Worker* worker,
       if (tightest == 0 || d < tightest) tightest = d;
     }
   }
-  if (!free_idx.empty()) ExecuteOps(am, batch, free_idx, &responses);
+  if (!free_idx.empty()) ExecuteOps(session, *batch, free_idx, &responses);
   if (!dl_idx.empty()) {
     worker->ctx.Reset(tightest);
-    SetSessionContext(worker, &worker->ctx);
-    ExecuteOps(am, batch, dl_idx, &responses);
-    SetSessionContext(worker, nullptr);
+    session->SetRequestContext(&worker->ctx);
+    ExecuteOps(session, *batch, dl_idx, &responses);
+    session->SetRequestContext(nullptr);
   }
 
   // Retry retryable failures (transient transport faults) individually
@@ -506,10 +437,10 @@ void QueryService::ExecuteBatch(Worker* worker,
         one[0] = i;
         if (deadline != 0) {
           worker->ctx.Reset(deadline);
-          SetSessionContext(worker, &worker->ctx);
+          session->SetRequestContext(&worker->ctx);
         }
-        ExecuteOps(am, batch, one, &responses);
-        if (deadline != 0) SetSessionContext(worker, nullptr);
+        ExecuteOps(session, *batch, one, &responses);
+        if (deadline != 0) session->SetRequestContext(nullptr);
       }
     }
   }
@@ -522,8 +453,6 @@ void QueryService::ExecuteBatch(Worker* worker,
       breaker_->OnResult(responses[i].status, now);
     }
   }
-
-  pins.clear();  // unpin before fulfilling: clients may re-query promptly
 
   const uint64_t end_us = NowMicros();
   for (size_t i = 0; i < n; ++i) {
@@ -601,12 +530,7 @@ void QueryService::Shutdown(bool drain) {
 IoStats QueryService::TotalSessionIoStats() const {
   IoStats total;
   for (const auto& w : workers_) {
-    IoStats s = w->session != nullptr ? w->session->DataIoStats()
-                                      : w->snap_session->DataIoStats();
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.allocs += s.allocs;
-    total.frees += s.frees;
+    total = SumStats(total, w->session->DataIoStats());
   }
   return total;
 }
@@ -614,12 +538,7 @@ IoStats QueryService::TotalSessionIoStats() const {
 IoStats QueryService::TotalSessionHierarchyIoStats() const {
   IoStats total;
   for (const auto& w : workers_) {
-    IoStats s = w->session != nullptr ? w->session->HierarchyIoStats()
-                                      : w->snap_session->HierarchyIoStats();
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.allocs += s.allocs;
-    total.frees += s.frees;
+    total = SumStats(total, w->session->HierarchyIoStats());
   }
   return total;
 }

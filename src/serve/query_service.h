@@ -14,6 +14,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/network_file.h"
 #include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/storage/snapshot_manager.h"
 #include "src/serve/admission.h"
 #include "src/serve/circuit_breaker.h"
@@ -25,7 +26,7 @@ namespace serve {
 
 /// Tuning knobs of the query service.
 struct QueryServiceOptions {
-  /// Worker threads, each owning one QuerySession. 0 = the data buffer
+  /// Worker threads, each owning one read session. 0 = the data buffer
   /// pool's shard count (one worker per pool shard, the natural affinity
   /// grain), floored at 1.
   int num_workers = 0;
@@ -85,12 +86,12 @@ struct QueryServiceOptions {
 /// it with the worker that owns the region (region % workers, mirroring
 /// the buffer pool's page->shard map). Each worker drains its own
 /// deficit-round-robin scheduler: it pops the next tenant's request plus
-/// every queued request touching the same region (up to max_batch), pins
-/// the region's page once through its session, and executes the batch
-/// through the drivers' batch entry points — so the page fetch that the
-/// first request pays is a buffer hit for the rest.
+/// every queued request touching the same region (up to max_batch), and
+/// runs each request through its ordinary single-query operator back to
+/// back — so the region-page fetch that the first request pays is a
+/// buffer hit for the rest.
 ///
-/// Accounting: all reads go through the workers' QuerySessions, so the
+/// Accounting: all reads go through the workers' sessions, so the
 /// paper's conservation invariant extends to the whole service — the sum
 /// of the workers' per-session IoStats equals the file's global disk
 /// reads (TotalSessionIoStats; verified by tests/serve_test.cc).
@@ -105,11 +106,11 @@ class QueryService {
 
   /// Serves a snapshot store instead of a single file: each worker owns a
   /// SnapshotSession pinned to one published version, refreshed only at
-  /// batch boundaries — an in-flight batch keeps its version (and its page
-  /// pins) across a concurrent swap, which is exactly the session-drain
-  /// contract the reorganizer's retirement waits on. Regions are stamped
-  /// via SnapshotManager::RegionOf against the version current at submit
-  /// time; a request executed after a swap may pin a page id from the
+  /// batch boundaries — an in-flight batch keeps its version across a
+  /// concurrent swap, which is exactly the session-drain contract the
+  /// reorganizer's retirement waits on. Regions are stamped via
+  /// SnapshotManager::RegionOf against the version current at submit
+  /// time; a request executed after a swap may carry a page id from the
   /// older layout, which degrades only batching affinity, never results.
   /// Mutations and background reorganizations may run concurrently with
   /// serving.
@@ -172,10 +173,9 @@ class QueryService {
     std::mutex mu;
     std::condition_variable cv;
     DrrScheduler scheduler;
-    /// Exactly one of the two is set: `session` against a NetworkFile,
-    /// `snap_session` against a SnapshotManager.
-    std::unique_ptr<QuerySession> session;
-    std::unique_ptr<SnapshotSession> snap_session;
+    /// A QuerySession against a NetworkFile, a SnapshotSession against a
+    /// SnapshotManager.
+    std::unique_ptr<ReadSession> session;
     /// Lifecycle context re-stamped per batch (deadlined subsets execute
     /// under the tightest member deadline) and jitter stream for retry
     /// backoff. Worker-thread-only.
@@ -186,20 +186,15 @@ class QueryService {
   void StartWorkers(int n);
   void WorkerLoop(Worker* worker);
   void ExecuteBatch(Worker* worker, std::vector<QueuedRequest>* batch);
-  /// Executes the requests at `indices` of `batch` through the drivers'
-  /// batch entry points, writing each result into `responses`. The
-  /// lifecycle context (if any) is already attached to the session.
-  void ExecuteOps(AccessMethod* am, std::vector<QueuedRequest>* batch,
-                  const std::vector<size_t>& indices,
-                  std::vector<ServeResponse>* responses);
-  /// Attaches/detaches the worker's RequestContext on its session.
-  void SetSessionContext(Worker* worker, RequestContext* ctx);
+  /// Executes the requests at `indices` of `batch` one by one through
+  /// their single-query operators, grouped by ServeOp in enum order and in
+  /// arrival order within an op, writing each result into `responses`.
+  /// The lifecycle context (if any) is already attached to the session.
+  static void ExecuteOps(AccessMethod* am,
+                         const std::vector<QueuedRequest>& batch,
+                         const std::vector<size_t>& indices,
+                         std::vector<ServeResponse>* responses);
   void CancelBatch(std::vector<QueuedRequest>* batch, const char* why);
-  AccessMethod* SessionOf(Worker* worker) const {
-    return worker->session != nullptr
-               ? static_cast<AccessMethod*>(worker->session.get())
-               : static_cast<AccessMethod*>(worker->snap_session.get());
-  }
 
   /// Microseconds on the steady clock (the service's common time base).
   static uint64_t NowMicros();

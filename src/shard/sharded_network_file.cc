@@ -31,14 +31,6 @@ uint64_t SubsetSeed(uint64_t base, const std::vector<NodeId>& nodes) {
 
 bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
-IoStats SumStats(IoStats a, const IoStats& b) {
-  a.reads += b.reads;
-  a.writes += b.writes;
-  a.allocs += b.allocs;
-  a.frees += b.frees;
-  return a;
-}
-
 }  // namespace
 
 ShardedNetworkFile::ShardedNetworkFile(const ShardedOptions& options)
@@ -358,22 +350,25 @@ std::string ShardedQuerySession::Name() const {
   return "Sharded(" + std::to_string(file_->num_shards()) + ")/session";
 }
 
-Result<NodeRecord> ShardedQuerySession::Find(NodeId id) {
+Result<uint32_t> ShardedQuerySession::OwnerOf(NodeId id) const {
   uint32_t s = router().ShardOf(id);
   if (s == ShardRouter::kInvalidShard) {
     return Status::NotFound("node " + std::to_string(id) +
                             " not owned by any shard");
   }
+  return s;
+}
+
+Result<NodeRecord> ShardedQuerySession::DoFind(NodeId id) {
+  uint32_t s;
+  CCAM_ASSIGN_OR_RETURN(s, OwnerOf(id));
   return sessions_[s]->Find(id);
 }
 
-Result<NodeRecord> ShardedQuerySession::GetASuccessor(NodeId from,
-                                                      NodeId to) {
-  uint32_t sf = router().ShardOf(from);
-  if (sf == ShardRouter::kInvalidShard) {
-    return Status::NotFound("node " + std::to_string(from) +
-                            " not owned by any shard");
-  }
+Result<NodeRecord> ShardedQuerySession::DoGetASuccessor(NodeId from,
+                                                        NodeId to) {
+  uint32_t sf;
+  CCAM_ASSIGN_OR_RETURN(sf, OwnerOf(from));
   uint32_t st = router().ShardOf(to);
   if (st != ShardRouter::kInvalidShard && st != sf) {
     // The hop crosses the coarse cut; the successor's record is still
@@ -386,13 +381,10 @@ Result<NodeRecord> ShardedQuerySession::GetASuccessor(NodeId from,
   return sessions_[sf]->GetASuccessor(from, to);
 }
 
-Result<std::vector<NodeRecord>> ShardedQuerySession::GetSuccessors(
+Result<std::vector<NodeRecord>> ShardedQuerySession::DoGetSuccessors(
     NodeId id) {
-  uint32_t s = router().ShardOf(id);
-  if (s == ShardRouter::kInvalidShard) {
-    return Status::NotFound("node " + std::to_string(id) +
-                            " not owned by any shard");
-  }
+  uint32_t s;
+  CCAM_ASSIGN_OR_RETURN(s, OwnerOf(id));
   return sessions_[s]->GetSuccessors(id);
 }
 
@@ -425,7 +417,7 @@ std::vector<NodeId> ShardedQuerySession::LiveNodeIds() const {
 }
 
 void ShardedQuerySession::SetRequestContext(RequestContext* ctx) {
-  ctx_ = ctx;
+  ReadSession::SetRequestContext(ctx);
   for (const auto& session : sessions_) session->SetRequestContext(ctx);
 }
 

@@ -174,44 +174,19 @@ class ShardedNetworkFile {
   MetricsRegistry* metrics_ = nullptr;
 };
 
-/// A read-only query stream over a ShardedNetworkFile, implementing the
-/// AccessMethod interface so every existing query driver (route
-/// evaluation, A*, traversals, aggregation, the spatial engine) runs
-/// against a sharded file unchanged. Each call routes to the owning
-/// shard's QuerySession; per-shard accesses accumulate in that session
-/// and DataIoStats() returns their sum, so the sharded accounting sums
-/// exactly to the unsharded baseline on a 1-shard configuration.
-///
-/// Concurrency contract: one sharded session per thread (it wraps one
-/// per-shard QuerySession each, which bind to the first reading thread).
-/// Sessions never run concurrently with mutations — shard files are
-/// read-only anyway.
-class ShardedQuerySession : public AccessMethod {
+/// A read-only query stream over a ShardedNetworkFile, so every existing
+/// query driver (route evaluation, A*, traversals, aggregation, the
+/// spatial engine) runs against a sharded file unchanged. Each read routes
+/// to the owning shard's QuerySession; per-shard accesses accumulate in
+/// that session and DataIoStats() returns their sum, so the sharded
+/// accounting sums exactly to the unsharded baseline on a 1-shard
+/// configuration. One sharded session per thread, like every ReadSession
+/// (its per-shard sessions bind to the first reading thread too).
+class ShardedQuerySession : public ReadSession {
  public:
   explicit ShardedQuerySession(ShardedNetworkFile* file);
 
   std::string Name() const override;
-
-  Status Create(const Network&) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-
-  Result<NodeRecord> Find(NodeId id) override;
-  Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override;
-  Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override;
-
-  Status InsertNode(const NodeRecord&, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-  Status DeleteNode(NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-  Status InsertEdge(NodeId, NodeId, float, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-  Status DeleteEdge(NodeId, NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
 
   /// Sum of this stream's per-shard session counters.
   IoStats DataIoStats() const override;
@@ -223,7 +198,6 @@ class ShardedQuerySession : public AccessMethod {
   /// Shard 0's pool (interface requirement; per-shard pools are reached
   /// through shard_session(s)->buffer_pool()).
   BufferPool* buffer_pool() override;
-  bool LastOpChangedStructure() const override { return false; }
   size_t NumDataPages() const override { return file_->NumDataPages(); }
 
   /// Owned nodes only (ascending): halo copies must not be visible as
@@ -236,9 +210,8 @@ class ShardedQuerySession : public AccessMethod {
 
   MetricsRegistry* metrics() const override { return file_->metrics(); }
 
-  /// Attaches the lifecycle context to every per-shard session.
-  void SetRequestContext(RequestContext* ctx);
-  RequestContext* request_context() const override { return ctx_; }
+  /// Attaches the lifecycle context to every per-shard session as well.
+  void SetRequestContext(RequestContext* ctx) override;
 
   /// The underlying per-shard session (the single-shard fast path
   /// dispatches existing per-file operators straight at one of these).
@@ -251,10 +224,17 @@ class ShardedQuerySession : public AccessMethod {
   /// attached).
   uint64_t CutCrossings() const { return cut_crossings_; }
 
+ protected:
+  Result<NodeRecord> DoFind(NodeId id) override;
+  Result<NodeRecord> DoGetASuccessor(NodeId from, NodeId to) override;
+  Result<std::vector<NodeRecord>> DoGetSuccessors(NodeId id) override;
+
  private:
+  /// The shard owning `id`, or NotFound.
+  Result<uint32_t> OwnerOf(NodeId id) const;
+
   ShardedNetworkFile* file_;
   std::vector<std::unique_ptr<QuerySession>> sessions_;
-  RequestContext* ctx_ = nullptr;
   uint64_t cut_crossings_ = 0;
   MetricCounter* m_crossings_ = nullptr;
 };

@@ -356,23 +356,6 @@ void BufferPool::SetMetrics(MetricsRegistry* metrics) {
   m_writeback_ = metrics->GetCounter("buffer_pool.writeback");
 }
 
-Status BufferPool::FetchPages(const std::vector<PageId>& ids,
-                              std::vector<PageGuard>* guards, IoStats* io) {
-  std::vector<PageId> distinct(ids);
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  std::vector<PageGuard> pinned;
-  pinned.reserve(distinct.size());
-  for (PageId id : distinct) {
-    PageGuard guard(this, id, io);
-    if (!guard.ok()) return guard.status();  // `pinned` unwinds the rest
-    pinned.push_back(std::move(guard));
-  }
-  for (PageGuard& guard : pinned) guards->push_back(std::move(guard));
-  return Status::OK();
-}
-
 int BufferPool::PinCount(PageId id) const {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);

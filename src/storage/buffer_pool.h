@@ -95,17 +95,6 @@ class BufferPool {
   /// Releases one pin; `dirty` marks the frame as modified.
   Status UnpinPage(PageId id, bool dirty);
 
-  /// Multi-pin batch fetch: pins every distinct page of `ids` (duplicates
-  /// collapse to one pin) and appends one guard per pinned page to
-  /// `guards`. Pages are fetched in ascending id order so a batch touches
-  /// each shard in a deterministic sequence. Misses are charged to `io`
-  /// like PageGuard's. All-or-nothing: on the first failure every page
-  /// pinned by this call is released and the error is returned — the
-  /// region-batched execution path either holds its whole working set or
-  /// none of it, so a failed batch never leaks pins into the pool.
-  Status FetchPages(const std::vector<PageId>& ids,
-                    std::vector<PageGuard>* guards, IoStats* io = nullptr);
-
   /// Allocates a fresh page on disk and installs an empty pinned frame for
   /// it (no disk read is charged; the caller formats the frame).
   Status NewPage(PageId* id, char** data);

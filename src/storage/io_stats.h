@@ -34,6 +34,15 @@ struct IoStats {
   }
 };
 
+/// Field-wise sum of two counter snapshots (per-session totals).
+inline IoStats SumStats(IoStats a, const IoStats& b) {
+  a.reads += b.reads;
+  a.writes += b.writes;
+  a.allocs += b.allocs;
+  a.frees += b.frees;
+  return a;
+}
+
 }  // namespace ccam
 
 #endif  // CCAM_STORAGE_IO_STATS_H_

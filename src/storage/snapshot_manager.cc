@@ -72,6 +72,51 @@ size_t SnapshotVersion::NumLiveNodes() const {
 
 // --- SnapshotSession --------------------------------------------------------
 
+namespace {
+
+using Overlay = std::unordered_map<NodeId, std::optional<NodeRecord>>;
+
+Status TombstonedSuccessor(NodeId succ, NodeId id) {
+  // Deleting `succ` would have rewritten id's record to drop the edge in
+  // the same overlay publish; a tombstoned successor is a broken overlay.
+  return Status::Corruption("snapshot overlay: successor " +
+                            std::to_string(succ) + " of node " +
+                            std::to_string(id) + " is tombstoned");
+}
+
+/// With the overlay read-locked: when anchor `id` has an overlay entry,
+/// fills `out` with its successors' overlay records — successors without
+/// an entry get an id-only placeholder, their indices appended to
+/// `from_base` — and returns true (`*status` carries NotFound / Corruption
+/// for a tombstoned anchor or successor). Returns false when `id` has no
+/// overlay entry.
+bool ResolveOverlayAnchor(const Overlay& overlay, NodeId id,
+                          std::vector<NodeRecord>* out,
+                          std::vector<size_t>* from_base, Status* status) {
+  auto anchor = overlay.find(id);
+  if (anchor == overlay.end()) return false;
+  if (!anchor->second.has_value()) {
+    *status = Status::NotFound("node " + std::to_string(id));
+    return true;
+  }
+  out->reserve(anchor->second->succ.size());
+  for (const AdjEntry& e : anchor->second->succ) {
+    auto it = overlay.find(e.node);
+    if (it == overlay.end()) {
+      from_base->push_back(out->size());
+      out->emplace_back().id = e.node;
+    } else if (!it->second.has_value()) {
+      *status = TombstonedSuccessor(e.node, id);
+      return true;
+    } else {
+      out->push_back(*it->second);
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 void SnapshotSession::Refresh() {
   DebugCheckThread();
   if (manager_->CurrentVersionId() == version_->id()) return;
@@ -80,9 +125,7 @@ void SnapshotSession::Refresh() {
   version_ = std::move(next);
 }
 
-Result<NodeRecord> SnapshotSession::Find(NodeId id) {
-  DebugCheckThread();
-  if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
+Result<NodeRecord> SnapshotSession::DoFind(NodeId id) {
   std::optional<NodeRecord> overlay;
   if (version_->OverlayLookup(id, &overlay)) {
     if (!overlay.has_value()) {
@@ -93,9 +136,7 @@ Result<NodeRecord> SnapshotSession::Find(NodeId id) {
   return version_->file()->SharedFind(id, &io_);
 }
 
-Result<NodeRecord> SnapshotSession::GetASuccessor(NodeId from, NodeId to) {
-  DebugCheckThread();
-  if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
+Result<NodeRecord> SnapshotSession::DoGetASuccessor(NodeId from, NodeId to) {
   std::optional<NodeRecord> overlay;
   if (version_->OverlayLookup(to, &overlay)) {
     if (!overlay.has_value()) {
@@ -106,57 +147,48 @@ Result<NodeRecord> SnapshotSession::GetASuccessor(NodeId from, NodeId to) {
   return version_->file()->SharedGetASuccessor(from, to, &io_);
 }
 
-Result<std::vector<NodeRecord>> SnapshotSession::GetSuccessors(NodeId id) {
-  DebugCheckThread();
-  if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
-  std::optional<NodeRecord> overlay;
-  if (version_->OverlayLookup(id, &overlay)) {
-    if (!overlay.has_value()) {
-      return Status::NotFound("node " + std::to_string(id));
-    }
-    // The anchor node mutated since this version published: its overlay
-    // record carries the authoritative successor list. Resolve each
-    // successor overlay-first; the base file serves the unchanged ones.
-    std::vector<NodeRecord> out;
-    out.reserve(overlay->succ.size());
-    for (const AdjEntry& e : overlay->succ) {
-      std::optional<NodeRecord> succ_overlay;
-      if (version_->OverlayLookup(e.node, &succ_overlay)) {
-        if (!succ_overlay.has_value()) {
-          // Deleting e.node would have rewritten id's overlay record to
-          // drop the edge; a tombstoned successor is a broken overlay.
-          return Status::Corruption("snapshot overlay: successor " +
-                                    std::to_string(e.node) + " of node " +
-                                    std::to_string(id) + " is tombstoned");
-        }
-        out.push_back(*succ_overlay);
-      } else {
-        auto rec = version_->file()->SharedFind(e.node, &io_);
-        if (!rec.ok()) return rec.status();
-        out.push_back(std::move(*rec));
-      }
-    }
-    return out;
+Result<std::vector<NodeRecord>> SnapshotSession::DoGetSuccessors(NodeId id) {
+  // All overlay lookups of one call resolve against a single overlay view
+  // (one shared-lock hold); page I/O runs with the lock released. Mutations
+  // publish whole and the overlay only grows while the version is current,
+  // so an anchor still absent from the overlay after its base read was
+  // absent throughout: its base successor list is current in that view.
+  const SnapshotVersion& v = *version_;
+  std::vector<NodeRecord> out;
+  std::vector<size_t> from_base;
+  Status status;
+  bool mutated;
+  {
+    std::shared_lock<std::shared_mutex> lock(v.overlay_mu_);
+    mutated = ResolveOverlayAnchor(v.overlay_, id, &out, &from_base, &status);
   }
-  // Anchor unchanged: its base successor list is current (any edge change
-  // involving id would have patched id into the overlay). Individual
-  // successor *records* may still have mutated — substitute those.
-  auto base = version_->file()->SharedGetSuccessors(id, &io_);
-  if (!base.ok()) return base;
-  if (version_->OverlaySize() != 0) {
-    for (NodeRecord& rec : *base) {
-      std::optional<NodeRecord> succ_overlay;
-      if (version_->OverlayLookup(rec.id, &succ_overlay)) {
-        if (!succ_overlay.has_value()) {
-          return Status::Corruption("snapshot overlay: successor " +
-                                    std::to_string(rec.id) + " of node " +
-                                    std::to_string(id) + " is tombstoned");
-        }
-        rec = *succ_overlay;
+  if (!mutated) {
+    auto base = v.file()->SharedGetSuccessors(id, &io_);
+    std::shared_lock<std::shared_mutex> lock(v.overlay_mu_);
+    mutated = ResolveOverlayAnchor(v.overlay_, id, &out, &from_base, &status);
+    if (!mutated) {
+      // Anchor unchanged; individual successor *records* may still have
+      // mutated — substitute those.
+      if (!base.ok()) return base;
+      for (NodeRecord& rec : *base) {
+        auto it = v.overlay_.find(rec.id);
+        if (it == v.overlay_.end()) continue;
+        if (!it->second.has_value()) return TombstonedSuccessor(rec.id, id);
+        rec = *it->second;
       }
+      return base;
     }
   }
-  return base;
+  // The anchor mutated since this version published: its overlay record
+  // carries the authoritative successor list; the base image serves the
+  // successors the view left unchanged.
+  CCAM_RETURN_NOT_OK(status);
+  for (size_t i : from_base) {
+    auto rec = v.file()->SharedFind(out[i].id, &io_);
+    if (!rec.ok()) return rec.status();
+    out[i] = std::move(*rec);
+  }
+  return out;
 }
 
 // --- SnapshotManager: lifecycle --------------------------------------------
@@ -274,13 +306,7 @@ Result<std::unique_ptr<SnapshotManager>> SnapshotManager::Open(
                                 std::to_string(record.lsn) +
                                 "): " + applied.ToString());
     }
-    for (NodeId id : affected) {
-      std::optional<NodeRecord> rec;
-      if (mgr->net_.HasNode(id)) {
-        rec = NodeRecord::FromNetworkNode(id, mgr->net_.node(id));
-      }
-      version->OverlaySet(id, std::move(rec));
-    }
+    version->OverlayPublish(mgr->RecordsOf(affected));
     mgr->retained_.push_back(record);
     max_lsn = record.lsn;
   }
@@ -491,6 +517,18 @@ std::vector<NodeId> SnapshotManager::AffectedNodes(const Network& net,
   return out;
 }
 
+std::vector<std::pair<NodeId, std::optional<NodeRecord>>>
+SnapshotManager::RecordsOf(const std::vector<NodeId>& ids) const {
+  std::vector<std::pair<NodeId, std::optional<NodeRecord>>> out;
+  out.reserve(ids.size());
+  for (NodeId id : ids) {
+    std::optional<NodeRecord> rec;
+    if (net_.HasNode(id)) rec = NodeRecord::FromNetworkNode(id, net_.node(id));
+    out.emplace_back(id, std::move(rec));
+  }
+  return out;
+}
+
 Status SnapshotManager::ApplyAndLog(DeltaRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (halted()) return Status::IOError("snapshot store halted");
@@ -513,14 +551,11 @@ Status SnapshotManager::ApplyAndLog(DeltaRecord record) {
     return Status::Corruption("snapshot mutation applied inconsistently: " +
                               applied.ToString());
   }
-  for (NodeId id : affected) {
-    std::optional<NodeRecord> rec;
-    if (net_.HasNode(id)) {
-      rec = NodeRecord::FromNetworkNode(id, net_.node(id));
-    }
-    current_->OverlaySet(id, rec);
-    if (build_active_) pending_overlay_[id] = std::move(rec);
+  auto records = RecordsOf(affected);
+  if (build_active_) {
+    for (const auto& [id, rec] : records) pending_overlay_[id] = rec;
   }
+  current_->OverlayPublish(std::move(records));
   retained_.push_back(std::move(record));
   if (m_mutations_ != nullptr) m_mutations_->Inc();
   return Status::OK();

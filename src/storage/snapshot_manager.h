@@ -2,7 +2,6 @@
 #define CCAM_STORAGE_SNAPSHOT_MANAGER_H_
 
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -12,14 +11,15 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault_injector.h"
 #include "src/common/metrics.h"
-#include "src/common/request_context.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/core/ccam.h"
+#include "src/core/read_session.h"
 #include "src/storage/delta_log.h"
 
 namespace ccam {
@@ -71,10 +71,15 @@ class SnapshotVersion {
 
  private:
   friend class SnapshotManager;
+  friend class SnapshotSession;
 
-  void OverlaySet(NodeId id, std::optional<NodeRecord> record) {
+  /// Publishes every record one mutation rewrites under a single overlay
+  /// lock: a reader sees the mutation whole or not at all (never a node's
+  /// new successor list before the successor's own record).
+  void OverlayPublish(
+      std::vector<std::pair<NodeId, std::optional<NodeRecord>>> records) {
     std::unique_lock<std::shared_mutex> lock(overlay_mu_);
-    overlay_[id] = std::move(record);
+    for (auto& [id, record] : records) overlay_[id] = std::move(record);
   }
 
   uint64_t id_;
@@ -256,6 +261,9 @@ class SnapshotManager {
   /// (evaluated before application; includes nodes being deleted).
   static std::vector<NodeId> AffectedNodes(const Network& net,
                                            const DeltaRecord& record);
+  /// The current record of each of `ids` in net_ (nullopt = deleted).
+  std::vector<std::pair<NodeId, std::optional<NodeRecord>>> RecordsOf(
+      const std::vector<NodeId>& ids) const;
 
   Status ApplyAndLog(DeltaRecord record);
 
@@ -334,22 +342,18 @@ class SnapshotManager {
 };
 
 /// A read-only query stream over a SnapshotManager, pinned to one version.
-/// Implements AccessMethod so every query driver runs against it
-/// unchanged. Reads resolve through the pinned version's overlay first
-/// (the in-memory mutation delta — no page I/O) and fall through to the
-/// base image's thread-safe shared read path, charged to this session's
-/// IoStats exactly like QuerySession. With an empty overlay the session
-/// is I/O-for-I/O identical to a QuerySession on the base file — the
-/// bit-identical-accounting guarantee tests/snapshot_swap_test.cc gates.
+/// Reads resolve through the pinned version's overlay first (the in-memory
+/// mutation delta — no page I/O) and fall through to the base image's
+/// thread-safe shared read path, charged to this session's IoStats exactly
+/// like QuerySession. With an empty overlay the session is I/O-for-I/O
+/// identical to a QuerySession on the base file — the bit-identical-
+/// accounting guarantee tests/snapshot_swap_test.cc gates.
 ///
 /// The session holds its version until Refresh() re-acquires the current
 /// one: queries in flight never migrate between versions, an in-progress
 /// batch keeps its page pins valid across a concurrent swap, and a
 /// long-lived session simply keeps reading its (frozen) snapshot.
-///
-/// Concurrency contract: one session per thread, like QuerySession (same
-/// debug-build thread binding; RebindToCurrentThread at handoffs).
-class SnapshotSession : public AccessMethod {
+class SnapshotSession : public ReadSession {
  public:
   explicit SnapshotSession(SnapshotManager* manager)
       : manager_(manager), version_(manager->Acquire()) {}
@@ -363,37 +367,12 @@ class SnapshotSession : public AccessMethod {
     return version_->file()->Name() + "/snapshot-session";
   }
 
-  /// Re-acquires the current version when it changed. Call only between
-  /// queries (no pins or in-flight reads); per-session IoStats accumulate
-  /// across refreshes.
-  void Refresh();
+  /// Re-acquires the current version when it changed; per-session IoStats
+  /// accumulate across refreshes.
+  void Refresh() override;
 
   uint64_t version_id() const { return version_->id(); }
   SnapshotVersion* version() const { return version_.get(); }
-
-  Status Create(const Network&) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-
-  Result<NodeRecord> Find(NodeId id) override;
-  Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override;
-  Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override;
-
-  Status InsertNode(const NodeRecord&, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-  Status DeleteNode(NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-  Status InsertEdge(NodeId, NodeId, float, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-  Status DeleteEdge(NodeId, NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-
-  IoStats DataIoStats() const override { return io_; }
-  void ResetIoStats() override { io_ = IoStats{}; }
 
   const NodePageMap& PageMap() const override {
     return version_->file()->PageMap();
@@ -401,7 +380,6 @@ class SnapshotSession : public AccessMethod {
   BufferPool* buffer_pool() override {
     return version_->file()->buffer_pool();
   }
-  bool LastOpChangedStructure() const override { return false; }
   size_t NumDataPages() const override {
     return version_->file()->NumDataPages();
   }
@@ -413,49 +391,14 @@ class SnapshotSession : public AccessMethod {
 
   MetricsRegistry* metrics() const override { return manager_->metrics(); }
 
-  /// Page pinning for the serving layer's region batching, identical to
-  /// QuerySession::PinDataPage(s) but against the pinned version's pool.
-  PageGuard PinDataPage(PageId id) {
-    DebugCheckThread();
-    return PageGuard(version_->file()->buffer_pool(), id, &io_);
-  }
-  Status PinDataPages(const std::vector<PageId>& ids,
-                      std::vector<PageGuard>* guards) {
-    DebugCheckThread();
-    if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
-    return version_->file()->buffer_pool()->FetchPages(ids, guards, &io_);
-  }
-
-  /// Lifecycle context for reads through this session, exactly like
-  /// QuerySession::SetRequestContext: not owned, nullptr = checks off.
-  void SetRequestContext(RequestContext* ctx) { ctx_ = ctx; }
-  RequestContext* request_context() const override { return ctx_; }
-
-  void RebindToCurrentThread() {
-#ifndef NDEBUG
-    bound_thread_ = std::this_thread::get_id();
-#endif
-  }
+ protected:
+  Result<NodeRecord> DoFind(NodeId id) override;
+  Result<NodeRecord> DoGetASuccessor(NodeId from, NodeId to) override;
+  Result<std::vector<NodeRecord>> DoGetSuccessors(NodeId id) override;
 
  private:
-  void DebugCheckThread() {
-#ifndef NDEBUG
-    if (bound_thread_ == std::thread::id()) {
-      bound_thread_ = std::this_thread::get_id();
-    }
-    assert(bound_thread_ == std::this_thread::get_id() &&
-           "SnapshotSession used from two threads: open one session per "
-           "thread (or RebindToCurrentThread() at a handoff)");
-#endif
-  }
-
   SnapshotManager* manager_;
   std::shared_ptr<SnapshotVersion> version_;
-  RequestContext* ctx_ = nullptr;  // not owned; null = lifecycle checks off
-  IoStats io_;  // per-session: the session is single-threaded by contract
-#ifndef NDEBUG
-  std::thread::id bound_thread_{};
-#endif
 };
 
 }  // namespace ccam

@@ -256,7 +256,7 @@ TEST(SnapshotSwapTest, ReaderHoldingPagePinNeverBlocksSwap) {
   std::unique_ptr<SnapshotSession> session = store->OpenSession();
   uint64_t v_before = session->version_id();
   PageId pinned = session->PageMap().begin()->second;
-  PageGuard guard = session->PinDataPage(pinned);
+  PageGuard guard(session->buffer_pool(), pinned);
   ASSERT_TRUE(guard.ok()) << guard.status().ToString();
 
   // Same thread, pin held: if the swap needed the old version quiesced
@@ -277,6 +277,62 @@ TEST(SnapshotSwapTest, ReaderHoldingPagePinNeverBlocksSwap) {
   session.reset();
   EXPECT_EQ(store->LiveVersionCount(), 1u);
   EXPECT_EQ(store->TotalAcquires(), store->TotalReleases());
+  ASSERT_TRUE(store->CheckConsistency().ok());
+}
+
+// Regression for a torn overlay update. Inserting or deleting a pendant
+// node joined to an anchor in both directions rewrites two records — the
+// pendant's and the anchor's — and a concurrent GetSuccessors(anchor)
+// must see each mutation whole or not at all: never the anchor's new
+// successor list before the pendant's record exists (NotFound), nor a
+// tombstoned pendant still listed as a successor (Corruption).
+TEST(SnapshotSwapTest, GetSuccessorsNeverSeesATornOverlayUpdate) {
+  constexpr uint64_t kCalls = 100000;
+  SnapshotOptions sopt = OptionsFor("ccam_swap_torn_overlay_store");
+  Network net = GenerateRandomGeometricNetwork(120, 150.0, 1000.0, 7);
+  auto mgr = SnapshotManager::Create(sopt, net);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  SnapshotManager* store = mgr->get();
+
+  const std::vector<NodeId> ids = net.NodeIds();
+  const NodeId anchor = ids.front();
+  NodeRecord pendant;
+  pendant.id = ids.back() + 1;
+  pendant.x = net.node(anchor).x + 1.0;
+  pendant.y = net.node(anchor).y + 1.0;
+  pendant.succ = {{anchor, 1.0f}};
+  pendant.pred = {{anchor, 1.0f}};
+
+  std::atomic<uint64_t> calls{0};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> other{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      std::unique_ptr<SnapshotSession> session = store->OpenSession();
+      while (calls.fetch_add(1, std::memory_order_relaxed) < kCalls) {
+        auto succ = session->GetSuccessors(anchor);
+        if (succ.ok()) continue;
+        const Status& st = succ.status();
+        (st.IsCorruption() || st.IsNotFound() ? torn : other)
+            .fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  uint64_t writes = 0;
+  Status write_status;
+  while (write_status.ok() &&
+         calls.load(std::memory_order_relaxed) < kCalls) {
+    write_status = store->InsertNode(pendant);
+    if (write_status.ok()) write_status = store->DeleteNode(pendant.id);
+    writes += 2;
+  }
+  for (auto& r : readers) r.join();
+
+  EXPECT_TRUE(write_status.ok()) << write_status.ToString();
+  EXPECT_GT(writes, 0u);
+  EXPECT_EQ(torn.load(), 0u) << "of " << kCalls << " GetSuccessors calls";
+  EXPECT_EQ(other.load(), 0u);
   ASSERT_TRUE(store->CheckConsistency().ok());
 }
 

@@ -321,7 +321,7 @@ int CmdServe(const Args& args) {
   std::printf(
       "served %llu/%llu requests in %.2fs (%s, %d workers, %u tenants)\n"
       "  qps %.0f, p50 %llu us, p95 %llu us, p99 %llu us\n"
-      "  reject rate %.3f, batch occupancy %.2f, hit rate %.3f\n"
+      "  reject rate %.3f, failed %llu, batch occupancy %.2f, hit rate %.3f\n"
       "  session reads %llu, disk reads %llu, conserved: %s\n",
       static_cast<unsigned long long>(report.completed),
       static_cast<unsigned long long>(report.submitted), report.elapsed_sec,
@@ -330,6 +330,7 @@ int CmdServe(const Args& args) {
       static_cast<unsigned long long>(report.p50_us),
       static_cast<unsigned long long>(report.p95_us),
       static_cast<unsigned long long>(report.p99_us), report.reject_rate,
+      static_cast<unsigned long long>(report.failed),
       report.mean_batch_occupancy, report.hit_rate,
       static_cast<unsigned long long>(report.session_reads),
       static_cast<unsigned long long>(report.disk_reads),
