@@ -4,16 +4,17 @@
 //
 // The service runs over a CCAM-S image with a deliberately small buffer
 // pool and a simulated per-read disk latency, so throughput is
-// disk-bound — exactly the regime where region batching pays: grouping
-// concurrent same-region requests onto one page pin turns their page
-// fetches into buffer hits. The offered rate is set above either mode's
-// capacity, so completed-requests/second measures service capacity (the
-// admission controller sheds the rest with typed Overloaded rejections).
+// disk-bound — exactly the regime where region batching pays: running
+// concurrent same-region requests back to back in one batch turns all
+// but the first one's region-page fetch into buffer hits. The offered
+// rate is set above either mode's capacity, so completed-requests/second
+// measures service capacity (the admission controller sheds the rest
+// with typed Overloaded rejections).
 //
 // Three phases, all appended to BENCH_serve_load.json:
 //   * saturation: batched vs unbatched qps / latency / disk reads;
 //   * low_load:   offered rate far below capacity — batching must not
-//     hurt p99 when there is nothing to batch (bounded-window contract);
+//     hurt p99 when there is nothing to batch (batching never waits);
 //   * equivalence: every pooled request answered by the batched service
 //     must match a serial single-session oracle field for field.
 //
@@ -80,7 +81,6 @@ serve::QueryServiceOptions ServiceOptions(bool batched) {
   options.max_queue_depth = 2048;
   options.max_batch = 32;
   options.region_batching = batched;
-  options.region_affinity = batched;
   return options;
 }
 
@@ -382,7 +382,7 @@ int Run() {
                    speedup, read_reduction * 100.0);
       ++failures;
     }
-    // Bounded-window contract: at low load batching may not tax p99 by
+    // Batching never waits for arrivals: at low load it may not tax p99 by
     // more than 10% (plus a small absolute floor against timer jitter).
     const double p99_limit =
         static_cast<double>(low_unbatched.p99_us) * 1.10 + 200.0;

@@ -55,8 +55,8 @@ QueryService::QueryService(SnapshotManager* manager,
           options.tenant_rate, options.tenant_burst}) {
   int n = options_.num_workers;
   if (n <= 0) {
-    // Same affinity grain as file mode: one worker per data-pool shard of
-    // the (current) version. A throwaway probe session reads the count —
+    // Same default as file mode: one worker per data-pool shard of the
+    // (current) version. A throwaway probe session reads the count —
     // it lives and dies on this constructor thread.
     auto probe = manager_->OpenSession();
     n = static_cast<int>(probe->buffer_pool()->num_shards());
@@ -72,10 +72,10 @@ void QueryService::StartWorkers(int n) {
     breaker_ = std::make_unique<CircuitBreaker>(CircuitBreaker::Options{
         options_.breaker_trip_threshold, options_.breaker_cooldown_us});
   }
+  scheduler_ = DrrScheduler(options_.drr_quantum);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto w = std::make_unique<Worker>();
-    w->scheduler = DrrScheduler(options_.drr_quantum);
     w->rng = Random(options_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
     if (file_ != nullptr) {
       w->session = file_->OpenSession();
@@ -180,18 +180,9 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
       return reject(std::move(allow), m_shed_breaker_);
     }
   }
-  Worker* w = nullptr;
-  if (options_.region_affinity) {
-    w = workers_[region % workers_.size()].get();
-  } else {
-    w = workers_[round_robin_.fetch_add(1, std::memory_order_relaxed) %
-                 workers_.size()]
-            .get();
-  }
-
   {
-    // One critical section covers the admission decision and the worker
-    // enqueue (lock order: admission_mu_ -> worker mu, same as Shutdown),
+    // One critical section covers the admission decision and the queue
+    // enqueue (lock order: admission_mu_ -> queue_mu_, same as Shutdown),
     // so a cancelling Shutdown can never slip between "admitted" and
     // "queued" and leave a ticket nobody will fulfill.
     std::lock_guard<std::mutex> lock(admission_mu_);
@@ -229,13 +220,13 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
     item.region = region;
     item.enqueue_us = now;
     {
-      std::lock_guard<std::mutex> wlock(w->mu);
-      w->scheduler.Enqueue(std::move(item));
+      std::lock_guard<std::mutex> qlock(queue_mu_);
+      scheduler_.Enqueue(std::move(item));
     }
   }
   n_admitted_.fetch_add(1, std::memory_order_relaxed);
   if (m_admitted_ != nullptr) m_admitted_->Inc();
-  w->cv.notify_one();
+  queue_cv_.notify_one();
   return ticket;
 }
 
@@ -245,35 +236,16 @@ void QueryService::WorkerLoop(Worker* worker) {
   worker->session->RebindToCurrentThread();
   std::vector<QueuedRequest> batch;
   const size_t cap = options_.region_batching ? options_.max_batch : 1;
-  std::unique_lock<std::mutex> lock(worker->mu);
+  std::unique_lock<std::mutex> lock(queue_mu_);
   for (;;) {
-    worker->cv.wait(lock, [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             !worker->scheduler.empty();
+    // Every enqueue notifies one waiter and a worker re-checks the queue
+    // before every wait, so no worker sleeps while a request is queued.
+    queue_cv_.wait(lock, [&] {
+      return stop_.load(std::memory_order_acquire) || !scheduler_.empty();
     });
-    if (worker->scheduler.empty()) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      continue;
-    }
     batch.clear();
-    if (worker->scheduler.PopBatch(cap, &batch) == 0) continue;
-    if (options_.region_batching && options_.batch_window_us > 0 &&
-        batch.size() < cap && !stop_.load(std::memory_order_acquire)) {
-      // Bounded batching window: hold the underfull batch open briefly for
-      // more same-region arrivals. Bounded by the deadline, so the added
-      // p99 at low load is at most batch_window_us (and the default window
-      // is 0: purely opportunistic batching, no waiting at all).
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.batch_window_us);
-      while (batch.size() < cap && !stop_.load(std::memory_order_acquire)) {
-        const bool timed_out =
-            worker->cv.wait_until(lock, deadline) == std::cv_status::timeout;
-        worker->scheduler.PopSameRegion(batch.front().region,
-                                        cap - batch.size(), &batch);
-        if (timed_out) break;
-      }
-    }
+    // An empty queue here means stop_ is set: the backlog is done.
+    if (scheduler_.PopBatch(cap, &batch) == 0) return;
     lock.unlock();
     // Batch boundary: re-acquire the current snapshot version before
     // executing. In-flight batches never migrate versions — the refresh
@@ -511,19 +483,20 @@ void QueryService::Shutdown(bool drain) {
     shut_down_ = true;
     accepting_ = false;
   }
-  if (!drain) {
-    std::vector<QueuedRequest> cancelled;
-    for (auto& w : workers_) {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->scheduler.DrainAll(&cancelled);
-    }
-    CancelBatch(&cancelled, "cancelled: service shutting down");
+  std::vector<QueuedRequest> cancelled;
+  {
+    // stop_ is stored and notified under queue_mu_: a worker that has just
+    // found the predicate false is either not yet past its check (and will
+    // see stop_) or already blocked (and gets the notify).
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (!drain) scheduler_.DrainAll(&cancelled);
+    stop_.store(true, std::memory_order_release);
+    queue_cv_.notify_all();
   }
-  stop_.store(true, std::memory_order_release);
-  for (auto& w : workers_) w->cv.notify_all();
-  // Workers exit once their scheduler is empty (immediately after a
-  // cancelling drain; after executing the backlog otherwise); destroying
-  // the pool joins them.
+  CancelBatch(&cancelled, "cancelled: service shutting down");
+  // Workers exit once the queue is empty (immediately after a cancelling
+  // drain; after executing the backlog otherwise); destroying the pool
+  // joins them.
   pool_.reset();
 }
 

@@ -26,9 +26,9 @@ namespace serve {
 
 /// Tuning knobs of the query service.
 struct QueryServiceOptions {
-  /// Worker threads, each owning one read session. 0 = the data buffer
-  /// pool's shard count (one worker per pool shard, the natural affinity
-  /// grain), floored at 1.
+  /// Worker threads, each owning one read session and all popping from
+  /// the service's one run queue. 0 = the data buffer pool's shard count,
+  /// floored at 1.
   int num_workers = 0;
   /// Admission control (see AdmissionController::Options).
   size_t max_queue_depth = 1024;
@@ -38,20 +38,13 @@ struct QueryServiceOptions {
   /// DRR quantum: requests one tenant may start per scheduling turn.
   uint32_t drr_quantum = 8;
   /// Region batching: the largest number of same-region requests one
-  /// worker executes off a single page pin. 1 disables grouping.
+  /// worker pops and executes back to back. Batching is opportunistic:
+  /// only requests already queued join a batch, so low loads pay no added
+  /// latency. 1 disables grouping.
   size_t max_batch = 16;
-  /// How long a worker may hold an underfull batch open waiting for more
-  /// same-region arrivals. 0 (the default) makes batching purely
-  /// opportunistic — only requests already queued join a batch — so low
-  /// loads pay no added latency and p99 tracks the unbatched path.
-  uint32_t batch_window_us = 0;
   /// Master switch for region-batched execution. Off = every request is
-  /// dispatched and executed alone (the baseline the serve_load bench
-  /// compares against).
+  /// executed alone (the baseline the serve_load bench compares against).
   bool region_batching = true;
-  /// Dispatch requests to the worker owning their origin page (true), or
-  /// spray them round-robin (false, the affinity-free baseline).
-  bool region_affinity = true;
   /// Total execution attempts per request for retryable failures (IOError
   /// / ShortRead — transient transport faults). 1 (the default) disables
   /// retries; larger values re-execute a failed request individually with
@@ -83,13 +76,13 @@ struct QueryServiceOptions {
 /// origin node, i.e. its connectivity cluster), passes per-tenant
 /// admission control (token-bucket rate limit, bounded global and
 /// per-tenant queue depth — rejections are typed Overloaded), and enqueues
-/// it with the worker that owns the region (region % workers, mirroring
-/// the buffer pool's page->shard map). Each worker drains its own
-/// deficit-round-robin scheduler: it pops the next tenant's request plus
+/// it on the service's one run queue, a deficit-round-robin scheduler.
+/// Every idle worker pops from that queue: the next tenant's request plus
 /// every queued request touching the same region (up to max_batch), and
 /// runs each request through its ordinary single-query operator back to
 /// back — so the region-page fetch that the first request pays is a
-/// buffer hit for the rest.
+/// buffer hit for the rest. The queue is work-conserving: no worker
+/// sleeps while a request is queued.
 ///
 /// Accounting: all reads go through the workers' sessions, so the
 /// paper's conservation invariant extends to the whole service — the sum
@@ -111,7 +104,7 @@ class QueryService {
   /// reorganizer's retirement waits on. Regions are stamped via
   /// SnapshotManager::RegionOf against the version current at submit
   /// time; a request executed after a swap may carry a page id from the
-  /// older layout, which degrades only batching affinity, never results.
+  /// older layout, which degrades only batching, never results.
   /// Mutations and background reorganizations may run concurrently with
   /// serving.
   QueryService(SnapshotManager* manager, const QueryServiceOptions& options);
@@ -170,9 +163,6 @@ class QueryService {
 
  private:
   struct Worker {
-    std::mutex mu;
-    std::condition_variable cv;
-    DrrScheduler scheduler;
     /// A QuerySession against a NetworkFile, a SnapshotSession against a
     /// SnapshotManager.
     std::unique_ptr<ReadSession> session;
@@ -211,9 +201,15 @@ class QueryService {
   /// > 0. Leaf-level lock, consulted at admission and fed by executions.
   std::unique_ptr<CircuitBreaker> breaker_;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  /// The run queue shared by every worker (lock order: admission_mu_ ->
+  /// queue_mu_). stop_ is stored under queue_mu_ (see Shutdown); the
+  /// retry loop also reads it lock-free.
+  std::mutex queue_mu_;
+  std::condition_variable queue_cv_;
+  DrrScheduler scheduler_;
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> round_robin_{0};
+
+  std::vector<std::unique_ptr<Worker>> workers_;
   /// The worker pool; one long-lived WorkerLoop task per worker.
   std::unique_ptr<ThreadPool> pool_;
   bool shut_down_ = false;

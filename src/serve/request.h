@@ -34,8 +34,8 @@ enum class ServeOp : uint8_t {
 const char* ServeOpName(ServeOp op);
 
 /// One client request. The origin node anchors the request to a region
-/// (the data page that stores the origin): the dispatcher uses it for
-/// worker affinity and the scheduler for same-region batching.
+/// (the data page that stores the origin): the scheduler uses it for
+/// same-region batching.
 struct ServeRequest {
   ServeOp op = ServeOp::kRouteEval;
   /// Paying tenant (admission control and fair scheduling are per-tenant).

@@ -21,10 +21,11 @@ struct QueuedRequest {
   uint64_t enqueue_us = 0;
 };
 
-/// Deficit-round-robin fair scheduler with region-batched dequeue. Each
-/// worker of the query service owns one instance (guarded by the worker's
-/// lock); requests are kept in per-tenant FIFO queues and served in DRR
-/// order: tenants take turns, each turn adds `quantum` to the tenant's
+/// Deficit-round-robin fair scheduler with region-batched dequeue. The
+/// query service owns one instance, its run queue, guarded by the
+/// service's queue lock and popped by every worker, so fairness is global
+/// across workers. Requests are kept in per-tenant FIFO queues and served
+/// in DRR order: tenants take turns, each turn adds `quantum` to the tenant's
 /// deficit, and a tenant may start one batch per unit of deficit. A tenant
 /// flooding its queue therefore cannot crowd out others — it just deepens
 /// its own backlog — while an idle tenant carries no deficit (deficits
@@ -51,12 +52,6 @@ class DrrScheduler {
   /// (0 = scheduler empty). All popped items share one region.
   size_t PopBatch(size_t max_batch, std::vector<QueuedRequest>* out);
 
-  /// Pops up to `max` additional queued requests of region `region` into
-  /// `out`, charging deficits as PopBatch does. The batching-window path
-  /// uses this to top up a batch that waited for more same-region work.
-  size_t PopSameRegion(PageId region, size_t max,
-                       std::vector<QueuedRequest>* out);
-
   /// Pops every queued request (shutdown cancellation path).
   void DrainAll(std::vector<QueuedRequest>* out);
 
@@ -77,6 +72,11 @@ class DrrScheduler {
   /// found, adding quantum on each first visit. Returns nullptr when no
   /// tenant can be served (scheduler empty).
   TenantQueue* NextEligibleTenant();
+
+  /// Pops up to `max` additional queued requests of region `region` into
+  /// `out`, charging each to its own tenant's deficit.
+  size_t PopSameRegion(PageId region, size_t max,
+                       std::vector<QueuedRequest>* out);
 
   /// Removes drained tenants from the ring and resets their deficit.
   void CompactRing();

@@ -39,6 +39,13 @@ Status RenameFile(const std::string& from, const std::string& to) {
 
 // --- SnapshotVersion --------------------------------------------------------
 
+SnapshotVersion::SnapshotVersion(uint64_t id, std::unique_ptr<Ccam> file)
+    : id_(id), file_(std::move(file)) {
+  for (const auto& kv : file_->PageMap()) {
+    lowest_page_ = std::min(lowest_page_, kv.second);
+  }
+}
+
 std::vector<NodeId> SnapshotVersion::LiveNodeIds() const {
   const NodePageMap& base = file_->PageMap();
   std::vector<NodeId> ids;
@@ -649,14 +656,12 @@ Result<PageId> SnapshotManager::RegionOf(NodeId id) {
     auto it = base.find(id);
     if (it != base.end()) return it->second;
     // Overlay-only node (inserted since this version published). Any
-    // allocated page works as a region hint — batching affinity, never
+    // allocated page works as a region hint — batching, never
     // correctness — so use the lowest for determinism.
-    PageId hint = kInvalidPageId;
-    for (const auto& kv : base) hint = std::min(hint, kv.second);
-    if (hint == kInvalidPageId) {
+    if (current_->lowest_page() == kInvalidPageId) {
       return Status::NotFound("snapshot store has no data pages");
     }
-    return hint;
+    return current_->lowest_page();
   }
   auto it = base.find(id);
   if (it == base.end()) return Status::NotFound("node " + std::to_string(id));

@@ -40,11 +40,14 @@ class SnapshotSession;
 /// what a reader pinned to it should keep seeing.
 class SnapshotVersion {
  public:
-  SnapshotVersion(uint64_t id, std::unique_ptr<Ccam> file)
-      : id_(id), file_(std::move(file)) {}
+  SnapshotVersion(uint64_t id, std::unique_ptr<Ccam> file);
 
   uint64_t id() const { return id_; }
   Ccam* file() const { return file_.get(); }
+
+  /// Lowest data page of the base image (kInvalidPageId if it has none):
+  /// the region hint for overlay-only nodes, computed once at construction.
+  PageId lowest_page() const { return lowest_page_; }
 
   /// True when the overlay has an entry for `id` (then `*out` is the
   /// overlay record, nullopt for a tombstone).
@@ -84,6 +87,7 @@ class SnapshotVersion {
 
   uint64_t id_;
   std::unique_ptr<Ccam> file_;
+  PageId lowest_page_ = kInvalidPageId;
   mutable std::shared_mutex overlay_mu_;
   std::unordered_map<NodeId, std::optional<NodeRecord>> overlay_;
   std::atomic<uint64_t> refs_{0};

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -169,6 +170,53 @@ TEST(SnapshotSwapTest, RetiredVersionsDrainAsSessionsClose) {
   s3.reset();
   EXPECT_EQ(store->LiveVersionCount(), 1u);
   EXPECT_EQ(store->TotalAcquires(), store->TotalReleases());
+}
+
+// RegionOf stamps serve requests: a base node maps to its page, a node
+// inserted since the version published maps to the version's lowest data
+// page, and a deleted or unknown node is NotFound. After a swap the
+// inserted node has a page of its own in the new base image.
+TEST(SnapshotSwapTest, RegionOfMapsBaseAndOverlayNodes) {
+  SnapshotOptions sopt = OptionsFor("ccam_swap_region_store");
+  Network net = GenerateRandomGeometricNetwork(80, 180.0, 1000.0, 11);
+  auto mgr = SnapshotManager::Create(sopt, net);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  SnapshotManager* store = mgr->get();
+
+  const std::vector<NodeId> ids = net.NodeIds();
+  const NodeId fresh = *std::max_element(ids.begin(), ids.end()) + 1;
+  {
+    std::unique_ptr<SnapshotSession> session = store->OpenSession();
+    const NodePageMap& base = session->version()->file()->PageMap();
+    PageId lowest = kInvalidPageId;
+    for (const auto& kv : base) lowest = std::min(lowest, kv.second);
+    EXPECT_EQ(session->version()->lowest_page(), lowest);
+    for (NodeId id : ids) {
+      auto region = store->RegionOf(id);
+      ASSERT_TRUE(region.ok()) << region.status().ToString();
+      EXPECT_EQ(*region, base.at(id));
+    }
+
+    NodeRecord rec;
+    rec.id = fresh;
+    rec.succ.push_back({ids.front(), 1.0f});
+    ASSERT_TRUE(store->InsertNode(rec).ok());
+    auto region = store->RegionOf(rec.id);
+    ASSERT_TRUE(region.ok()) << region.status().ToString();
+    EXPECT_EQ(*region, lowest);
+
+    ASSERT_TRUE(store->DeleteNode(rec.id).ok());
+    EXPECT_TRUE(store->RegionOf(rec.id).status().IsNotFound());
+    EXPECT_TRUE(store->RegionOf(fresh + 1).status().IsNotFound());
+    ASSERT_TRUE(store->InsertNode(rec).ok());
+  }
+
+  ASSERT_TRUE(store->ReorganizeNow().ok());
+  std::unique_ptr<SnapshotSession> session = store->OpenSession();
+  const NodePageMap& base = session->version()->file()->PageMap();
+  auto region = store->RegionOf(fresh);
+  ASSERT_TRUE(region.ok()) << region.status().ToString();
+  EXPECT_EQ(*region, base.at(fresh));
 }
 
 // The availability guarantee, measured at the accounting level: a
