@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Single-entry CI gate: runs the three acceptance stages in sequence and
+# Single-entry CI gate: runs the acceptance stages in sequence and
 # prints a summary table. Any stage failing makes the script exit nonzero,
 # but later stages still run so one CI invocation reports everything.
 #
@@ -36,15 +36,21 @@
 #   8. faults    — scripts/check_faults.sh: fault-injection + crash
 #                  consistency sweeps, differential oracle, strict durable
 #                  crashsim with JSON gating
-#   9. tsan      — scripts/check_tsan.sh: concurrency suites under
+#   9. debug     — serve_test, query_test and shard_test in a separate
+#                  Debug build directory, so the `#ifndef NDEBUG` contract
+#                  tests (the read-session thread assert's death test) run
+#                  somewhere: tier-1 (RelWithDebInfo) and TSan both define
+#                  NDEBUG
+#  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
 #
-# Usage: scripts/ci.sh [build-dir] [tsan-build-dir]
-#        (defaults: build, build-tsan)
+# Usage: scripts/ci.sh [build-dir] [tsan-build-dir] [debug-build-dir]
+#        (defaults: build, build-tsan, build-debug)
 set -uo pipefail
 
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
+DEBUG_BUILD="${3:-build-debug}"
 cd "$(dirname "$0")/.."
 
 declare -a STAGE_NAMES=() STAGE_RESULTS=()
@@ -109,6 +115,15 @@ swap_stage() {
     "$BUILD/bench/swap_availability"
 }
 
+debug_asserts() {
+  cmake -B "$DEBUG_BUILD" -S . -DCMAKE_BUILD_TYPE=Debug &&
+  cmake --build "$DEBUG_BUILD" --target serve_test query_test shard_test \
+    -j "$(nproc)" &&
+  "$DEBUG_BUILD/tests/serve_test" &&
+  "$DEBUG_BUILD/tests/query_test" &&
+  "$DEBUG_BUILD/tests/shard_test"
+}
+
 run_stage "tier-1 (ctest)" tier1
 run_stage "metrics (tools/stats)" metrics
 run_stage "perf (check_perf.sh --smoke)" scripts/check_perf.sh --smoke "$BUILD"
@@ -117,6 +132,7 @@ run_stage "swap (hammer + mid-swap crashsim)" swap_stage
 run_stage "shard (oracle + hammer + bench)" shard_stage
 run_stage "chaos (check_chaos.sh)" scripts/check_chaos.sh "$BUILD"
 run_stage "faults (check_faults.sh)" scripts/check_faults.sh "$BUILD"
+run_stage "debug asserts (Debug build)" debug_asserts
 run_stage "tsan (check_tsan.sh)" scripts/check_tsan.sh "$TSAN_BUILD"
 
 echo

@@ -185,134 +185,123 @@ struct SearchCounters {
   uint64_t n_relaxed = 0;
 };
 
-/// Shared best-first search; `heuristic_weight` < 0 disables the heuristic
-/// (plain Dijkstra).
-Result<SearchResult> BestFirst(AccessMethod* am, NodeId src, NodeId dst,
-                               double heuristic_weight) {
-  SearchResult result;
+/// The flat best-first search behind Dijkstra, A* and multi-source
+/// Dijkstra. Settles nodes in ascending (priority, node-id) order from
+/// `sources` (g = 0), calling `on_settle(slot)` for each, and stops once
+/// `target` settles (kInvalidNodeId: when the heap drains). A target is
+/// read first, as the heuristic's anchor; `heuristic_weight` < 0 disables
+/// the heuristic. Returns the data-page accesses of the whole search.
+///
+/// Reads each reached node's record exactly once: a source through Find(),
+/// every other node through Get-A-successor() from the node that first
+/// reaches it. Its successor list and heuristic are kept from that read, so
+/// settling a node reads nothing and closed neighbors are never re-fetched.
+template <typename OnSettle>
+Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
+                           NodeId target, double heuristic_weight,
+                           SearchCore* core, OnSettle on_settle) {
   QuerySpan span(am->metrics(), "query.search");
   SearchCounters counters(am->metrics());
   IoStats before = am->DataIoStats();
 
-  NodeRecord dst_rec;
-  CCAM_ASSIGN_OR_RETURN(dst_rec, am->Find(dst));
-  const double tx = dst_rec.x, ty = dst_rec.y;
-  auto heuristic = [&](const NodeRecord& rec) {
-    if (heuristic_weight < 0.0) return 0.0;
-    return heuristic_weight * std::hypot(rec.x - tx, rec.y - ty);
+  double tx = 0.0, ty = 0.0;
+  if (target != kInvalidNodeId) {
+    NodeRecord target_rec;
+    CCAM_ASSIGN_OR_RETURN(target_rec, am->Find(target));
+    tx = target_rec.x;
+    ty = target_rec.y;
+  }
+  // Per reached slot s (slots are created in reach order): its heuristic
+  // h[s] and its successor list arcs[first_arc[s], first_arc[s + 1]).
+  std::vector<double> h;
+  std::vector<AdjEntry> arcs;
+  std::vector<uint32_t> first_arc{0};
+  auto keep = [&](const NodeRecord& rec) {
+    h.push_back(heuristic_weight < 0.0
+                    ? 0.0
+                    : heuristic_weight * std::hypot(rec.x - tx, rec.y - ty));
+    arcs.insert(arcs.end(), rec.succ.begin(), rec.succ.end());
+    first_arc.push_back(static_cast<uint32_t>(arcs.size()));
   };
 
-  SearchCore core(am->NumLiveNodes());
-
-  NodeRecord src_rec;
-  CCAM_ASSIGN_OR_RETURN(src_rec, am->Find(src));
-  {
-    uint32_t s = core.Intern(src);
-    core.slot(s).g = 0.0;
-    core.slot(s).priority = heuristic(src_rec);
-    core.HeapPushOrDecrease(s);
+  for (NodeId src : sources) {
+    uint32_t s = core->Intern(src);
+    if (s < h.size()) continue;  // duplicate source
+    NodeRecord rec;
+    CCAM_ASSIGN_OR_RETURN(rec, am->Find(src));
+    keep(rec);
+    core->slot(s).g = 0.0;
+    core->slot(s).priority = h[s];
+    core->HeapPushOrDecrease(s);
   }
 
   RequestContext* ctx = am->request_context();
-  while (!core.HeapEmpty()) {
+  while (!core->HeapEmpty()) {
     if (ctx != nullptr) CCAM_RETURN_NOT_OK(ctx->Check());
-    uint32_t cur = core.HeapPop();
-    core.slot(cur).closed = true;
-    NodeId node = core.slot(cur).id;
-    double g = core.slot(cur).g;
-    ++result.nodes_expanded;
+    uint32_t cur = core->HeapPop();
+    core->slot(cur).closed = true;
     ++counters.n_settled;
-    if (node == dst) {
-      result.cost = g;
-      result.path = core.ReconstructPath(cur);
-      break;
-    }
-    std::vector<NodeRecord> successors;
-    CCAM_ASSIGN_OR_RETURN(successors, am->GetSuccessors(node));
-    // Costs come from the expanded node's successor-list.
-    NodeRecord expanded;
-    CCAM_ASSIGN_OR_RETURN(expanded, am->Find(node));  // buffered
-    for (const NodeRecord& succ : successors) {
-      uint32_t t = core.Intern(succ.id);
-      if (core.slot(t).closed) continue;
-      auto cost = expanded.SuccessorCost(succ.id);
-      if (!cost.ok()) continue;
+    on_settle(cur);
+    NodeId node = core->slot(cur).id;
+    if (node == target) break;
+    double g = core->slot(cur).g;
+    for (uint32_t a = first_arc[cur]; a < first_arc[cur + 1]; ++a) {
+      AdjEntry arc = arcs[a];  // by value: keep() may grow `arcs`
+      uint32_t t = core->Intern(arc.node);
+      if (core->slot(t).closed) continue;
+      if (t == h.size()) {  // first reach: the node's one record read
+        NodeRecord rec;
+        CCAM_ASSIGN_OR_RETURN(rec, am->GetASuccessor(node, arc.node));
+        keep(rec);
+      }
       ++counters.n_relaxed;
-      double ng = g + *cost;
-      SearchCore::Slot& ts = core.slot(t);
+      // A successor list holds one entry per successor, so the entry's
+      // cost is the expanded record's SuccessorCost(arc.node).
+      double ng = g + arc.cost;
+      SearchCore::Slot& ts = core->slot(t);
       if (ng < ts.g) {
         ts.g = ng;
         ts.parent = cur;
-        ts.priority = ng + heuristic(succ);
-        core.HeapPushOrDecrease(t);
+        ts.priority = ng + h[t];
+        core->HeapPushOrDecrease(t);
       }
     }
   }
 
-  IoStats after = am->DataIoStats();
-  result.page_accesses = (after - before).Accesses();
-  return result;
+  return (am->DataIoStats() - before).Accesses();
 }
 
 }  // namespace
 
 Result<SearchResult> ShortestPathDijkstra(AccessMethod* am, NodeId src,
                                           NodeId dst) {
-  return BestFirst(am, src, dst, -1.0);
+  return ShortestPathAStar(am, src, dst, -1.0);  // no heuristic: Dijkstra
 }
 
 Result<SearchResult> ShortestPathAStar(AccessMethod* am, NodeId src,
                                        NodeId dst, double heuristic_weight) {
-  return BestFirst(am, src, dst, heuristic_weight);
+  SearchResult result;
+  SearchCore core(am->NumLiveNodes());
+  CCAM_ASSIGN_OR_RETURN(
+      result.page_accesses,
+      BestFirst(am, {src}, dst, heuristic_weight, &core, [&](uint32_t s) {
+        ++result.nodes_expanded;
+        if (core.slot(s).id != dst) return;
+        result.cost = core.slot(s).g;
+        result.path = core.ReconstructPath(s);
+      }));
+  return result;
 }
 
 Result<MultiSourceResult> MultiSourceDistances(
     AccessMethod* am, const std::vector<NodeId>& sources) {
   MultiSourceResult result;
-  QuerySpan span(am->metrics(), "query.search");
-  SearchCounters counters(am->metrics());
-  IoStats before = am->DataIoStats();
-
   SearchCore core(am->NumLiveNodes());
-  for (NodeId s : sources) {
-    uint32_t idx = core.Intern(s);
-    if (core.slot(idx).g == 0.0) continue;  // duplicate source
-    core.slot(idx).g = 0.0;
-    core.slot(idx).priority = 0.0;
-    core.HeapPushOrDecrease(idx);
-  }
-  RequestContext* ctx = am->request_context();
-  while (!core.HeapEmpty()) {
-    if (ctx != nullptr) CCAM_RETURN_NOT_OK(ctx->Check());
-    uint32_t cur = core.HeapPop();
-    core.slot(cur).closed = true;
-    NodeId node = core.slot(cur).id;
-    double g = core.slot(cur).g;
-    ++counters.n_settled;
-    result.distances.emplace_back(node, g);
-    std::vector<NodeRecord> successors;
-    CCAM_ASSIGN_OR_RETURN(successors, am->GetSuccessors(node));
-    NodeRecord expanded;
-    CCAM_ASSIGN_OR_RETURN(expanded, am->Find(node));
-    for (const NodeRecord& succ : successors) {
-      uint32_t t = core.Intern(succ.id);
-      if (core.slot(t).closed) continue;
-      auto cost = expanded.SuccessorCost(succ.id);
-      if (!cost.ok()) continue;
-      ++counters.n_relaxed;
-      double ng = g + *cost;
-      SearchCore::Slot& ts = core.slot(t);
-      if (ng < ts.g) {
-        ts.g = ng;
-        ts.parent = cur;
-        ts.priority = ng;
-        core.HeapPushOrDecrease(t);
-      }
-    }
-  }
-
-  IoStats after = am->DataIoStats();
-  result.page_accesses = (after - before).Accesses();
+  CCAM_ASSIGN_OR_RETURN(
+      result.page_accesses,
+      BestFirst(am, sources, kInvalidNodeId, -1.0, &core, [&](uint32_t s) {
+        result.distances.emplace_back(core.slot(s).id, core.slot(s).g);
+      }));
   return result;
 }
 

@@ -18,16 +18,18 @@ struct SearchResult {
   bool Found() const { return !path.empty(); }
 };
 
-/// Dijkstra over the paged network, expanding nodes with Get-successors()
-/// (the paper's motivating use of the operation in graph search). Every
-/// record access goes through the access method, so the returned
-/// `page_accesses` reflects the clustering quality.
+/// Dijkstra over the paged network. Each reached node's record is read
+/// once, with Get-A-successor() from the node that first reaches it (the
+/// source and the target with Find()); settling a node relaxes from the
+/// successor list kept from that read. Every record access goes through
+/// the access method, so the returned `page_accesses` reflects the
+/// clustering quality.
 Result<SearchResult> ShortestPathDijkstra(AccessMethod* am, NodeId src,
                                           NodeId dst);
 
 /// A* with a Euclidean-distance heuristic scaled by `heuristic_weight`
 /// (the generators produce edge costs ~ distance * U(1-s, 1+s); a weight
-/// of 1-s keeps the heuristic admissible).
+/// of 1-s keeps the heuristic admissible; a negative one is Dijkstra).
 Result<SearchResult> ShortestPathAStar(AccessMethod* am, NodeId src,
                                        NodeId dst,
                                        double heuristic_weight = 0.7);

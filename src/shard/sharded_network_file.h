@@ -221,7 +221,9 @@ class ShardedQuerySession : public ReadSession {
 
   /// Edges this stream traversed whose endpoints live in different shards
   /// (each also bumps the "shard.cut_crossings" counter when metrics are
-  /// attached).
+  /// attached). Counted by Get-A-successor, so route evaluation and the
+  /// flat searches (A*, Dijkstra) both charge their cut edges here: a
+  /// search reads each newly reached neighbour through it.
   uint64_t CutCrossings() const { return cut_crossings_; }
 
  protected:

@@ -2,9 +2,13 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <queue>
+#include <set>
 #include <unordered_map>
 
+#include "src/common/metrics.h"
+#include "src/common/random.h"
 #include "src/core/ccam.h"
 #include "src/graph/generator.h"
 #include "src/query/aggregate.h"
@@ -13,6 +17,8 @@
 
 namespace ccam {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Reference in-memory Dijkstra, for differential testing.
 double ReferenceShortestPath(const Network& net, NodeId src, NodeId dst) {
@@ -36,6 +42,85 @@ double ReferenceShortestPath(const Network& net, NodeId src, NodeId dst) {
     }
   }
   return std::numeric_limits<double>::infinity();
+}
+
+/// What the reference search below settled, reached and relaxed.
+struct ReferenceRun {
+  SearchResult result;
+  std::vector<std::pair<NodeId, double>> settled;  // in settle order
+  size_t reached = 0;  // distinct nodes ever put on the frontier
+  uint64_t relaxed = 0;  // successor edges relaxed (closed ones skipped)
+};
+
+/// The Get-successors-based best-first search the flat search used to
+/// run, kept as the oracle for its read-once rewrite: reads the target and
+/// the sources with Find(), then on every settled node fetches the node
+/// plus all of its successors with GetSuccessors() and the node again with
+/// Find() for the edge costs. Same (priority, node-id) order, closed-skip
+/// and strict-improvement rules; `dst` = kInvalidNodeId searches to
+/// exhaustion, `heuristic_weight` < 0 is Dijkstra.
+ReferenceRun ReferenceBestFirst(AccessMethod* am,
+                                const std::vector<NodeId>& sources,
+                                NodeId dst, double heuristic_weight) {
+  ReferenceRun run;
+  IoStats before = am->DataIoStats();
+  double tx = 0.0, ty = 0.0;
+  if (dst != kInvalidNodeId) {
+    auto rec = am->Find(dst);
+    EXPECT_TRUE(rec.ok());
+    tx = rec->x;
+    ty = rec->y;
+  }
+  auto heuristic = [&](const NodeRecord& rec) {
+    if (heuristic_weight < 0.0) return 0.0;
+    return heuristic_weight * std::hypot(rec.x - tx, rec.y - ty);
+  };
+  std::map<NodeId, double> g, priority;
+  std::map<NodeId, NodeId> parent;
+  std::set<NodeId> closed;
+  std::set<std::pair<double, NodeId>> open;  // (priority, id) order
+  for (NodeId src : sources) {
+    if (g.count(src)) continue;
+    auto rec = am->Find(src);
+    EXPECT_TRUE(rec.ok());
+    g[src] = 0.0;
+    priority[src] = heuristic(*rec);
+    open.insert({priority[src], src});
+  }
+  while (!open.empty()) {
+    auto [p, node] = *open.begin();
+    open.erase(open.begin());
+    closed.insert(node);
+    ++run.result.nodes_expanded;
+    run.settled.emplace_back(node, g[node]);
+    if (node == dst) {
+      run.result.cost = g[node];
+      for (NodeId n = node;; n = parent[n]) {
+        run.result.path.insert(run.result.path.begin(), n);
+        if (!parent.count(n)) break;
+      }
+      break;
+    }
+    auto successors = am->GetSuccessors(node);
+    auto expanded = am->Find(node);
+    EXPECT_TRUE(successors.ok() && expanded.ok());
+    for (const NodeRecord& succ : *successors) {
+      if (!g.count(succ.id)) g[succ.id] = kInf;
+      if (closed.count(succ.id)) continue;
+      ++run.relaxed;
+      double ng = g[node] + *expanded->SuccessorCost(succ.id);
+      if (ng < g[succ.id]) {
+        if (priority.count(succ.id)) open.erase({priority[succ.id], succ.id});
+        g[succ.id] = ng;
+        parent[succ.id] = node;
+        priority[succ.id] = ng + heuristic(succ);
+        open.insert({priority[succ.id], succ.id});
+      }
+    }
+  }
+  run.reached = g.size();
+  run.result.page_accesses = (am->DataIoStats() - before).Accesses();
+  return run;
 }
 
 class QueryTest : public ::testing::Test {
@@ -138,6 +223,69 @@ TEST_F(QueryTest, AStarFindsSameCostWithFewerExpansions) {
   EXPECT_LT(astar->nodes_expanded, dij->nodes_expanded);
 }
 
+// The read-once search settles exactly what the Get-successors-based loop
+// settled, in the same order, and reads each reached node's record once:
+// Find(target) + Find(source) + one Get-A-successor per other reached node.
+//
+// Its page accesses are bounded per pair only up to LRU's one anomaly: the
+// reference re-reads the expanded node on every settle, which keeps that
+// page most-recently used, and a string of fewer references can miss where
+// a longer one hit (LRU is a stack algorithm in the pool size, not in the
+// reference string). So a pair may exceed the reference by one page, on at
+// most 1% of pairs, and the total must fall by at least 40%.
+TEST(SearchOracleTest, ReadOnceSearchMatchesGetSuccessorsLoop) {
+  const Network net = GenerateMinneapolisLikeMap(1995);
+  const std::vector<NodeId> ids = net.NodeIds();
+  for (size_t page_size : {1024u, 4096u}) {
+    AccessMethodOptions options;
+    options.page_size = page_size;
+    options.buffer_pool_pages = 8;
+    Ccam am(options, CcamCreateMode::kStatic);
+    MetricsRegistry reg;
+    am.SetMetrics(&reg);
+    ASSERT_TRUE(am.Create(net).ok());
+    MetricCounter* settled = reg.GetCounter("query.search.settled");
+    MetricCounter* relaxed = reg.GetCounter("query.search.relaxed");
+    Random rng(page_size);
+    uint64_t new_accesses = 0, ref_accesses = 0;
+    int above_reference = 0;
+    const int kPairs = 300;
+    for (int i = 0; i < kPairs; ++i) {
+      NodeId src = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
+      NodeId dst = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
+      double weight = i % 3 == 0 ? -1.0 : 0.7;
+      SCOPED_TRACE(::testing::Message() << page_size << " B, pair " << i
+                                        << ": " << src << " -> " << dst);
+
+      ASSERT_TRUE(am.buffer_pool()->Reset().ok());
+      BufferPool::Counters pool_before = am.buffer_pool()->GetCounters();
+      uint64_t settled_before = settled->value();
+      uint64_t relaxed_before = relaxed->value();
+      auto got = weight < 0.0 ? ShortestPathDijkstra(&am, src, dst)
+                              : ShortestPathAStar(&am, src, dst, weight);
+      BufferPool::Counters pool_after = am.buffer_pool()->GetCounters();
+      ASSERT_TRUE(got.ok());
+
+      ASSERT_TRUE(am.buffer_pool()->Reset().ok());
+      ReferenceRun ref = ReferenceBestFirst(&am, {src}, dst, weight);
+      EXPECT_EQ(got->cost, ref.result.cost);
+      EXPECT_EQ(got->path, ref.result.path);
+      EXPECT_EQ(got->nodes_expanded, ref.result.nodes_expanded);
+      EXPECT_EQ(settled->value() - settled_before, ref.settled.size());
+      EXPECT_EQ(relaxed->value() - relaxed_before, ref.relaxed);
+      EXPECT_LE(got->page_accesses, ref.result.page_accesses + 1);
+      if (got->page_accesses > ref.result.page_accesses) ++above_reference;
+      EXPECT_EQ((pool_after.hits + pool_after.misses) -
+                    (pool_before.hits + pool_before.misses),
+                ref.reached + 1);
+      new_accesses += got->page_accesses;
+      ref_accesses += ref.result.page_accesses;
+    }
+    EXPECT_LE(above_reference * 100, kPairs);
+    EXPECT_LE(new_accesses * 10, ref_accesses * 6);
+  }
+}
+
 TEST_F(QueryTest, SearchToSelfIsFree) {
   auto res = ShortestPathDijkstra(am_.get(), 7, 7);
   ASSERT_TRUE(res.ok());
@@ -232,6 +380,10 @@ TEST_F(QueryTest, MultiSourceDistancesAreShortest) {
   std::vector<NodeId> sources{0, 1000};
   auto res = MultiSourceDistances(am_.get(), sources);
   ASSERT_TRUE(res.ok());
+  // Same settle order and distances as the Get-successors-based loop.
+  ReferenceRun ref =
+      ReferenceBestFirst(am_.get(), sources, kInvalidNodeId, -1.0);
+  EXPECT_EQ(res->distances, ref.settled);
   std::unordered_map<NodeId, double> dist;
   for (const auto& [node, d] : res->distances) dist[node] = d;
   for (NodeId probe : {57u, 333u, 808u}) {

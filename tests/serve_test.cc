@@ -567,7 +567,7 @@ TEST(QueryServiceTest, OverloadAndShutdownCancellationHammer) {
 
 #ifndef NDEBUG
 TEST(QuerySessionDeathTest, SecondThreadTripsTheContractAssert) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Network net = TestNetwork();
   auto file = MakeFile(net, 1024, /*pool_pages=*/16, /*overlay=*/false);
   auto session = file->OpenSession();
@@ -578,7 +578,7 @@ TEST(QuerySessionDeathTest, SecondThreadTripsTheContractAssert) {
         std::thread other([&] { (void)session->Find(node); });
         other.join();
       },
-      "one session per thread");
+      "read session used from two threads");
 }
 
 TEST(QuerySessionTest, RebindToCurrentThreadMovesTheBinding) {

@@ -240,7 +240,8 @@ TEST(ShardOracleTest, SpatialAndShortestPathMatchUnsharded) {
       ASSERT_EQ(got->Found(), want->Found());
       if (want->Found()) {
         EXPECT_DOUBLE_EQ(got->cost, want->cost);
-        EXPECT_EQ(got->path.size(), want->path.size());
+        EXPECT_EQ(got->path, want->path);
+        EXPECT_EQ(got->nodes_expanded, want->nodes_expanded);
       }
     }
   }
