@@ -194,7 +194,7 @@ int Run() {
   std::printf(
       "\nExpected shape: flat-search accesses grow with the map (the "
       "frontier sweeps the data file); CH accesses stay near the overlay's "
-      "top levels, so the access speedup widens with scale — 10x+ at the "
+      "top levels, so the access speedup widens with scale — ~6x at the "
       "largest side. \"CH matches Dijkstra\" must read true: the overlay "
       "is an index, never an approximation.\n");
   return 0;

@@ -43,14 +43,22 @@
 #                  NDEBUG
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
+#  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test
+#                  and chaos_serve_test under AddressSanitizer + UBSan
+#                  (CCAM_ASAN / CCAM_UBSAN, separate build directory): the
+#                  search's page harvest grows the arc array a relax loop
+#                  indexes, and the serve/snapshot paths free versions and
+#                  sessions under concurrency
 #
 # Usage: scripts/ci.sh [build-dir] [tsan-build-dir] [debug-build-dir]
-#        (defaults: build, build-tsan, build-debug)
+#                      [asan-build-dir]
+#        (defaults: build, build-tsan, build-debug, build-asan)
 set -uo pipefail
 
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
 DEBUG_BUILD="${3:-build-debug}"
+ASAN_BUILD="${4:-build-asan}"
 cd "$(dirname "$0")/.."
 
 declare -a STAGE_NAMES=() STAGE_RESULTS=()
@@ -124,6 +132,18 @@ debug_asserts() {
   "$DEBUG_BUILD/tests/shard_test"
 }
 
+asan_stage() {
+  local tests=(query_test shard_test snapshot_swap_test serve_test
+               chaos_serve_test)
+  cmake -B "$ASAN_BUILD" -S . -DCCAM_ASAN=ON -DCCAM_UBSAN=ON &&
+  cmake --build "$ASAN_BUILD" --target "${tests[@]}" -j "$(nproc)" ||
+    return 1
+  local t
+  for t in "${tests[@]}"; do
+    "$ASAN_BUILD/tests/$t" || return 1
+  done
+}
+
 run_stage "tier-1 (ctest)" tier1
 run_stage "metrics (tools/stats)" metrics
 run_stage "perf (check_perf.sh --smoke)" scripts/check_perf.sh --smoke "$BUILD"
@@ -134,6 +154,7 @@ run_stage "chaos (check_chaos.sh)" scripts/check_chaos.sh "$BUILD"
 run_stage "faults (check_faults.sh)" scripts/check_faults.sh "$BUILD"
 run_stage "debug asserts (Debug build)" debug_asserts
 run_stage "tsan (check_tsan.sh)" scripts/check_tsan.sh "$TSAN_BUILD"
+run_stage "asan + ubsan" asan_stage
 
 echo
 echo "=== ci summary ==="

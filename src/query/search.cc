@@ -67,6 +67,14 @@ class SearchCore {
     }
   }
 
+  /// The slot of `id`, or kNil when it has none.
+  uint32_t Lookup(NodeId id) const {
+    for (size_t h = Hash(id);; h = (h + 1) & mask_) {
+      uint32_t s = index_[h];
+      if (s == kNil || slots_[s].id == id) return s;
+    }
+  }
+
   Slot& slot(uint32_t s) { return slots_[s]; }
 
   bool HeapEmpty() const { return heap_.empty(); }
@@ -192,27 +200,34 @@ struct SearchCounters {
 /// read first, as the heuristic's anchor; `heuristic_weight` < 0 disables
 /// the heuristic. Returns the data-page accesses of the whole search.
 ///
-/// Reads each reached node's record exactly once: a source through Find(),
-/// every other node through Get-A-successor() from the node that first
-/// reaches it. Its successor list and heuristic are kept from that read, so
+/// Reads each node's record at most once, and a slot exists exactly when
+/// its record was read: the target and the sources through Find(), every
+/// other node through Get-A-successor() from the node that first reaches
+/// it. Its successor list and heuristic are kept from that read, so
 /// settling a node reads nothing and closed neighbors are never re-fetched.
+///
+/// Page harvest: once the search has missed more pages than the pool
+/// holds, it can evict its own pages before reaching the other records on
+/// them. From then on every read that misses is followed by reading the
+/// just-read node's successors that PageMap() places on the same page,
+/// transitively, while that page is still buffered; a later first reach
+/// of a harvested node reads nothing. A harvest read that fails is
+/// dropped (a Cancelled or DeadlineExceeded one also ends the harvest, and
+/// the loop's next poll reports it), and one that itself misses ends the
+/// harvest: on the sharded facade a halo copy's page is not the page the
+/// composed PageMap() names. The harvest changes reads, never the
+/// expansion order or the result.
 template <typename OnSettle>
 Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
                            NodeId target, double heuristic_weight,
                            SearchCore* core, OnSettle on_settle) {
   QuerySpan span(am->metrics(), "query.search");
   SearchCounters counters(am->metrics());
-  IoStats before = am->DataIoStats();
+  const IoStats before = am->DataIoStats();
 
+  // Per slot s (slots are created in read order): its heuristic h[s] and
+  // its successor list arcs[first_arc[s], first_arc[s + 1]).
   double tx = 0.0, ty = 0.0;
-  if (target != kInvalidNodeId) {
-    NodeRecord target_rec;
-    CCAM_ASSIGN_OR_RETURN(target_rec, am->Find(target));
-    tx = target_rec.x;
-    ty = target_rec.y;
-  }
-  // Per reached slot s (slots are created in reach order): its heuristic
-  // h[s] and its successor list arcs[first_arc[s], first_arc[s + 1]).
   std::vector<double> h;
   std::vector<AdjEntry> arcs;
   std::vector<uint32_t> first_arc{0};
@@ -224,15 +239,80 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
     first_arc.push_back(static_cast<uint32_t>(arcs.size()));
   };
 
+  const uint64_t pool_pages = am->buffer_pool()->capacity();
+  const NodePageMap& page_of = am->PageMap();
+  uint64_t reads = before.reads;  // DataIoStats().reads at the last poll
+  auto missed = [&] {  // did the reads since the last poll miss the pool?
+    uint64_t now = am->DataIoStats().reads;
+    bool miss = now != reads;
+    reads = now;
+    return miss;
+  };
+  auto harvest = [&](uint32_t s) {
+    auto page = page_of.find(core->slot(s).id);
+    if (page == page_of.end()) return;
+    std::vector<uint32_t> todo{s};
+    while (!todo.empty()) {
+      uint32_t x = todo.back();
+      todo.pop_back();
+      NodeId from = core->slot(x).id;
+      for (uint32_t a = first_arc[x]; a < first_arc[x + 1]; ++a) {
+        NodeId w = arcs[a].node;  // by index: keep() may grow `arcs`
+        if (core->Lookup(w) != SearchCore::kNil) continue;
+        auto wp = page_of.find(w);
+        if (wp == page_of.end() || wp->second != page->second) continue;
+        Result<NodeRecord> rec = am->GetASuccessor(from, w);
+        bool miss = missed();
+        if (rec.ok()) {
+          todo.push_back(core->Intern(w));
+          keep(*rec);
+        } else if (rec.status().IsCancelled() ||
+                   rec.status().IsDeadlineExceeded()) {
+          return;
+        }
+        if (miss) return;
+      }
+    }
+  };
+  // Call after reading the record of the newest slot `s`. A read misses
+  // at most one page, so the misses cannot pass the pool's capacity in
+  // the next `unpolled` reads and those skip the poll. When a poll first
+  // finds them past it, the polled read was itself a miss.
+  uint64_t unpolled = pool_pages;
+  auto after_read = [&](uint32_t s) {
+    if (unpolled > 0) {
+      --unpolled;
+      return;
+    }
+    bool miss = missed();
+    uint64_t misses = reads - before.reads;
+    if (misses <= pool_pages) {
+      unpolled = pool_pages - misses;
+    } else if (miss) {
+      harvest(s);
+    }
+  };
+
+  if (target != kInvalidNodeId) {
+    NodeRecord rec;
+    CCAM_ASSIGN_OR_RETURN(rec, am->Find(target));
+    tx = rec.x;
+    ty = rec.y;
+    uint32_t s = core->Intern(target);
+    keep(rec);
+    after_read(s);
+  }
   for (NodeId src : sources) {
     uint32_t s = core->Intern(src);
-    if (s < h.size()) continue;  // duplicate source
-    NodeRecord rec;
-    CCAM_ASSIGN_OR_RETURN(rec, am->Find(src));
-    keep(rec);
+    if (s == h.size()) {
+      NodeRecord rec;
+      CCAM_ASSIGN_OR_RETURN(rec, am->Find(src));
+      keep(rec);
+      after_read(s);
+    }
     core->slot(s).g = 0.0;
     core->slot(s).priority = h[s];
-    core->HeapPushOrDecrease(s);
+    core->HeapPushOrDecrease(s);  // no-op for a duplicate source
   }
 
   RequestContext* ctx = am->request_context();
@@ -249,10 +329,11 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
       AdjEntry arc = arcs[a];  // by value: keep() may grow `arcs`
       uint32_t t = core->Intern(arc.node);
       if (core->slot(t).closed) continue;
-      if (t == h.size()) {  // first reach: the node's one record read
+      if (t == h.size()) {  // first reach of an unread node
         NodeRecord rec;
         CCAM_ASSIGN_OR_RETURN(rec, am->GetASuccessor(node, arc.node));
         keep(rec);
+        after_read(t);
       }
       ++counters.n_relaxed;
       // A successor list holds one entry per successor, so the entry's

@@ -21,9 +21,12 @@ struct SearchResult {
 /// Dijkstra over the paged network. Each reached node's record is read
 /// once, with Get-A-successor() from the node that first reaches it (the
 /// source and the target with Find()); settling a node relaxes from the
-/// successor list kept from that read. Every record access goes through
-/// the access method, so the returned `page_accesses` reflects the
-/// clustering quality.
+/// successor list kept from that read. Once the search has missed more
+/// pages than the buffer pool holds, every miss also reads the records
+/// its successor arcs reach inside that page while the page is buffered,
+/// so a page is rarely read twice. Every record access goes through the
+/// access method, so the returned `page_accesses` reflects the clustering
+/// quality.
 Result<SearchResult> ShortestPathDijkstra(AccessMethod* am, NodeId src,
                                           NodeId dst);
 

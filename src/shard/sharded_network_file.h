@@ -223,7 +223,9 @@ class ShardedQuerySession : public ReadSession {
   /// (each also bumps the "shard.cut_crossings" counter when metrics are
   /// attached). Counted by Get-A-successor, so route evaluation and the
   /// flat searches (A*, Dijkstra) both charge their cut edges here: a
-  /// search reads each newly reached neighbour through it.
+  /// search reads each newly reached neighbour through it. A node the
+  /// search already read in a page harvest is not read again when a cut
+  /// edge first reaches it, so that crossing is not charged.
   uint64_t CutCrossings() const { return cut_crossings_; }
 
  protected:

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -203,6 +204,17 @@ TEST(ShardOracleTest, SpatialAndShortestPathMatchUnsharded) {
   auto base_session = baseline->OpenSession();
   auto base_engine = SpatialQueryEngine::Build(base_session.get());
   ASSERT_TRUE(base_engine.ok());
+  const std::vector<NodeId> ids = base_session->LiveNodeIds();
+  std::vector<std::pair<NodeId, NodeId>> long_pairs;
+  for (size_t i = 0; long_pairs.size() < 24; ++i) {
+    NodeId from = ids[(i * 131) % ids.size()];
+    NodeId to = ids[(i * 197 + 89) % ids.size()];
+    const NetworkNode& a = net.node(from);
+    const NetworkNode& b = net.node(to);
+    if (std::hypot(a.x - b.x, a.y - b.y) >= 1500.0) {
+      long_pairs.emplace_back(from, to);
+    }
+  }
 
   for (uint32_t shards : {2u, 4u, 8u}) {
     auto sharded = MakeSharded(net, shards);
@@ -229,7 +241,6 @@ TEST(ShardOracleTest, SpatialAndShortestPathMatchUnsharded) {
       EXPECT_EQ(got_ids, want_ids);
     }
 
-    std::vector<NodeId> ids = base_session->LiveNodeIds();
     for (int i = 0; i < 12; ++i) {
       NodeId from = ids[(i * 131) % ids.size()];
       NodeId to = ids[(i * 197 + 89) % ids.size()];
@@ -244,6 +255,28 @@ TEST(ShardOracleTest, SpatialAndShortestPathMatchUnsharded) {
         EXPECT_EQ(got->nodes_expanded, want->nodes_expanded);
       }
     }
+
+    // Long searches on cold pools outgrow the 8-page pools and harvest
+    // the pages they miss; a node read from a halo copy sits on a page the
+    // composed PageMap() does not name.
+    int outgrew = 0;
+    for (auto [from, to] : long_pairs) {
+      SCOPED_TRACE(::testing::Message() << shards << " shards, " << from
+                                        << " -> " << to);
+      ASSERT_TRUE(baseline->buffer_pool()->Reset().ok());
+      for (uint32_t s = 0; s < shards; ++s) {
+        ASSERT_TRUE(sharded->shard(s)->buffer_pool()->Reset().ok());
+      }
+      auto want = ShortestPathAStar(base_session.get(), from, to);
+      auto got = ShortestPathAStar(session.get(), from, to);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->path, want->path);
+      EXPECT_DOUBLE_EQ(got->cost, want->cost);
+      EXPECT_EQ(got->nodes_expanded, want->nodes_expanded);
+      if (got->page_accesses > BaseOptions().buffer_pool_pages) ++outgrew;
+    }
+    EXPECT_GT(outgrew * 2, static_cast<int>(long_pairs.size()));
   }
 }
 
