@@ -43,12 +43,14 @@
 #                  NDEBUG
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
-#  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test
-#                  and chaos_serve_test under AddressSanitizer + UBSan
-#                  (CCAM_ASAN / CCAM_UBSAN, separate build directory): the
-#                  search's page harvest grows the arc array a relax loop
-#                  indexes, and the serve/snapshot paths free versions and
-#                  sessions under concurrency
+#  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test,
+#                  chaos_serve_test and hierarchy_test under AddressSanitizer
+#                  + UBSan (CCAM_ASAN / CCAM_UBSAN, separate build
+#                  directory): the search's page harvest grows the arc array
+#                  a relax loop indexes, the serve/snapshot paths free
+#                  versions and sessions under concurrency, and the CH
+#                  witness search indexes reused scratch arrays by dense
+#                  core id
 #
 # Usage: scripts/ci.sh [build-dir] [tsan-build-dir] [debug-build-dir]
 #                      [asan-build-dir]
@@ -134,7 +136,7 @@ debug_asserts() {
 
 asan_stage() {
   local tests=(query_test shard_test snapshot_swap_test serve_test
-               chaos_serve_test)
+               chaos_serve_test hierarchy_test)
   cmake -B "$ASAN_BUILD" -S . -DCCAM_ASAN=ON -DCCAM_UBSAN=ON &&
   cmake --build "$ASAN_BUILD" --target "${tests[@]}" -j "$(nproc)" ||
     return 1

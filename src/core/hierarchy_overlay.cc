@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
-#include <queue>
+#include <functional>
+#include <limits>
 #include <utility>
 
 #include "src/common/thread_pool.h"
@@ -31,38 +32,85 @@ constexpr size_t kWitnessSettleLimit = 128;
 /// structural bug, not a tuning problem.
 constexpr size_t kMaxOverlayPageSize = size_t{1} << 20;
 
-/// Bounded Dijkstra from `source` in the current core, never entering
-/// `excluded` (the node being contracted). Fills `settled` with the final
-/// distances of settled nodes. Deterministic: the heap orders by
-/// (distance, dense index), so equal-distance settle order — which matters
-/// under the settle cap — is a pure function of the core graph.
+/// The targets of one contraction step's witness searches: target j is
+/// the contracted node's successor succs[j]. Shared read-only by every
+/// search of the step.
+struct WitnessTargets {
+  static constexpr uint32_t kNone = UINT32_MAX;
+  uint32_t excluded = 0;          // the node being contracted
+  std::vector<uint32_t> by_cost;  // target indices, costliest first
+  std::vector<uint32_t> slot;     // dense id -> target index, or kNone
+};
+
+/// One search's reusable state: tentative distances over dense core ids,
+/// valid only where `stamp` equals `generation`, and the open heap.
+struct WitnessScratch {
+  explicit WitnessScratch(size_t n) : dist(n), stamp(n, 0) {}
+  std::vector<double> dist;
+  std::vector<uint32_t> stamp;
+  uint32_t generation = 0;
+  std::vector<std::pair<double, uint32_t>> heap;
+};
+
+/// Bounded Dijkstra from `source` in the current core, never entering the
+/// contracted node, that writes each target's settled distance to
+/// `found[j]` (infinity when it does not settle). Deterministic: the heap
+/// orders by (distance, dense index), so equal-distance settle order —
+/// which matters under the settle cap — is a pure function of the core.
+///
+/// It stops once every target has settled, or once the frontier passes
+/// the largest need `pred_cost + c(v, w)` of a target still unsettled, and
+/// drops relaxations beyond that bound. Neither changes an answer: settled
+/// distances are final, and a target that would settle beyond its need is
+/// no witness. Every node within the bound still settles in the same
+/// order, so the settle cap cuts exactly where a search to the largest
+/// need of all targets would cut.
 void WitnessSearch(const std::vector<std::vector<CoreArc>>& out,
-                   uint32_t source, uint32_t excluded, double bound,
-                   std::unordered_map<uint32_t, double>* settled) {
+                   const std::vector<CoreArc>& succs,
+                   const WitnessTargets& targets, uint32_t source,
+                   double pred_cost, WitnessScratch* s, double* found) {
   using Entry = std::pair<double, uint32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> open;
-  std::unordered_map<uint32_t, double> dist;
-  dist.emplace(source, 0.0);
-  open.push({0.0, source});
-  while (!open.empty()) {
-    auto [d, u] = open.top();
-    open.pop();
-    auto du = dist.find(u);
-    if (du == dist.end() || d > du->second) continue;  // stale entry
+  std::fill(found, found + succs.size(),
+            std::numeric_limits<double>::infinity());
+  if (++s->generation == 0) {
+    std::fill(s->stamp.begin(), s->stamp.end(), 0);
+    s->generation = 1;
+  }
+  size_t unsettled = succs.size();
+  size_t costliest = 0;  // position in by_cost of the costliest unsettled
+  double bound = pred_cost + succs[targets.by_cost[0]].cost;
+  std::vector<Entry>& heap = s->heap;
+  heap.clear();
+  heap.push_back({0.0, source});
+  s->stamp[source] = s->generation;
+  s->dist[source] = 0.0;
+  size_t settled = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>());
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    if (d > s->dist[u]) continue;  // stale entry
     if (d > bound) break;
-    settled->emplace(u, d);
-    if (settled->size() >= kWitnessSettleLimit) break;
+    ++settled;
+    if (const uint32_t j = targets.slot[u]; j != WitnessTargets::kNone) {
+      found[j] = d;
+      if (--unsettled == 0) break;
+      while (found[targets.by_cost[costliest]] !=
+             std::numeric_limits<double>::infinity()) {
+        ++costliest;
+      }
+      bound = pred_cost + succs[targets.by_cost[costliest]].cost;
+    }
+    if (settled >= kWitnessSettleLimit) break;
     for (const CoreArc& arc : out[u]) {
-      if (arc.to == excluded) continue;
+      if (arc.to == targets.excluded) continue;
       const double nd = d + arc.cost;
       if (nd > bound) continue;
-      auto it = dist.find(arc.to);
-      if (it == dist.end()) {
-        dist.emplace(arc.to, nd);
-        open.push({nd, arc.to});
-      } else if (nd < it->second) {
-        it->second = nd;
-        open.push({nd, arc.to});
+      if (s->stamp[arc.to] != s->generation || nd < s->dist[arc.to]) {
+        s->stamp[arc.to] = s->generation;
+        s->dist[arc.to] = nd;
+        heap.push_back({nd, arc.to});
+        std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
       }
     }
   }
@@ -152,14 +200,19 @@ Status Contract(const Network& network, const AccessMethodOptions& options,
   const int threads = ThreadPool::ResolveThreadCount(options.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1 && n >= 256) pool = std::make_unique<ThreadPool>(threads);
+  // One scratch per concurrent search; the searches of one step are dealt
+  // out to them round-robin.
+  std::vector<WitnessScratch> scratch(pool ? threads : 1, WitnessScratch(n));
 
   records->assign(n, HierarchyNodeRecord{});
   *num_shortcuts = 0;
-  std::vector<std::unordered_map<uint32_t, double>> witness;
+  WitnessTargets targets;
+  targets.slot.assign(n, WitnessTargets::kNone);
+  std::vector<double> witness;  // witness[i * |succs| + j]: pred i, target j
   for (size_t pos = 0; pos < n; ++pos) {
     const uint32_t v = dense.find(order[pos])->second;
-    const std::vector<CoreArc> preds = in[v];
-    const std::vector<CoreArc> succs = out[v];
+    const std::vector<CoreArc> preds = std::move(in[v]);
+    const std::vector<CoreArc> succs = std::move(out[v]);
 
     HierarchyNodeRecord& rec = (*records)[pos];
     rec.id = order[pos];
@@ -170,35 +223,47 @@ Status Contract(const Network& network, const AccessMethodOptions& options,
       return Status::InvalidArgument("hierarchy node degree exceeds record format");
     }
 
-    double max_succ_cost = 0.0;
-    for (const CoreArc& w : succs) max_succ_cost = std::max(max_succ_cost, w.cost);
-
     // One witness search per predecessor, pruning shortcuts that a path
     // avoiding v already covers. Read-only on the core, so they run
-    // concurrently into per-predecessor slots.
-    witness.assign(preds.size(), {});
-    if (pool && preds.size() >= 2 && !succs.empty()) {
-      for (size_t i = 0; i < preds.size(); ++i) {
-        pool->Submit([&, i] {
-          WitnessSearch(out, preds[i].to, v, preds[i].cost + max_succ_cost,
-                        &witness[i]);
-        });
+    // concurrently into per-predecessor rows of `witness`.
+    const size_t k = succs.size();
+    witness.resize(preds.size() * k);
+    if (k > 0) {
+      targets.excluded = v;
+      targets.by_cost.resize(k);
+      for (uint32_t j = 0; j < k; ++j) {
+        targets.by_cost[j] = j;
+        targets.slot[succs[j].to] = j;
       }
-      pool->WaitIdle();
-    } else if (!succs.empty()) {
-      for (size_t i = 0; i < preds.size(); ++i) {
-        WitnessSearch(out, preds[i].to, v, preds[i].cost + max_succ_cost,
-                      &witness[i]);
+      std::sort(targets.by_cost.begin(), targets.by_cost.end(),
+                [&](uint32_t a, uint32_t b) {
+                  return succs[a].cost > succs[b].cost;
+                });
+      auto search_all = [&](size_t first, size_t stride, WitnessScratch* s) {
+        for (size_t i = first; i < preds.size(); i += stride) {
+          WitnessSearch(out, succs, targets, preds[i].to, preds[i].cost, s,
+                        &witness[i * k]);
+        }
+      };
+      if (pool && preds.size() >= 2) {
+        const size_t tasks = std::min(scratch.size(), preds.size());
+        for (size_t t = 0; t < tasks; ++t) {
+          pool->Submit([&, t] { search_all(t, tasks, &scratch[t]); });
+        }
+        pool->WaitIdle();
+      } else {
+        search_all(0, 1, &scratch[0]);
       }
+      for (const CoreArc& w : succs) targets.slot[w.to] = WitnessTargets::kNone;
     }
 
     for (size_t i = 0; i < preds.size(); ++i) {
       const uint32_t su = preds[i].to;
-      for (const CoreArc& w : succs) {
+      for (size_t j = 0; j < k; ++j) {
+        const CoreArc& w = succs[j];
         if (w.to == su) continue;
         const double need = preds[i].cost + w.cost;
-        auto hit = witness[i].find(w.to);
-        if (hit != witness[i].end() && hit->second <= need) continue;
+        if (witness[i * k + j] <= need) continue;
         if (CoreArc* existing = FindArc(&out[su], w.to)) {
           if (need < existing->cost) {
             existing->cost = need;
@@ -215,13 +280,10 @@ Status Contract(const Network& network, const AccessMethodOptions& options,
     }
 
     // Detach v: all its remaining arcs point at higher-ranked nodes, and
-    // they are exactly the up/down lists just recorded.
+    // they are exactly the up/down lists just recorded. Its own lists were
+    // moved out above.
     for (const CoreArc& w : succs) EraseArc(&in[w.to], v);
     for (const CoreArc& u : preds) EraseArc(&out[u.to], v);
-    out[v].clear();
-    out[v].shrink_to_fit();
-    in[v].clear();
-    in[v].shrink_to_fit();
   }
   // Count shortcuts over the final records, not at creation: a keep-min
   // merge can later turn an original arc into a shortcut (set its via), so

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/coding.h"
 #include "src/common/random.h"
 #include "src/core/ccam.h"
 #include "src/core/query_session.h"
@@ -140,6 +141,152 @@ TEST(HierarchyDeterminismTest, OverlayBytesIdenticalAcrossThreadCounts) {
       reference = bytes;
     } else {
       EXPECT_EQ(bytes, reference) << "threads=" << threads;
+    }
+  }
+}
+
+// The overlay bytes are pinned: build_info() and the CRC32C of the overlay
+// image at both extreme page sizes, per topology. A faster contraction must
+// reproduce these exactly — the witness search may do less work, never
+// produce a different shortcut graph.
+TEST(HierarchyDeterminismTest, OverlayMatchesGoldenDigests) {
+  struct Golden {
+    size_t page_size;
+    size_t pages;
+    size_t overlay_page_size;
+    uint32_t crc;
+  };
+  struct Case {
+    std::string name;
+    Network net;
+    size_t shortcuts;
+    std::vector<Golden> golden;
+  };
+  RoadMapOptions road;
+  road.rows = 64;
+  road.cols = 64;
+  road.nodes_to_remove = 16;
+  road.seed = 1995;
+  std::vector<Case> cases;
+  cases.push_back({"minneapolis", GenerateMinneapolisLikeMap(1995), 8682,
+                   {{512, 239, 1024, 0x8bbe6c75}, {4096, 54, 4096, 0x6227108d}}});
+  cases.push_back({"geometric", GenerateRandomGeometricNetwork(400, 80.0), 2795,
+                   {{512, 114, 1024, 0x1f3a9079}, {4096, 26, 4096, 0xc9dd2d1d}}});
+  cases.push_back({"ring-radial", GenerateRingRadialCity(8, 12), 746,
+                   {{512, 53, 512, 0xbdb174ae}, {4096, 6, 4096, 0xbfb1250a}}});
+  cases.push_back({"scale-free", GenerateScaleFreeNetwork(300), 4631,
+                   {{2048, 63, 2048, 0x6ff5f2ff}, {4096, 29, 4096, 0xc94ece7e}}});
+  cases.push_back({"road-64", GenerateRoadMap(road), 42630,
+                   {{1024, 520, 2048, 0x78778351}, {4096, 246, 4096, 0xf57c0cf8}}});
+  for (const Case& c : cases) {
+    for (const Golden& g : c.golden) {
+      SCOPED_TRACE(c.name + " page " + std::to_string(g.page_size));
+      AccessMethodOptions options;
+      options.page_size = g.page_size;
+      options.hierarchy_overlay = true;
+      Ccam am(options, CcamCreateMode::kStatic);
+      ASSERT_TRUE(am.Create(c.net).ok());
+      ASSERT_TRUE(am.HasHierarchy());
+      const HierarchyOverlay::BuildInfo& info = am.hierarchy()->build_info();
+      EXPECT_EQ(info.nodes, c.net.NumNodes());
+      EXPECT_EQ(info.shortcuts, c.shortcuts);
+      EXPECT_EQ(info.pages, g.pages);
+      EXPECT_EQ(info.page_size, g.overlay_page_size);
+      const std::string path = TempPath("hier_golden.bin");
+      ASSERT_TRUE(am.hierarchy()->SaveImage(path).ok());
+      const std::string bytes = ReadFileBytes(path);
+      std::remove(path.c_str());
+      EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), g.crc);
+    }
+  }
+}
+
+// A hand-built core around node v (contracted first; the test asserts
+// it) whose single witness search, from u, covers the search's edge
+// cases:
+//   - u is both v's predecessor and successor (the w == u skip);
+//   - w1 and w2 have equal need, u->v->w = 3;
+//   - w1 has a witness of exactly equal cost, u->x->w1 = 3 (`<=` prunes);
+//   - w3 (need 11) has an equal-cost witness u->y->w3 that settles only
+//     after a cloud of sinks at distance 4, so the 128-settle cap decides.
+// Settle order from u: u, x, w1, the cloud, y, w3. With 123 cloud nodes w3
+// is the 128th settle (witness found; y later adds u->w3 via y); with 124
+// the cap cuts first and u->w3 is kept via v.
+constexpr NodeId kV = 0, kU = 1, kX = 2, kY = 3, kW1 = 4, kW2 = 5, kW3 = 6;
+constexpr NodeId kCloud = 100;
+
+Network WitnessEdgeCaseNetwork(int cloud_size) {
+  Network net;
+  for (NodeId id = kV; id <= kW3; ++id) {
+    EXPECT_TRUE(net.AddNode(id, 10.0 * id, 0.0).ok());
+  }
+  for (int i = 0; i < cloud_size; ++i) {
+    EXPECT_TRUE(net.AddNode(kCloud + i, 5.0 * i, 50.0).ok());
+    EXPECT_TRUE(net.AddEdge(kU, kCloud + i, 4.0f).ok());
+  }
+  EXPECT_TRUE(net.AddBidirectionalEdge(kU, kV, 1.0f).ok());
+  EXPECT_TRUE(net.AddEdge(kV, kW1, 2.0f).ok());
+  EXPECT_TRUE(net.AddEdge(kV, kW2, 2.0f).ok());
+  EXPECT_TRUE(net.AddEdge(kV, kW3, 10.0f).ok());
+  EXPECT_TRUE(net.AddEdge(kU, kX, 1.5f).ok());
+  EXPECT_TRUE(net.AddEdge(kX, kW1, 1.5f).ok());
+  EXPECT_TRUE(net.AddEdge(kU, kY, 5.5f).ok());
+  EXPECT_TRUE(net.AddEdge(kY, kW3, 5.5f).ok());
+  for (NodeId w : {kW1, kW2, kW3}) EXPECT_TRUE(net.AddEdge(w, kU, 1.0f).ok());
+  return net;
+}
+
+TEST(HierarchyWitnessTest, EdgeCasesRecordExactArcs) {
+  constexpr NodeId kNone = kInvalidNodeId;
+  for (int cloud_size : {123, 124}) {
+    SCOPED_TRACE("cloud " + std::to_string(cloud_size));
+    Network net = WitnessEdgeCaseNetwork(cloud_size);
+    auto am = MakeOverlayFile(net, 4096);
+    HierarchyOverlay* overlay = am->hierarchy();
+    auto record = [&](NodeId id) {
+      auto rec = overlay->ReadNode(id, nullptr);
+      EXPECT_TRUE(rec.ok()) << id;
+      return rec.ok() ? *rec : HierarchyNodeRecord{};
+    };
+    // Preconditions: v is contracted first, with the whole cloud still in
+    // the core.
+    const HierarchyNodeRecord v = record(kV);
+    ASSERT_EQ(v.rank, 0u);
+    for (int i = 0; i < cloud_size; ++i) {
+      ASSERT_GT(record(kCloud + i).rank, v.rank);
+    }
+
+    EXPECT_EQ(v.up, (std::vector<HierarchyArc>{{kU, 1.0, kNone},
+                                               {kW1, 2.0, kNone},
+                                               {kW2, 2.0, kNone},
+                                               {kW3, 10.0, kNone}}));
+    EXPECT_EQ(v.down, (std::vector<HierarchyArc>{{kU, 1.0, kNone}}));
+    EXPECT_TRUE(record(kU).up.empty());
+    EXPECT_TRUE(record(kU).down.empty());
+    EXPECT_EQ(record(kX).up, (std::vector<HierarchyArc>{{kW1, 1.5, kNone}}));
+    EXPECT_EQ(record(kY).up, (std::vector<HierarchyArc>{{kW3, 5.5, kNone}}));
+    // w1: the equal-cost witness pruned u->w1 via v; x, contracted next,
+    // then adds it via x. w2: no witness, shortcut via v.
+    EXPECT_EQ(record(kW1).down, (std::vector<HierarchyArc>{{kU, 3.0, kX}}));
+    EXPECT_EQ(record(kW2).down, (std::vector<HierarchyArc>{{kU, 3.0, kV}}));
+    const NodeId w3_via = cloud_size == 123 ? kY : kV;
+    EXPECT_EQ(record(kW3).down,
+              (std::vector<HierarchyArc>{{kU, 11.0, w3_via}}));
+    for (NodeId w : {kW1, kW2, kW3}) {
+      EXPECT_EQ(record(w).up, (std::vector<HierarchyArc>{{kU, 1.0, kNone}}));
+    }
+    EXPECT_EQ(overlay->build_info().shortcuts, 3u);
+
+    std::vector<NodeId> probe = {kV, kU, kX, kY, kW1, kW2, kW3, kCloud,
+                                 kCloud + cloud_size - 1};
+    for (NodeId src : probe) {
+      for (NodeId dst : probe) {
+        auto ch = ShortestPathCH(am.get(), src, dst);
+        auto dj = ShortestPathDijkstra(am.get(), src, dst);
+        ASSERT_TRUE(ch.ok());
+        ASSERT_TRUE(dj.ok());
+        ExpectMatchesOracle(net, *ch, *dj, src, dst);
+      }
     }
   }
 }
