@@ -79,8 +79,7 @@ serve::QueryServiceOptions ServiceOptions(bool batched) {
   serve::QueryServiceOptions options;
   options.num_workers = kWorkers;
   options.max_queue_depth = 2048;
-  options.max_batch = 32;
-  options.region_batching = batched;
+  options.max_batch = batched ? 32 : 1;
   return options;
 }
 

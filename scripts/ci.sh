@@ -17,12 +17,11 @@
 #                  batched-vs-serial equivalence mismatches, and IoStats
 #                  conservation (wall-clock speedup gates are skipped in
 #                  the smoke run — they belong to full perf runs)
-#   5. swap      — snapshot store: the 8-reader swap hammer, a quick
+#   5. swap      — snapshot store: the 8-reader swap hammer (no reader
+#                  error, one reorganization per swap) and a quick
 #                  mid-swap crashsim sweep over every snapshot.* failpoint
 #                  (recovery must land on exactly the old or exactly the
-#                  new version), and bench/swap_availability emitting
-#                  BENCH_swap_availability.json (reader p99 during reorg
-#                  vs quiesced — scripts/check_perf.sh diffs it)
+#                  new version)
 #   6. shard     — sharded network file: the differential oracle + reader
 #                  hammer suite (tests/shard_test), the ccam_cli shard
 #                  subcommand's sharded-vs-unsharded check, and
@@ -44,13 +43,14 @@
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
 #  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test,
-#                  chaos_serve_test and hierarchy_test under AddressSanitizer
-#                  + UBSan (CCAM_ASAN / CCAM_UBSAN, separate build
-#                  directory): the search's page harvest grows the arc array
-#                  a relax loop indexes, the serve/snapshot paths free
-#                  versions and sessions under concurrency, and the CH
-#                  witness search indexes reused scratch arrays by dense
-#                  core id
+#                  chaos_serve_test, hierarchy_test and hierarchy_crash_test
+#                  under AddressSanitizer + UBSan (CCAM_ASAN / CCAM_UBSAN,
+#                  separate build directory): the search's page harvest
+#                  grows the arc array a relax loop indexes, the
+#                  serve/snapshot paths free versions and sessions under
+#                  concurrency, the CH witness search indexes reused
+#                  scratch arrays by dense core id, and the overlay's
+#                  LoadImage decodes page 0 of every torn crash capture
 #
 # Usage: scripts/ci.sh [build-dir] [tsan-build-dir] [debug-build-dir]
 #                      [asan-build-dir]
@@ -113,7 +113,7 @@ shard_stage() {
 
 swap_stage() {
   cmake --build "$BUILD" --target snapshot_swap_test crashsim \
-    swap_availability -j "$(nproc)" || return 1
+    -j "$(nproc)" || return 1
   "$BUILD/tests/snapshot_swap_test" || return 1
   local fp
   for fp in snapshot.log.append snapshot.log.flush snapshot.build \
@@ -121,8 +121,6 @@ swap_stage() {
     "$BUILD/tools/crashsim" --snapshot --failpoint="$fp" --points=6 \
       --dir="${TMPDIR:-/tmp}/ccam_ci_swap_${fp//./_}" || return 1
   done
-  CCAM_SWAP_BENCH_OPS=4000 CCAM_SWAP_BENCH_SWAPS=4 \
-    "$BUILD/bench/swap_availability"
 }
 
 debug_asserts() {
@@ -136,7 +134,7 @@ debug_asserts() {
 
 asan_stage() {
   local tests=(query_test shard_test snapshot_swap_test serve_test
-               chaos_serve_test hierarchy_test)
+               chaos_serve_test hierarchy_test hierarchy_crash_test)
   cmake -B "$ASAN_BUILD" -S . -DCCAM_ASAN=ON -DCCAM_UBSAN=ON &&
   cmake --build "$ASAN_BUILD" --target "${tests[@]}" -j "$(nproc)" ||
     return 1

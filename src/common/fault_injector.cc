@@ -225,10 +225,6 @@ const std::vector<FailpointInfo>& FaultInjector::Catalog() {
        "error/short(torn record tail)/nospace/crash"},
       {"wal.flush", "Wal::Flush durability barrier (data WAL)",
        "error/crash"},
-      {"hier.wal.append", "Wal::Append on the hierarchy WAL",
-       "same actions as wal.append"},
-      {"hier.wal.flush", "Wal::Flush on the hierarchy WAL",
-       "same actions as wal.flush"},
       {"snapshot.log.append", "DeltaLog::Append frame write",
        "error/short(torn frame tail)/nospace/crash"},
       {"snapshot.log.flush", "DeltaLog::Flush durability barrier",

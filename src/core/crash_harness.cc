@@ -214,6 +214,60 @@ Result<uint32_t> FileCrc(const std::string& path) {
   return Crc32c(bytes.data(), bytes.size());
 }
 
+/// The kill-point space of `point`: armed with a trigger that never
+/// fires, Hit() only counts evaluations, so the hit count of a fault-free
+/// `run` is the number of places a kill can land.
+Result<uint64_t> CountKillPoints(
+    uint64_t seed, const std::string& point,
+    const std::function<Status(FaultInjector*)>& run) {
+  FaultInjector faults(seed);
+  faults.Arm(point, FaultAction{}, FaultTrigger::Once(0));
+  CCAM_RETURN_NOT_OK(run(&faults));
+  return faults.HitCount(point);
+}
+
+/// Runs `run_once` at `num_points` kill points spread evenly over the
+/// space `count` returns (first and last included; all of them when
+/// `num_points` >= the space) and tallies the outcomes.
+Result<CrashSimReport> SweepKillPoints(
+    const std::function<Result<uint64_t>()>& count,
+    const std::function<Result<CrashRunResult>(uint64_t)>& run_once,
+    uint64_t num_points) {
+  CrashSimReport report;
+  CCAM_ASSIGN_OR_RETURN(report.total_writes, count());
+  if (report.total_writes == 0 || num_points == 0) return report;
+  uint64_t n = std::min(num_points, report.total_writes);
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t point =
+        1 + (i * (report.total_writes - 1)) / (n > 1 ? n - 1 : 1);
+    CrashPointReport entry;
+    entry.crash_point = point;
+    CCAM_ASSIGN_OR_RETURN(entry.result, run_once(point));
+    switch (entry.result.outcome) {
+      case CrashOutcome::kNoCrash:
+        ++report.no_crash;
+        break;
+      case CrashOutcome::kRecovered:
+        ++report.recovered;
+        break;
+      case CrashOutcome::kCorruptionDetected:
+        ++report.corruption_detected;
+        break;
+      case CrashOutcome::kDurable:
+        ++report.durable;
+        break;
+      case CrashOutcome::kLostAck:
+        ++report.lost_ack;
+        break;
+      case CrashOutcome::kRecoveryFailed:
+        ++report.recovery_failed;
+        break;
+    }
+    report.points.push_back(std::move(entry));
+  }
+  return report;
+}
+
 }  // namespace
 
 const char* CrashOutcomeName(CrashOutcome outcome) {
@@ -235,15 +289,12 @@ const char* CrashOutcomeName(CrashOutcome outcome) {
 }
 
 Result<uint64_t> CountWorkloadWrites(const CrashSimOptions& options) {
-  FaultInjector faults(options.seed);
-  // Armed with a trigger that never fires: Hit() only counts evaluations
-  // of points it knows about, and the count of the kill failpoint in a
-  // fault-free run *is* the kill-point space.
-  faults.Arm(options.crash_failpoint, FaultAction{}, FaultTrigger::Once(0));
-  Ccam file(MakeOptions(options));
-  file.SetFaultInjector(&faults);
-  CCAM_RETURN_NOT_OK(RunWorkload(&file, options, nullptr));
-  return faults.HitCount(options.crash_failpoint);
+  return CountKillPoints(options.seed, options.crash_failpoint,
+                         [&](FaultInjector* faults) {
+                           Ccam file(MakeOptions(options));
+                           file.SetFaultInjector(faults);
+                           return RunWorkload(&file, options, nullptr);
+                         });
 }
 
 Result<CrashRunResult> RunCrashOnce(const CrashSimOptions& options,
@@ -363,41 +414,10 @@ Result<CrashRunResult> RunCrashOnce(const CrashSimOptions& options,
 
 Result<CrashSimReport> RunCrashSim(const CrashSimOptions& options,
                                    uint64_t num_points) {
-  CrashSimReport report;
-  CCAM_ASSIGN_OR_RETURN(report.total_writes, CountWorkloadWrites(options));
-  if (report.total_writes == 0 || num_points == 0) return report;
-  uint64_t n = std::min(num_points, report.total_writes);
-  for (uint64_t i = 0; i < n; ++i) {
-    // Spread the points evenly over the write sequence, first and last
-    // writes included.
-    uint64_t point =
-        1 + (i * (report.total_writes - 1)) / (n > 1 ? n - 1 : 1);
-    CrashPointReport entry;
-    entry.crash_point = point;
-    CCAM_ASSIGN_OR_RETURN(entry.result, RunCrashOnce(options, point));
-    switch (entry.result.outcome) {
-      case CrashOutcome::kNoCrash:
-        ++report.no_crash;
-        break;
-      case CrashOutcome::kRecovered:
-        ++report.recovered;
-        break;
-      case CrashOutcome::kCorruptionDetected:
-        ++report.corruption_detected;
-        break;
-      case CrashOutcome::kDurable:
-        ++report.durable;
-        break;
-      case CrashOutcome::kLostAck:
-        ++report.lost_ack;
-        break;
-      case CrashOutcome::kRecoveryFailed:
-        ++report.recovery_failed;
-        break;
-    }
-    report.points.push_back(std::move(entry));
-  }
-  return report;
+  return SweepKillPoints(
+      [&] { return CountWorkloadWrites(options); },
+      [&](uint64_t point) { return RunCrashOnce(options, point); },
+      num_points);
 }
 
 // --- Snapshot-store sweep ---------------------------------------------------
@@ -589,14 +609,12 @@ Result<std::unique_ptr<SnapshotManager>> FreshStore(
 }  // namespace
 
 Result<uint64_t> CountSnapshotKillPoints(const SnapshotCrashOptions& options) {
-  FaultInjector faults(options.seed);
-  // Same never-firing trigger trick as CountWorkloadWrites: the hit count
-  // of the kill failpoint in a fault-free run is the kill-point space.
-  faults.Arm(options.crash_failpoint, FaultAction{}, FaultTrigger::Once(0));
-  std::unique_ptr<SnapshotManager> mgr;
-  CCAM_ASSIGN_OR_RETURN(mgr, FreshStore(options, &faults));
-  CCAM_RETURN_NOT_OK(RunSnapshotWorkload(mgr.get(), options, nullptr));
-  return faults.HitCount(options.crash_failpoint);
+  return CountKillPoints(
+      options.seed, options.crash_failpoint, [&](FaultInjector* faults) {
+        std::unique_ptr<SnapshotManager> mgr;
+        CCAM_ASSIGN_OR_RETURN(mgr, FreshStore(options, faults));
+        return RunSnapshotWorkload(mgr.get(), options, nullptr);
+      });
 }
 
 Result<CrashRunResult> RunSnapshotCrashOnce(const SnapshotCrashOptions& options,
@@ -679,41 +697,10 @@ Result<CrashRunResult> RunSnapshotCrashOnce(const SnapshotCrashOptions& options,
 
 Result<CrashSimReport> RunSnapshotCrashSim(const SnapshotCrashOptions& options,
                                            uint64_t num_points) {
-  CrashSimReport report;
-  CCAM_ASSIGN_OR_RETURN(report.total_writes,
-                        CountSnapshotKillPoints(options));
-  if (report.total_writes == 0 || num_points == 0) return report;
-  uint64_t n = std::min(num_points, report.total_writes);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t point =
-        1 + (i * (report.total_writes - 1)) / (n > 1 ? n - 1 : 1);
-    CrashPointReport entry;
-    entry.crash_point = point;
-    CCAM_ASSIGN_OR_RETURN(entry.result,
-                          RunSnapshotCrashOnce(options, point));
-    switch (entry.result.outcome) {
-      case CrashOutcome::kNoCrash:
-        ++report.no_crash;
-        break;
-      case CrashOutcome::kRecovered:
-        ++report.recovered;
-        break;
-      case CrashOutcome::kCorruptionDetected:
-        ++report.corruption_detected;
-        break;
-      case CrashOutcome::kDurable:
-        ++report.durable;
-        break;
-      case CrashOutcome::kLostAck:
-        ++report.lost_ack;
-        break;
-      case CrashOutcome::kRecoveryFailed:
-        ++report.recovery_failed;
-        break;
-    }
-    report.points.push_back(std::move(entry));
-  }
-  return report;
+  return SweepKillPoints(
+      [&] { return CountSnapshotKillPoints(options); },
+      [&](uint64_t point) { return RunSnapshotCrashOnce(options, point); },
+      num_points);
 }
 
 }  // namespace ccam

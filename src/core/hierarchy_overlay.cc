@@ -381,27 +381,17 @@ HierarchyOverlay::~HierarchyOverlay() = default;
 void HierarchyOverlay::SetFaultInjector(FaultInjector* faults) {
   faults_ = faults;
   if (disk_) disk_->SetFaultInjector(faults);
-  if (wal_) wal_->SetFaultInjector(faults);
 }
 
 void HierarchyOverlay::SetMetrics(MetricsRegistry* metrics) {
   metrics_ = metrics;
   if (disk_) disk_->SetMetrics(metrics);
-  if (wal_) wal_->SetMetrics(metrics);
 }
 
 void HierarchyOverlay::CreateDevices(size_t page_size) {
   pool_.reset();
-  wal_.reset();
   disk_ = std::make_unique<DiskManager>(page_size);
   disk_->SetFailpointPrefix("hier");
-  if (options_.durability) {
-    wal_ = std::make_unique<Wal>();
-    wal_->SetNamePrefix("hier.wal");
-    wal_->SetDevice(disk_.get());
-    disk_->AttachWal(wal_.get());
-    disk_->SetVerifyChecksums(true);
-  }
   // The overlay pool mirrors the data pool's shape; it stays unobserved by
   // the metrics registry so its fetches never mix into the data pool's
   // "buffer_pool.*" series (the "hier.*" disk counters carry the signal).
@@ -410,15 +400,10 @@ void HierarchyOverlay::CreateDevices(size_t page_size) {
                                        options_.buffer_pool_shards);
   disk_->SetFaultInjector(faults_);
   disk_->SetMetrics(metrics_);
-  if (wal_) {
-    wal_->SetFaultInjector(faults_);
-    wal_->SetMetrics(metrics_);
-  }
 }
 
 void HierarchyOverlay::ResetState() {
   pool_.reset();
-  wal_.reset();
   disk_.reset();
   page_of_.clear();
   valid_ = false;
@@ -454,11 +439,8 @@ Status HierarchyOverlay::Build(const Network& network) {
   }
 
   CreateDevices(page_size);
-  if (options_.durability) CCAM_RETURN_NOT_OK(disk_->BeginTxn());
   Status s = WriteRecords(encoded, pack_ids, num_shortcuts);
-  if (s.ok() && options_.durability) s = disk_->CommitTxn();
   if (!s.ok()) {
-    if (disk_->InTxn()) (void)disk_->AbortTxn();
     page_of_.clear();
     valid_ = false;
     return s;
@@ -478,9 +460,9 @@ Status HierarchyOverlay::WriteRecords(const std::vector<std::string>& encoded,
                                       const std::vector<NodeId>& ids,
                                       size_t num_shortcuts) {
   const size_t page_size = disk_->page_size();
-  // Page 0 is reserved for the metadata record, which is written last (and
-  // in non-durable builds flushed last): a torn build leaves no metadata,
-  // which reads back as "no overlay".
+  // Page 0 is reserved for the metadata record, which is written and
+  // flushed last, after every record page: the commit rule LoadImage reads
+  // back. A torn build leaves page 0 empty or failing its seal.
   PageId meta_page = kInvalidPageId;
   char* meta_data = nullptr;
   CCAM_RETURN_NOT_OK(pool_->NewPage(&meta_page, &meta_data));
@@ -567,37 +549,42 @@ Status HierarchyOverlay::SaveImage(const std::string& path) const {
   return disk_->SaveToFile(path);
 }
 
-Result<std::vector<HierarchyNodeRecord>> HierarchyOverlay::ScanAll(
-    HierarchyMeta* meta) {
-  const IoStats snapshot = disk_->stats();
+Result<bool> HierarchyOverlay::ReadMeta(HierarchyMeta* meta) {
+  // Unallocated, torn (its seal names the last complete write) or still
+  // the empty page the build starts with: the build never reached its
+  // final write, so the platter claims no overlay.
+  if (!disk_->IsAllocated(0) || !disk_->VerifyPage(0).ok()) return false;
+  PageGuard guard(pool_.get(), 0);
+  if (!guard.ok()) return guard.status();
+  SlottedPage view(guard.data(), disk_->page_size());
+  if (view.NumSlots() == 0) return false;
+  CCAM_RETURN_NOT_OK(view.Validate());
+  const std::vector<int> slots = view.LiveSlots();
+  if (slots.size() != 1) {
+    return Status::Corruption("hierarchy metadata page must hold one record");
+  }
+  CCAM_ASSIGN_OR_RETURN(*meta, HierarchyMeta::Decode(view.GetRecord(slots[0])));
+  return true;
+}
+
+Result<std::vector<HierarchyNodeRecord>> HierarchyOverlay::ScanRecords() {
   const size_t page_size = disk_->page_size();
   page_of_.clear();
   std::vector<HierarchyNodeRecord> records;
-  bool has_meta = false;
   for (PageId page : disk_->AllocatedPageIds()) {
+    if (page == 0) continue;
+    CCAM_RETURN_NOT_OK(disk_->VerifyPage(page));
     PageGuard guard(pool_.get(), page);
     if (!guard.ok()) return guard.status();
     SlottedPage view(guard.data(), page_size);
     CCAM_RETURN_NOT_OK(view.Validate());
     for (int slot : view.LiveSlots()) {
-      std::string_view bytes = view.GetRecord(slot);
-      if (page == 0) {
-        if (has_meta) {
-          return Status::Corruption("hierarchy metadata page holds extras");
-        }
-        CCAM_ASSIGN_OR_RETURN(*meta, HierarchyMeta::Decode(bytes));
-        has_meta = true;
-        continue;
-      }
       HierarchyNodeRecord rec;
-      CCAM_ASSIGN_OR_RETURN(rec, HierarchyNodeRecord::Decode(bytes));
+      CCAM_ASSIGN_OR_RETURN(
+          rec, HierarchyNodeRecord::Decode(view.GetRecord(slot)));
       page_of_[rec.id] = page;
       records.push_back(std::move(rec));
     }
-  }
-  disk_->RestoreStats(snapshot);
-  if (!has_meta) {
-    return Status::NotFound("hierarchy overlay has no metadata record");
   }
   return records;
 }
@@ -612,24 +599,17 @@ Result<bool> HierarchyOverlay::LoadImage(const std::string& path) {
   CCAM_ASSIGN_OR_RETURN(page_size, DiskManager::PeekPageSize(path));
   CreateDevices(page_size);
   CCAM_RETURN_NOT_OK(disk_->LoadFromFile(path));
-  if (options_.durability) CCAM_RETURN_NOT_OK(disk_->Recover());
-  if (disk_->NumAllocatedPages() == 0) {
-    // A crash before the build's durability point recovers to an empty
-    // overlay disk: no overlay, by design.
-    ResetState();
-    return false;
-  }
   HierarchyMeta meta;
-  auto records = ScanAll(&meta);
-  if (!records.ok() && records.status().IsNotFound()) {
-    // Pages but no metadata record: the build never reached its final
-    // write, so the image does not claim to be an overlay.
+  bool claimed = false;
+  CCAM_ASSIGN_OR_RETURN(claimed, ReadMeta(&meta));
+  if (!claimed) {
     ResetState();
     return false;
   }
-  if (!records.ok()) return records.status();
-  CCAM_RETURN_NOT_OK(ValidateRecords(*records, meta));
-  info_.nodes = records->size();
+  std::vector<HierarchyNodeRecord> records;
+  CCAM_ASSIGN_OR_RETURN(records, ScanRecords());
+  CCAM_RETURN_NOT_OK(ValidateRecords(records, meta));
+  info_.nodes = records.size();
   info_.shortcuts = meta.num_shortcuts;
   info_.pages = disk_->NumAllocatedPages();
   info_.page_size = page_size;
@@ -643,10 +623,17 @@ Status HierarchyOverlay::CheckInvariants() {
   if (!valid_ || disk_ == nullptr) {
     return Status::InvalidArgument("hierarchy overlay not built");
   }
+  const IoStats snapshot = disk_->stats();
   HierarchyMeta meta;
-  auto records = ScanAll(&meta);
-  if (!records.ok()) return records.status();
-  return ValidateRecords(*records, meta);
+  bool claimed = false;
+  CCAM_ASSIGN_OR_RETURN(claimed, ReadMeta(&meta));
+  if (!claimed) {
+    return Status::Corruption("hierarchy overlay lost its metadata record");
+  }
+  std::vector<HierarchyNodeRecord> records;
+  CCAM_ASSIGN_OR_RETURN(records, ScanRecords());
+  disk_->RestoreStats(snapshot);
+  return ValidateRecords(records, meta);
 }
 
 }  // namespace ccam

@@ -12,15 +12,13 @@
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"
 #include "src/storage/hierarchy_record.h"
-#include "src/storage/wal.h"
 
 namespace ccam {
 
 /// A contraction-hierarchy overlay persisted as a paged structure beside
-/// the data file: its own simulated disk (failpoint/metric prefix "hier"),
-/// its own buffer pool, and — when durability is on — its own write-ahead
-/// log ("hier.wal.*"), so overlay I/O is accounted exactly like data-page
-/// I/O but never mixes into the paper's data counters.
+/// the data file: its own simulated disk (failpoint/metric prefix "hier")
+/// and its own buffer pool, so overlay I/O is accounted exactly like
+/// data-page I/O but never mixes into the paper's data counters.
 ///
 /// Build() derives a nested-dissection elimination order from the
 /// recursive-bisection partitioner, contracts nodes in that order with
@@ -28,11 +26,15 @@ namespace ccam {
 /// step run on the ThreadPool; the result is bit-identical for any thread
 /// count), and packs one HierarchyNodeRecord per node into slotted pages
 /// in descending rank order — the top of the hierarchy, which every query
-/// touches, occupies the fewest, hottest pages. Page 0 holds only the
-/// metadata record, written last: an image without a decodable metadata
-/// record is "no overlay", never a half-trusted one. With durability on
-/// the whole build is one staged transaction on the overlay disk, so a
-/// crash mid-build recovers to either no overlay or a fully valid one.
+/// touches, occupies the fewest, hottest pages.
+///
+/// The overlay is derived data — a pure function of the records — so it
+/// keeps no log. Its one commit rule: every record page is flushed, then
+/// the metadata record is written and flushed alone on page 0. A platter
+/// whose page 0 is missing, fails its seal, or holds no record claims no
+/// overlay, whatever the other pages hold; a crash at any point of the
+/// build therefore reads back as no overlay or the complete one, and the
+/// caller rebuilds when in doubt.
 ///
 /// The overlay's page size is the file's page size, doubled as needed so
 /// the widest record (a top separator's shortcut clique) fits one page.
@@ -54,13 +56,13 @@ class HierarchyOverlay {
   HierarchyOverlay& operator=(const HierarchyOverlay&) = delete;
 
   /// Attaches the fault injector / metrics registry; both apply to the
-  /// overlay devices as they are created ("hier.*", "hier.wal.*").
+  /// overlay disk as it is created ("hier.*").
   void SetFaultInjector(FaultInjector* faults);
   void SetMetrics(MetricsRegistry* metrics);
 
   /// Contracts `network` and persists the shortcut graph. Fails (leaving
-  /// the overlay invalid) on injected faults; with durability on the
-  /// platter then holds either nothing or the complete overlay.
+  /// the overlay invalid) on injected faults; a platter captured after such
+  /// a failure loads as no overlay or the complete one.
   Status Build(const Network& network);
 
   /// True once Build() or LoadImage() succeeded.
@@ -82,18 +84,17 @@ class HierarchyOverlay {
 
   BufferPool* pool() { return pool_.get(); }
   DiskManager* disk() { return disk_.get(); }
-  Wal* wal() { return wal_.get(); }
 
   /// Writes the overlay disk image (works even on a halted device — the
   /// crash harness's platter capture).
   Status SaveImage(const std::string& path) const;
 
-  /// Restores an overlay from an image: replays the WAL tail when
-  /// durability is on, then validates. Returns false when the image holds
-  /// no overlay (missing file, empty disk, or no metadata record — the
-  /// pre-durability-point crash outcomes), true when a fully valid overlay
-  /// was restored; Corruption when the image claims an overlay that fails
-  /// validation.
+  /// Restores an overlay from an image. Page 0 alone decides whether the
+  /// image claims an overlay: false when the file is missing or page 0 is
+  /// unallocated, fails its seal, or holds no record (a build that never
+  /// finished). Only then are the record pages read; true when the
+  /// complete overlay was restored, Corruption when a claimed overlay
+  /// fails validation.
   Result<bool> LoadImage(const std::string& path);
 
   /// Full structural validation of the persisted overlay: the metadata
@@ -108,15 +109,18 @@ class HierarchyOverlay {
  private:
   Status WriteRecords(const std::vector<std::string>& encoded,
                       const std::vector<NodeId>& ids, size_t num_shortcuts);
-  /// Reads and decodes every node record, rebuilding page_of_ as it goes.
-  Result<std::vector<HierarchyNodeRecord>> ScanAll(HierarchyMeta* meta);
+  /// Reads page 0: false when it claims no overlay (see LoadImage), true
+  /// with `meta` filled when it holds the metadata record.
+  Result<bool> ReadMeta(HierarchyMeta* meta);
+  /// Reads, seal-checks and decodes every node record on pages 1.., and
+  /// rebuilds page_of_ as it goes.
+  Result<std::vector<HierarchyNodeRecord>> ScanRecords();
   void CreateDevices(size_t page_size);
   void ResetState();
 
   AccessMethodOptions options_;
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferPool> pool_;
-  std::unique_ptr<Wal> wal_;
   std::unordered_map<NodeId, PageId> page_of_;
   bool valid_ = false;
   BuildInfo info_;

@@ -618,8 +618,9 @@ Status NetworkFile::OpenImage(const std::string& path) {
   }
   if (options_.hierarchy_overlay) {
     // Reattach the overlay sidecar, if one was saved beside the image. A
-    // missing or empty sidecar just means no overlay (e.g. the image was
-    // saved after a mutation invalidated it); corruption propagates.
+    // missing sidecar, or one whose build never finished, just means no
+    // overlay (e.g. the image was saved after a mutation invalidated it);
+    // a finished overlay that fails validation is Corruption, propagated.
     auto overlay = std::make_unique<HierarchyOverlay>(options_);
     overlay->SetFaultInjector(faults_);
     overlay->SetMetrics(metrics_);

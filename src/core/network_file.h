@@ -123,8 +123,8 @@ class NetworkFile : public AccessMethod {
   /// (nullptr detaches): the data disk ("disk.*" failpoints), the index
   /// disk when maintained ("index.*"), the write-ahead log when durability
   /// is on ("wal.append" / "wal.flush"), and the hierarchy overlay's disk
-  /// and log when present ("hier.*" / "hier.wal.*"). The distinct prefixes
-  /// let one fault schedule target any device without touching the others.
+  /// when present ("hier.*"). The distinct prefixes let one fault schedule
+  /// target any device without touching the others.
   void SetFaultInjector(FaultInjector* faults) {
     faults_ = faults;
     disk_.SetFaultInjector(faults);
@@ -143,8 +143,8 @@ class NetworkFile : public AccessMethod {
   /// traffic never mixes into the buffer_pool.* series), and the
   /// write-ahead log when durability is on ("wal.*"). Query sessions
   /// opened from this file inherit the registry for their "query.*"
-  /// spans. The hierarchy overlay's disk and log report under "hier.*" /
-  /// "hier.wal.*". Attach while the file is quiescent.
+  /// spans. The hierarchy overlay's disk reports under "hier.*". Attach
+  /// while the file is quiescent.
   void SetMetrics(MetricsRegistry* metrics) {
     metrics_ = metrics;
     disk_.SetMetrics(metrics);

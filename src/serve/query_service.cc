@@ -235,7 +235,6 @@ void QueryService::WorkerLoop(Worker* worker) {
   // adopts it here, at the single-threaded handoff.
   worker->session->RebindToCurrentThread();
   std::vector<QueuedRequest> batch;
-  const size_t cap = options_.region_batching ? options_.max_batch : 1;
   std::unique_lock<std::mutex> lock(queue_mu_);
   for (;;) {
     // Every enqueue notifies one waiter and a worker re-checks the queue
@@ -245,7 +244,7 @@ void QueryService::WorkerLoop(Worker* worker) {
     });
     batch.clear();
     // An empty queue here means stop_ is set: the backlog is done.
-    if (scheduler_.PopBatch(cap, &batch) == 0) return;
+    if (scheduler_.PopBatch(options_.max_batch, &batch) == 0) return;
     lock.unlock();
     // Batch boundary: re-acquire the current snapshot version before
     // executing. In-flight batches never migrate versions — the refresh

@@ -40,11 +40,9 @@ struct QueryServiceOptions {
   /// Region batching: the largest number of same-region requests one
   /// worker pops and executes back to back. Batching is opportunistic:
   /// only requests already queued join a batch, so low loads pay no added
-  /// latency. 1 disables grouping.
+  /// latency. 1 executes every request alone (the baseline the serve_load
+  /// bench compares against).
   size_t max_batch = 16;
-  /// Master switch for region-batched execution. Off = every request is
-  /// executed alone (the baseline the serve_load bench compares against).
-  bool region_batching = true;
   /// Total execution attempts per request for retryable failures (IOError
   /// / ShortRead — transient transport faults). 1 (the default) disables
   /// retries; larger values re-execute a failed request individually with

@@ -77,8 +77,8 @@ constexpr uint32_t kHierarchyMetaMagic = 0x43484f56;
 constexpr uint32_t kHierarchyFormatVersion = 1;
 
 /// Metadata record of the overlay file, stored alone on page 0 and written
-/// last during the build: an overlay image without a decodable metadata
-/// record is "no overlay", never a half-trusted one.
+/// last during the build: an overlay image whose page 0 holds no sealed
+/// metadata record is "no overlay", never a half-trusted one.
 struct HierarchyMeta {
   uint32_t version = kHierarchyFormatVersion;
   uint64_t num_nodes = 0;

@@ -55,7 +55,7 @@ Status Wal::Append(RecordType type, uint64_t txn, std::string_view payload) {
   std::string frame;
   EncodeFrame(&frame, type, txn, payload);
   if (faults_ != nullptr) {
-    if (auto fault = faults_->Hit(fp_append_)) {
+    if (auto fault = faults_->Hit("wal.append")) {
       switch (fault->kind) {
         case FaultAction::Kind::kCrash: {
           // The crash catches this append mid-flight: a torn prefix of the
@@ -103,7 +103,7 @@ Status Wal::Flush() {
   std::chrono::steady_clock::time_point t0;
   if (flush_hist != nullptr) t0 = std::chrono::steady_clock::now();
   if (faults_ != nullptr) {
-    if (auto fault = faults_->Hit(fp_flush_)) {
+    if (auto fault = faults_->Hit("wal.flush")) {
       switch (fault->kind) {
         case FaultAction::Kind::kCrash: {
           size_t n = std::min(fault->bytes, pending_.size());
@@ -210,23 +210,15 @@ void Wal::ResetStats() {
 }
 
 void Wal::SetMetrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
   if (metrics == nullptr) {
     m_append_ = m_flush_ = m_truncate_ = nullptr;
     m_flush_us_ = nullptr;
     return;
   }
-  m_append_ = metrics->GetCounter(prefix_ + ".append");
-  m_flush_ = metrics->GetCounter(prefix_ + ".flush");
-  m_truncate_ = metrics->GetCounter(prefix_ + ".truncate");
-  m_flush_us_ = metrics->GetHistogram(prefix_ + ".flush_us");
-}
-
-void Wal::SetNamePrefix(const std::string& prefix) {
-  prefix_ = prefix;
-  fp_append_ = prefix + ".append";
-  fp_flush_ = prefix + ".flush";
-  SetMetrics(metrics_);  // re-resolve the cached handles under the new names
+  m_append_ = metrics->GetCounter("wal.append");
+  m_flush_ = metrics->GetCounter("wal.flush");
+  m_truncate_ = metrics->GetCounter("wal.truncate");
+  m_flush_us_ = metrics->GetHistogram("wal.flush_us");
 }
 
 }  // namespace ccam

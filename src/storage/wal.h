@@ -75,12 +75,6 @@ class Wal {
   /// detaches).
   void SetFaultInjector(FaultInjector* faults) { faults_ = faults; }
 
-  /// Renames this log's failpoints and metric series to "<prefix>.append"
-  /// etc. (default "wal"). The hierarchy overlay's log uses "hier.wal" so
-  /// one fault schedule or metrics catalog can target either log without
-  /// touching the other.
-  void SetNamePrefix(const std::string& prefix);
-
   /// Attaches the disk whose halt state this log shares: a crash injected
   /// into the log halts the device, and a halted device fails every log
   /// operation — the log and the platter die together.
@@ -137,12 +131,6 @@ class Wal {
   uint64_t truncates_ = 0;
   FaultInjector* faults_ = nullptr;
   DiskManager* device_ = nullptr;
-  std::string prefix_ = "wal";
-  std::string fp_append_ = "wal.append";
-  std::string fp_flush_ = "wal.flush";
-  /// Attached registry, remembered so SetNamePrefix can re-resolve the
-  /// cached handles under the new names.
-  MetricsRegistry* metrics_ = nullptr;
 
   /// Cached metric handles (null = metrics detached; see SetMetrics).
   MetricCounter* m_append_ = nullptr;

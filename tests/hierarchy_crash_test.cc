@@ -15,90 +15,96 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-AccessMethodOptions DurableOptions() {
+AccessMethodOptions SweepOptions() {
   AccessMethodOptions options;
   options.page_size = 512;
   options.buffer_pool_pages = 8;
-  options.durability = true;
   return options;
 }
 
+/// Bytes of the crashing write that reach the platter: a 96-byte tear, or
+/// more than any overlay page holds, so the write lands whole and only
+/// then does the device halt.
+constexpr size_t kTornBytes = 96;
+constexpr size_t kWholePage = size_t{1} << 20;
+
+enum class Outcome { kNotReached, kNoOverlay, kFullOverlay, kFailed };
+
 /// Builds the overlay under one armed kill point, captures the platter,
-/// and recovers from the capture. Returns true if the fault fired (the
-/// point lies inside the build's fault space).
-bool RunKillPoint(const Network& net, const std::string& point, uint64_t hit,
-                  size_t expected_nodes, int* no_overlay, int* full_overlay) {
+/// and loads the capture into a fresh overlay. kNotReached when hit `hit`
+/// lies beyond the build's fault space.
+Outcome RunKillPoint(const Network& net, const std::string& point,
+                     uint64_t hit, size_t torn_bytes) {
+  const std::string where = point + "@" + std::to_string(hit) + " torn " +
+                            std::to_string(torn_bytes);
   FaultInjector faults(1995);
-  EXPECT_TRUE(
-      faults
-          .Configure(point + "=crash:96@" + std::to_string(hit))
-          .ok());
-  AccessMethodOptions options = DurableOptions();
-  HierarchyOverlay overlay(options);
+  EXPECT_TRUE(faults
+                  .Configure(point + "=crash:" + std::to_string(torn_bytes) +
+                             "@" + std::to_string(hit))
+                  .ok());
+  HierarchyOverlay overlay(SweepOptions());
   overlay.SetFaultInjector(&faults);
   Status built = overlay.Build(net);
   if (faults.FiringLog().empty()) {
-    // Hit `hit` was never reached: the fault space of this point is
-    // exhausted, and the unfaulted build must have succeeded.
-    EXPECT_TRUE(built.ok()) << point << ": " << built.message();
-    return false;
+    // The unfaulted build must have succeeded.
+    EXPECT_TRUE(built.ok()) << where << ": " << built.message();
+    return Outcome::kNotReached;
   }
-  EXPECT_FALSE(built.ok()) << point << "@" << hit;
-  EXPECT_FALSE(overlay.valid());
+  EXPECT_FALSE(built.ok()) << where;
+  EXPECT_FALSE(overlay.valid()) << where;
 
-  // Capture the platter (works on the halted device) and recover.
-  std::string img = TempPath("hier_crash_capture.img");
+  // Capture the platter (works on the halted device) and load it.
+  const std::string img = TempPath("hier_crash_capture.img");
   {
     FaultInjector::SuppressScope suppress(&faults);
-    EXPECT_TRUE(overlay.SaveImage(img).ok());
+    EXPECT_TRUE(overlay.SaveImage(img).ok()) << where;
   }
-  HierarchyOverlay recovered(options);
-  Result<bool> loaded = recovered.LoadImage(img);
-  EXPECT_TRUE(loaded.ok()) << point << "@" << hit << ": "
-                           << loaded.status().message();
-  if (!loaded.ok()) return true;
-  if (*loaded) {
-    // The crash fell after the commit barrier: recovery replays the WAL to
-    // the complete, valid overlay — never a partial one.
-    EXPECT_TRUE(recovered.CheckInvariants().ok()) << point << "@" << hit;
-    EXPECT_EQ(recovered.NumNodes(), expected_nodes) << point << "@" << hit;
-    ++*full_overlay;
-  } else {
-    ++*no_overlay;
-  }
+  HierarchyOverlay loaded_overlay(SweepOptions());
+  Result<bool> loaded = loaded_overlay.LoadImage(img);
   std::remove(img.c_str());
-  return true;
+  if (!loaded.ok()) {
+    ADD_FAILURE() << where << ": " << loaded.status().ToString();
+    return Outcome::kFailed;
+  }
+  if (!*loaded) return Outcome::kNoOverlay;
+  // Page 0 claimed an overlay: it must be the complete, valid one.
+  Status invariants = loaded_overlay.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << where << ": " << invariants.ToString();
+  EXPECT_EQ(loaded_overlay.NumNodes(), net.NodeIds().size()) << where;
+  return invariants.ok() ? Outcome::kFullOverlay : Outcome::kFailed;
 }
 
-// The crash-safety acceptance sweep: a durable overlay build killed at
-// every reachable hit of every overlay failpoint (page writes, page
-// allocations, log appends, log flushes) recovers to *no* overlay or a
-// *fully valid* one — never a torn in-between.
-TEST(HierarchyCrashTest, EveryKillPointRecoversToNoneOrFullOverlay) {
+// The crash-safety acceptance sweep: a build killed at every reachable hit
+// of the overlay's page writes and page allocations, with the crashing
+// write torn after 96 bytes or landing whole, loads as *no* overlay or a
+// *fully valid* one — never a torn in-between and never an error. The
+// overlay keeps no log: record pages flushed, then a sealed metadata page,
+// is its only commit rule.
+TEST(HierarchyCrashTest, EveryKillPointLoadsAsNoneOrFullOverlay) {
   Network net = GenerateRingRadialCity(10, 14);
-  const size_t n = net.NodeIds().size();
   int total = 0, no_overlay = 0, full_overlay = 0;
-  for (const char* point :
-       {"hier.write", "hier.alloc", "hier.wal.append", "hier.wal.flush"}) {
-    for (uint64_t hit = 1; hit <= 400; ++hit) {
-      if (!RunKillPoint(net, point, hit, n, &no_overlay, &full_overlay)) {
-        break;
+  for (const char* point : {"hier.write", "hier.alloc"}) {
+    for (size_t torn : {kTornBytes, kWholePage}) {
+      for (uint64_t hit = 1;; ++hit) {
+        const Outcome outcome = RunKillPoint(net, point, hit, torn);
+        if (outcome == Outcome::kNotReached) break;
+        ++total;
+        no_overlay += outcome == Outcome::kNoOverlay;
+        full_overlay += outcome == Outcome::kFullOverlay;
+        if (::testing::Test::HasFailure()) return;
       }
-      ++total;
-      if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  // The sweep covers the whole fault space; the acceptance bar is 50+
-  // kill points and both recovery outcomes observed.
-  EXPECT_GE(total, 50) << "kill-point space unexpectedly small";
-  EXPECT_GT(no_overlay, 0) << "no pre-commit crash observed";
-  EXPECT_GT(full_overlay, 0) << "no post-commit crash observed";
+  std::printf("%d kill points: %d no overlay, %d full overlay\n", total,
+              no_overlay, full_overlay);
+  EXPECT_GE(total, 300) << "kill-point space unexpectedly small";
+  EXPECT_GT(no_overlay, 0) << "no unfinished build observed";
+  EXPECT_GT(full_overlay, 0) << "no finished build observed";
 }
 
-// Without durability the overlay still fails cleanly under a crash and the
-// in-memory handle reports invalid; the metadata-written-last discipline
-// keeps torn *flushed* captures readable as "no overlay" in the common
-// case, but only the durable build carries the recovery guarantee.
+// A crash fails the build cleanly: Build() reports the error and the
+// in-memory handle is invalid. What the platter then holds is the sweep's
+// business above.
 TEST(HierarchyCrashTest, NonDurableBuildFailsCleanlyUnderCrash) {
   Network net = GenerateRingRadialCity(6, 8);
   FaultInjector faults(7);
@@ -112,23 +118,26 @@ TEST(HierarchyCrashTest, NonDurableBuildFailsCleanlyUnderCrash) {
   EXPECT_FALSE(overlay.ReadNode(net.NodeIds()[0], nullptr).ok());
 }
 
-// Determinism of the harness itself: the same kill point produces the
-// same firing log and the same recovery outcome.
+// The commit point, exactly: the build's last page write is the metadata
+// record on page 0. Torn, it fails its seal and the image is no overlay;
+// landed whole, the image is the full overlay. Twice each, so the harness
+// is deterministic too.
 TEST(HierarchyCrashTest, KillPointsAreDeterministic) {
   Network net = GenerateRingRadialCity(6, 8);
-  const size_t n = net.NodeIds().size();
+  FaultInjector counter(1995);
+  counter.Arm("hier.write", FaultAction{}, FaultTrigger::Once(0));
+  HierarchyOverlay unfaulted(SweepOptions());
+  unfaulted.SetFaultInjector(&counter);
+  ASSERT_TRUE(unfaulted.Build(net).ok());
+  const uint64_t last_write = counter.HitCount("hier.write");
+  ASSERT_GT(last_write, 1u);
   for (int round = 0; round < 2; ++round) {
-    int none = 0, full = 0;
-    // Durable builds stage every page write: the platter sees them only
-    // during the commit apply, after the WAL barrier — so a page-write
-    // crash always replays to the full overlay.
-    ASSERT_TRUE(RunKillPoint(net, "hier.write", 2, n, &none, &full));
-    EXPECT_EQ(full, 1) << "a commit-apply crash must replay to completion";
-    none = full = 0;
-    // A log-append crash precedes the barrier: nothing was acknowledged,
-    // recovery finds no overlay.
-    ASSERT_TRUE(RunKillPoint(net, "hier.wal.append", 2, n, &none, &full));
-    EXPECT_EQ(none, 1) << "a pre-barrier crash must lose the overlay";
+    EXPECT_EQ(RunKillPoint(net, "hier.write", last_write, kTornBytes),
+              Outcome::kNoOverlay)
+        << "round " << round;
+    EXPECT_EQ(RunKillPoint(net, "hier.write", last_write, kWholePage),
+              Outcome::kFullOverlay)
+        << "round " << round;
   }
 }
 

@@ -359,6 +359,86 @@ TEST(HierarchyPersistenceTest, MissingSidecarReopensWithoutOverlay) {
   std::remove(path.c_str());
 }
 
+// The load rule forgives only a build that never finished. Once page 0
+// holds the metadata record, any flipped byte of a record page — even one
+// that would still decode and validate, such as an original arc's cost —
+// fails the page's seal, and LoadImage reports Corruption, which
+// OpenImage propagates.
+TEST(HierarchyPersistenceTest, FlippedRecordByteIsCorruptionNotNoOverlay) {
+  Network net = GenerateRingRadialCity(6, 8);
+  auto am = MakeOverlayFile(net, 512);
+  const std::string path = TempPath("hier_flipped.bin");
+  const std::string sidecar = path + ".hier";
+  ASSERT_TRUE(am->SaveImage(path).ok());
+  const std::string intact = ReadFileBytes(sidecar);
+  auto load = [&](const std::string& bytes) {
+    {
+      std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    HierarchyOverlay overlay(am->options());
+    return overlay.LoadImage(sidecar);
+  };
+  Result<bool> loaded = load(intact);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(*loaded);
+
+  // Image layout: a 16-byte header, then per page one allocation flag and
+  // the page bytes. Flip every byte of page 1 in turn.
+  const size_t page_size = am->hierarchy()->page_size();
+  ASSERT_GT(am->hierarchy()->NumPages(), 1u);
+  const size_t page1 = 16 + (1 + page_size) + 1;
+  for (size_t i = 0; i < page_size; ++i) {
+    std::string bytes = intact;
+    bytes[page1 + i] ^= 0x5a;
+    loaded = load(bytes);
+    ASSERT_FALSE(loaded.ok()) << "byte " << i;
+    ASSERT_TRUE(loaded.status().IsCorruption())
+        << "byte " << i << ": " << loaded.status().ToString();
+  }
+
+  Ccam reopened(am->options(), CcamCreateMode::kStatic);
+  EXPECT_TRUE(reopened.OpenImage(path).IsCorruption());
+  std::remove(path.c_str());
+  std::remove(sidecar.c_str());
+}
+
+// Durability and the overlay compose: the overlay keeps no log of its own,
+// so a durable file's overlay round-trips like any other.
+TEST(HierarchyPersistenceTest, DurableFileRoundTripsItsOverlay) {
+  Network net = GenerateRandomGeometricNetwork(400, 80.0);
+  AccessMethodOptions options;
+  options.page_size = 1024;
+  options.buffer_pool_pages = 8;
+  options.durability = true;
+  options.hierarchy_overlay = true;
+  Ccam am(options, CcamCreateMode::kStatic);
+  ASSERT_TRUE(am.Create(net).ok());
+  ASSERT_TRUE(am.HasHierarchy());
+  const std::string path = TempPath("hier_durable.bin");
+  ASSERT_TRUE(am.SaveImage(path).ok());
+
+  Ccam reopened(options, CcamCreateMode::kStatic);
+  ASSERT_TRUE(reopened.OpenImage(path).ok());
+  ASSERT_TRUE(reopened.HasHierarchy());
+  EXPECT_TRUE(reopened.hierarchy()->CheckInvariants().ok());
+  EXPECT_EQ(reopened.hierarchy()->NumNodes(), net.NumNodes());
+
+  std::vector<NodeId> ids = net.NodeIds();
+  Random rng(32);
+  for (int i = 0; i < 32; ++i) {
+    NodeId src = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
+    NodeId dst = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
+    auto ch = ShortestPathCH(&reopened, src, dst);
+    auto dj = ShortestPathDijkstra(&reopened, src, dst);
+    ASSERT_TRUE(ch.ok());
+    ASSERT_TRUE(dj.ok());
+    ExpectMatchesOracle(net, *ch, *dj, src, dst);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".hier").c_str());
+}
+
 TEST(HierarchySessionTest, OverlayIoIsChargedPerSession) {
   Network net = GenerateMinneapolisLikeMap(1995);
   auto am = MakeOverlayFile(net, 1024);

@@ -312,7 +312,7 @@ int CmdServe(const Args& args) {
   options.max_queue_depth =
       static_cast<size_t>(args.GetInt("queue-depth", 1024));
   options.tenant_rate = args.GetDouble("rate-limit", 0.0);
-  options.region_batching = !args.GetFlag("no-batching");
+  if (args.GetFlag("no-batching")) options.max_batch = 1;
   serve::QueryService service(am.get(), options);
   serve::LoadReport report =
       serve::RunLoad(&service, am.get(), pool, load);
@@ -325,7 +325,7 @@ int CmdServe(const Args& args) {
       "  session reads %llu, disk reads %llu, conserved: %s\n",
       static_cast<unsigned long long>(report.completed),
       static_cast<unsigned long long>(report.submitted), report.elapsed_sec,
-      options.region_batching ? "batched" : "unbatched",
+      options.max_batch > 1 ? "batched" : "unbatched",
       service.num_workers(), load.tenants, report.qps,
       static_cast<unsigned long long>(report.p50_us),
       static_cast<unsigned long long>(report.p95_us),
