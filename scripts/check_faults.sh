@@ -2,8 +2,10 @@
 # Runs the fault-injection and crash-consistency acceptance suite: the
 # `faults`-labeled ctest suites (skipped by the default `ctest` run via
 # the `faults` configuration), including the heavy sweeps (>= 200 crash
-# points, 10k-op differential-oracle workloads at 1 KiB and 4 KiB pages),
-# plus a crashsim seed sweep across reorganization policies.
+# points, every snapshot-store log kill point, 10k-op differential-oracle
+# workloads at 1 KiB and 4 KiB pages), plus a detect-only crashsim seed
+# sweep across reorganization policies and a lossless-ack crashsim sweep of
+# the snapshot store.
 # Usage: scripts/check_faults.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -26,22 +28,31 @@ for seed in 7 11 1995; do
   done
 done
 
-# Strict durable sweep: with the WAL on, every seeded kill point — across
-# the page-write, WAL-append and WAL-flush spaces — must recover exactly
-# the acknowledged operations with deterministic replay. Gated twice: on
-# crashsim's exit code AND on the machine-readable report (failures must
-# be 0 and the durable count must equal the points swept).
+# Lossless-ack sweep of the snapshot store, the only durable write path:
+# with reorganization off, every kill point of the delta log's append and
+# flush (the acknowledgment barrier) must recover exactly the acknowledged
+# mutations, or those plus the one in flight. Gated twice: on crashsim's
+# exit code AND on the machine-readable report (failures must be 0 and the
+# durable count must equal the points swept).
 JSON_DIR="${TMPDIR:-/tmp}"
-for fp in disk.write wal.append wal.flush; do
-  json="$JSON_DIR/ccam_crashsim_strict_${fp}.json"
-  "$BUILD"/tools/crashsim --strict --failpoint="$fp" --seed=1995 --points=70 \
-    --image="$JSON_DIR/ccam_crashsim_strict_${fp}.img" --json="$json"
-  grep -q '"failures": 0,' "$json" || {
-    echo "check_faults: $json reports failures" >&2; exit 1; }
-  grep -q '"lost_ack": 0,' "$json" || {
-    echo "check_faults: $json reports lost acknowledged ops" >&2; exit 1; }
+for seed in 1995 2024; do
+  for fp in snapshot.log.append snapshot.log.flush; do
+    json="$JSON_DIR/ccam_crashsim_store_${fp}_${seed}.json"
+    "$BUILD"/tools/crashsim --snapshot --reorg-every=0 --failpoint="$fp" \
+      --seed="$seed" --points=100000 \
+      --dir="$JSON_DIR/ccam_crashsim_store_${fp}_${seed}" --json="$json"
+    grep -q '"failures": 0,' "$json" || {
+      echo "check_faults: $json reports failures" >&2; exit 1; }
+    python3 - "$json" <<'PY' || exit 1
+import json, sys
+report = json.load(open(sys.argv[1]))
+if report["counts"]["durable"] != report["swept"]:
+    sys.exit("check_faults: %s: %d durable of %d swept"
+             % (sys.argv[1], report["counts"]["durable"], report["swept"]))
+PY
+  done
 done
 
 echo "faults: every crash point recovered or was detected; oracle replay"
-echo "faults: saw zero divergences; strict durable sweeps lost zero acked"
-echo "faults: operations. All fault suites passed."
+echo "faults: saw zero divergences; the snapshot store lost zero acked"
+echo "faults: mutations. All fault suites passed."

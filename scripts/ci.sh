@@ -4,9 +4,10 @@
 # but later stages still run so one CI invocation reports everything.
 #
 #   1. tier-1    — default `ctest` suite (fast correctness tests)
-#   2. metrics   — tools/stats: end-to-end observability smoke (durable
-#                  workload with the registry attached; every instrumented
-#                  family must collect nonzero data)
+#   2. metrics   — tools/stats: end-to-end observability smoke (create,
+#                  update churn and every query operator with the registry
+#                  attached; every instrumented family must collect
+#                  nonzero data)
 #   3. perf      — scripts/check_perf.sh --smoke: bench JSON artifacts
 #                  round-trip through the regression gate
 #   4. serve     — serve_test and chaos_serve_test repeated until-fail:10
@@ -33,8 +34,8 @@
 #                  schedules, quarantine/read-retry suite, delta-log
 #                  recovery fuzz under a concurrent reader)
 #   8. faults    — scripts/check_faults.sh: fault-injection + crash
-#                  consistency sweeps, differential oracle, strict durable
-#                  crashsim with JSON gating
+#                  consistency sweeps, differential oracle, lossless-ack
+#                  snapshot-store crashsim with JSON gating
 #   9. debug     — serve_test, query_test and shard_test in a separate
 #                  Debug build directory, so the `#ifndef NDEBUG` contract
 #                  tests (the read-session thread assert's death test) run
@@ -43,14 +44,18 @@
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
 #  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test,
-#                  chaos_serve_test, hierarchy_test and hierarchy_crash_test
-#                  under AddressSanitizer + UBSan (CCAM_ASAN / CCAM_UBSAN,
-#                  separate build directory): the search's page harvest
-#                  grows the arc array a relax loop indexes, the
-#                  serve/snapshot paths free versions and sessions under
-#                  concurrency, the CH witness search indexes reused
-#                  scratch arrays by dense core id, and the overlay's
-#                  LoadImage decodes page 0 of every torn crash capture
+#                  chaos_serve_test, hierarchy_test, hierarchy_crash_test,
+#                  disk_manager_test, format_stability_test,
+#                  persistence_test, crash_consistency_test (default,
+#                  sampled) and image_fuzz_test under AddressSanitizer +
+#                  UBSan (CCAM_ASAN / CCAM_UBSAN, separate build
+#                  directory): the search's page harvest grows the arc
+#                  array a relax loop indexes, the serve/snapshot paths
+#                  free versions and sessions under concurrency, the CH
+#                  witness search indexes reused scratch arrays by dense
+#                  core id, the overlay's LoadImage decodes page 0 of every
+#                  torn crash capture, and the image loader decodes
+#                  truncated, torn and hostile images
 #
 # Usage: scripts/ci.sh [build-dir] [tsan-build-dir] [debug-build-dir]
 #                      [asan-build-dir]
@@ -134,7 +139,9 @@ debug_asserts() {
 
 asan_stage() {
   local tests=(query_test shard_test snapshot_swap_test serve_test
-               chaos_serve_test hierarchy_test hierarchy_crash_test)
+               chaos_serve_test hierarchy_test hierarchy_crash_test
+               disk_manager_test format_stability_test persistence_test
+               crash_consistency_test image_fuzz_test)
   cmake -B "$ASAN_BUILD" -S . -DCCAM_ASAN=ON -DCCAM_UBSAN=ON &&
   cmake --build "$ASAN_BUILD" --target "${tests[@]}" -j "$(nproc)" ||
     return 1

@@ -78,7 +78,7 @@ inline double DecodeDouble(const char* src) {
 }
 
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) over
-/// `n` bytes — the checksum of the page seals and the WAL record frames.
+/// `n` bytes — the checksum of the page seals and the delta-log record frames.
 /// Software slicing-by-8; the value matches hardware SSE4.2 CRC32C.
 uint32_t Crc32c(const void* data, size_t n);
 

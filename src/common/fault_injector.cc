@@ -221,10 +221,6 @@ const std::vector<FailpointInfo>& FaultInjector::Catalog() {
       {"hier.alloc", "AllocatePage on the hierarchy-overlay disk",
        "error/nospace"},
       {"hier.free", "FreePage on the hierarchy-overlay disk", "error"},
-      {"wal.append", "Wal::Append record encode+write (data WAL)",
-       "error/short(torn record tail)/nospace/crash"},
-      {"wal.flush", "Wal::Flush durability barrier (data WAL)",
-       "error/crash"},
       {"snapshot.log.append", "DeltaLog::Append frame write",
        "error/short(torn frame tail)/nospace/crash"},
       {"snapshot.log.flush", "DeltaLog::Flush durability barrier",

@@ -30,7 +30,7 @@ namespace ccam {
 ///    and happens once per name.
 ///  - *Names are a flat catalog*, "<subsystem>.<event>" for counters and
 ///    "<subsystem>.<event>_us" for latency histograms: `buffer_pool.hit`,
-///    `disk.read_us`, `wal.flush_us`, `query.route_eval_us`, ...
+///    `disk.read_us`, `query.route_eval_us`, ...
 
 /// Monotonic event counter. Inc() is a relaxed atomic add: safe from any
 /// number of threads, never a synchronization point.

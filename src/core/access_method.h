@@ -67,14 +67,6 @@ struct AccessMethodOptions {
   /// including every paper experiment — collapse to a single shard, which
   /// reproduces the classic replacement behavior exactly).
   size_t buffer_pool_shards = 0;
-  /// Durable mutations: every maintenance operation runs as a write-ahead
-  /// logged transaction (begin, after-images, group commit with a flush
-  /// barrier), page checksums are verified on read, and OpenImage replays
-  /// committed transactions before trusting the image. Off by default: the
-  /// paper's I/O accounting counts each page write exactly once, at the
-  /// moment the operation performs it, which the staged commit necessarily
-  /// defers (see INTERNALS, "Write-ahead logging & durable recovery").
-  bool durability = false;
   /// Build and maintain the paged contraction-hierarchy overlay: create
   /// operations additionally contract the network in nested-dissection
   /// order and persist the shortcut graph on a separate "hier" disk, and

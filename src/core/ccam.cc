@@ -78,11 +78,7 @@ Status Ccam::Create(const Network& network) {
 }
 
 Status Ccam::AddNode(const NodeRecord& record, ReorgPolicy policy) {
-  MutationScope txn(this);
-  return txn.Finish(AddNodeImpl(record, policy));
-}
-
-Status Ccam::AddNodeImpl(const NodeRecord& record, ReorgPolicy policy) {
+  InvalidateHierarchyOverlay();
   last_op_structural_ = false;
   if (page_of_.count(record.id) > 0) {
     return Status::AlreadyExists("node " + std::to_string(record.id));

@@ -66,8 +66,6 @@ class Ccam : public NetworkFile {
   void SetIncrementalOrder(CcamInsertOrder order) { insert_order_ = order; }
 
  private:
-  Status AddNodeImpl(const NodeRecord& record, ReorgPolicy policy);
-
   CcamCreateMode mode_;
   ReorgPolicy create_policy_;
   CcamInsertOrder insert_order_ = CcamInsertOrder::kNodeId;

@@ -1,7 +1,6 @@
 #include "src/core/crash_harness.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -12,7 +11,6 @@
 
 #include "src/common/coding.h"
 #include "src/common/fault_injector.h"
-#include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/graph/generator.h"
 #include "src/storage/snapshot_manager.h"
@@ -25,7 +23,6 @@ AccessMethodOptions MakeOptions(const CrashSimOptions& opt) {
   o.page_size = opt.page_size;
   o.buffer_pool_pages = opt.buffer_pool_pages;
   o.seed = opt.seed;
-  o.durability = opt.durability;
   // Single-threaded clustering: the page *assignment* is bit-identical for
   // every thread count, but the crash model indexes into the page *write
   // sequence*, which must not depend on scheduling either.
@@ -38,46 +35,18 @@ bool IsLogicalFailure(const Status& st) {
          st.IsInvalidArgument();
 }
 
-/// What the strict criterion compares against: the mirror of every
-/// acknowledged operation, and that state plus the single operation that
-/// was in flight when the device halted (a committed-but-unacknowledged
-/// transaction is allowed to survive).
-struct WorkloadTrace {
-  Network acked;
-  Network inflight;
-  bool halted = false;
-};
-
 /// Applies the seeded workload to `file`: static create from a geometric
 /// network, then `opt.ops` mixed maintenance operations. `net` mirrors the
 /// successful operations so later picks stay (mostly) valid; the op stream
 /// is a pure function of `opt.seed`. Returns OK when the workload either
 /// ran to completion or stopped at a simulated device halt; anything else
 /// is a harness-level error.
-Status RunWorkload(Ccam* file, const CrashSimOptions& opt,
-                   WorkloadTrace* trace) {
-  // Flight recorder: when the harness attached a registry with an enabled
-  // ring, each workload step leaves an event, so a failing kill point can
-  // be reconstructed from its dump.
-  TraceRing* ring =
-      file->metrics() != nullptr ? file->metrics()->trace() : nullptr;
+Status RunWorkload(Ccam* file, const CrashSimOptions& opt) {
   Network net = GenerateRandomGeometricNetwork(opt.initial_nodes,
                                                /*radius=*/220.0,
                                                /*extent=*/1000.0, opt.seed);
   Status st = file->Create(net);
-  if (ring != nullptr && ring->enabled()) {
-    ring->Record(st.ok() ? "workload.create" : "workload.create_failed", 0,
-                 net.NodeIds().size());
-  }
-  if (!st.ok()) {
-    if (!file->disk()->halted()) return st;
-    if (trace != nullptr) {
-      // Nothing was acked; the whole create is the in-flight operation.
-      trace->halted = true;
-      trace->inflight = std::move(net);
-    }
-    return Status::OK();
-  }
+  if (!st.ok()) return file->disk()->halted() ? Status::OK() : st;
   Random rng(opt.seed ^ 0x9e3779b97f4a7c15ULL);
   NodeId next_id = 0;
   for (NodeId id : net.NodeIds()) next_id = std::max(next_id, id + 1);
@@ -87,8 +56,7 @@ Status RunWorkload(Ccam* file, const CrashSimOptions& opt,
     auto pick = [&] { return live[rng.Uniform(static_cast<uint32_t>(live.size()))]; };
     uint32_t kind = rng.Uniform(100);
     Status op;
-    // Mirrors the operation into a Network: applied to `net` when the file
-    // acked it, and to the in-flight copy when the device died during it.
+    // Mirrors the operation into `net` once the file acked it.
     std::function<Status(Network*)> mirror;
     if (kind < 25) {
       // Insert a fresh node wired to up to two existing ones.
@@ -134,32 +102,12 @@ Status RunWorkload(Ccam* file, const CrashSimOptions& opt,
       op = file->DeleteEdge(u, v, opt.policy);
       mirror = [u, v](Network* n) { return n->RemoveEdge(u, v); };
     }
-    if (ring != nullptr && ring->enabled()) {
-      ring->Record(op.ok() ? "workload.op" : "workload.op_failed", 0,
-                   static_cast<uint64_t>(i));
-    }
     if (op.ok()) {
       CCAM_RETURN_NOT_OK(mirror(&net));
     } else {
-      if (file->disk()->halted()) {
-        if (ring != nullptr && ring->enabled()) {
-          ring->Record("workload.halted", 0, static_cast<uint64_t>(i));
-        }
-        if (trace != nullptr) {
-          trace->halted = true;
-          trace->inflight = net;
-          (void)mirror(&trace->inflight);
-          trace->acked = std::move(net);
-        }
-        return Status::OK();
-      }
+      if (file->disk()->halted()) return Status::OK();
       if (!IsLogicalFailure(op)) return op;
     }
-  }
-  if (trace != nullptr) {
-    trace->halted = file->disk()->halted();
-    trace->inflight = net;
-    trace->acked = std::move(net);
   }
   return Status::OK();
 }
@@ -169,40 +117,6 @@ std::vector<AdjEntry> SortedAdj(std::vector<AdjEntry> v) {
     return a.node != b.node ? a.node < b.node : a.cost < b.cost;
   });
   return v;
-}
-
-/// Exact-state oracle for the strict criterion: the file must contain
-/// precisely the nodes of `net`, each with matching attributes and
-/// adjacency lists. Returns Corruption naming the first divergence.
-Status CompareFileToNetwork(Ccam* file, const Network& net) {
-  std::vector<NodeId> ids = net.NodeIds();
-  if (file->PageMap().size() != ids.size()) {
-    return Status::Corruption(
-        "file holds " + std::to_string(file->PageMap().size()) +
-        " nodes, expected " + std::to_string(ids.size()));
-  }
-  for (NodeId id : ids) {
-    auto rec = file->Find(id);
-    if (!rec.ok()) {
-      return Status::Corruption("node " + std::to_string(id) + ": " +
-                                rec.status().ToString());
-    }
-    const NetworkNode& node = net.node(id);
-    if (rec->x != node.x || rec->y != node.y ||
-        rec->payload != node.payload) {
-      return Status::Corruption("node " + std::to_string(id) +
-                                ": attribute mismatch");
-    }
-    if (SortedAdj(rec->succ) != SortedAdj(node.succ)) {
-      return Status::Corruption("node " + std::to_string(id) +
-                                ": successor list mismatch");
-    }
-    if (SortedAdj(rec->pred) != SortedAdj(node.pred)) {
-      return Status::Corruption("node " + std::to_string(id) +
-                                ": predecessor list mismatch");
-    }
-  }
-  return Status::OK();
 }
 
 Result<uint32_t> FileCrc(const std::string& path) {
@@ -293,7 +207,7 @@ Result<uint64_t> CountWorkloadWrites(const CrashSimOptions& options) {
                          [&](FaultInjector* faults) {
                            Ccam file(MakeOptions(options));
                            file.SetFaultInjector(faults);
-                           return RunWorkload(&file, options, nullptr);
+                           return RunWorkload(&file, options);
                          });
 }
 
@@ -309,24 +223,7 @@ Result<CrashRunResult> RunCrashOnce(const CrashSimOptions& options,
       std::to_string(crash_point)));
   Ccam file(MakeOptions(options));
   file.SetFaultInjector(&faults);
-  // Flight recorder for this kill point: the ring is dumped to stderr only
-  // when the run ends in a criterion violation. Attaching the registry does
-  // not perturb the workload — instrumentation never touches the simulated
-  // I/O accounting or the RNG stream.
-  MetricsRegistry metrics;
-  metrics.trace()->Enable(512);
-  file.SetMetrics(&metrics);
-  WorkloadTrace trace;
-  CCAM_RETURN_NOT_OK(RunWorkload(&file, options, &trace));
-  auto dump_flight_recorder = [&](const CrashRunResult& failed) {
-    std::fprintf(stderr,
-                 "crash harness: %s at kill point %llu (%s)\n"
-                 "flight recorder (oldest first):\n",
-                 CrashOutcomeName(failed.outcome),
-                 static_cast<unsigned long long>(crash_point),
-                 failed.detail.c_str());
-    metrics.trace()->Dump(stderr);
-  };
+  CCAM_RETURN_NOT_OK(RunWorkload(&file, options));
 
   CrashRunResult out;
   out.writes_before_crash = file.disk()->stats().writes;
@@ -337,7 +234,7 @@ Result<CrashRunResult> RunCrashOnce(const CrashSimOptions& options,
   {
     // Capture the platter exactly as the crash left it. Dirty buffer-pool
     // frames are deliberately NOT flushed — they never reached disk. The
-    // capture includes the durable WAL prefix and the page seals.
+    // capture includes the page seals.
     FaultInjector::SuppressScope suppress(&faults);
     CCAM_RETURN_NOT_OK(file.disk()->SaveToFile(options.image_path));
   }
@@ -345,70 +242,14 @@ Result<CrashRunResult> RunCrashOnce(const CrashSimOptions& options,
   Status st = reopened.OpenImage(options.image_path);
   if (st.ok()) st = reopened.CheckFileInvariants();
   if (st.ok()) st = reopened.CheckGraphInvariants();
-  metrics.trace()->Record(st.ok() ? "recover.reopen" : "recover.reopen_failed",
-                          0, reopened.PageMap().size());
 
-  if (!options.durability) {
-    if (st.ok()) {
-      out.outcome = CrashOutcome::kRecovered;
-      out.recovered_nodes = reopened.PageMap().size();
-    } else {
-      out.outcome = CrashOutcome::kCorruptionDetected;
-      out.detail = st.ToString();
-    }
-    return out;
-  }
-
-  // Strict criterion: recovery must succeed ...
-  if (!st.ok()) {
-    out.outcome = CrashOutcome::kRecoveryFailed;
+  if (st.ok()) {
+    out.outcome = CrashOutcome::kRecovered;
+    out.recovered_nodes = reopened.PageMap().size();
+  } else {
+    out.outcome = CrashOutcome::kCorruptionDetected;
     out.detail = st.ToString();
-    dump_flight_recorder(out);
-    return out;
   }
-  out.recovered_nodes = reopened.PageMap().size();
-  // ... the recovered state must be the acked prefix, or the acked prefix
-  // plus the in-flight operation applied atomically ...
-  Status acked = CompareFileToNetwork(&reopened, trace.acked);
-  if (!acked.ok()) {
-    Status inflight = CompareFileToNetwork(&reopened, trace.inflight);
-    if (!inflight.ok()) {
-      out.outcome = CrashOutcome::kLostAck;
-      out.detail = "vs acked state: " + acked.ToString() +
-                   "; vs acked+in-flight: " + inflight.ToString();
-      dump_flight_recorder(out);
-      return out;
-    }
-  }
-  // ... and replay must be deterministic: recovering the same captured
-  // image twice yields byte-identical results.
-  std::string r1 = options.image_path + ".r1";
-  std::string r2 = options.image_path + ".r2";
-  Status det = reopened.disk()->SaveToFile(r1);
-  if (det.ok()) {
-    Ccam again(MakeOptions(options));
-    det = again.OpenImage(options.image_path);
-    if (det.ok()) det = again.disk()->SaveToFile(r2);
-  }
-  if (!det.ok()) {
-    out.outcome = CrashOutcome::kRecoveryFailed;
-    out.detail = "recovery replay: " + det.ToString();
-    dump_flight_recorder(out);
-    return out;
-  }
-  uint32_t c1, c2;
-  CCAM_ASSIGN_OR_RETURN(c1, FileCrc(r1));
-  CCAM_ASSIGN_OR_RETURN(c2, FileCrc(r2));
-  std::remove(r1.c_str());
-  std::remove(r2.c_str());
-  if (c1 != c2) {
-    out.outcome = CrashOutcome::kRecoveryFailed;
-    out.detail = "non-deterministic recovery replay";
-    dump_flight_recorder(out);
-    return out;
-  }
-  out.recovered_image_crc = c1;
-  out.outcome = CrashOutcome::kDurable;
   return out;
 }
 

@@ -25,16 +25,11 @@ namespace ccam {
 /// function of the seed, so the same (seed, crash point) always produces
 /// the same crash and the same recovered image, byte for byte.
 ///
-/// Two verification criteria:
-///  - detect-only (durability off): reopen either succeeds with all
-///    invariants holding, or fails with a clean typed Status. Matches the
-///    read-only recovery guarantee of the plain file format.
-///  - strict (durability on): recovery MUST succeed, and the recovered
-///    file must contain exactly the operations acknowledged before the
-///    crash — plus, at most, the single operation in flight when the
-///    device died, applied atomically. Recovery replay must also be
-///    deterministic: reopening the same captured image twice yields
-///    byte-identical recovered images.
+/// The file writes pages in place and keeps no log, so its criterion is
+/// detect-only: reopen either succeeds with all invariants holding, or
+/// fails with a clean typed Status — a torn state is never silently
+/// accepted. Losing acknowledged operations is the snapshot store's
+/// problem to rule out (see RunSnapshotCrashSim below), not the file's.
 struct CrashSimOptions {
   uint64_t seed = 1995;
   size_t page_size = 1024;
@@ -46,11 +41,8 @@ struct CrashSimOptions {
   int ops = 120;
   /// Bytes of the crashing write that reach the platter (the torn prefix).
   int torn_bytes = 96;
-  /// Run with write-ahead logging on and verify the strict criterion.
-  bool durability = false;
-  /// Failpoint the kill is scheduled on. "disk.write" kills inside data
-  /// page writes; with durability on, "wal.append" and "wal.flush" kill
-  /// inside the logging protocol itself.
+  /// Failpoint the kill is scheduled on ("disk.write": inside data page
+  /// writes).
   std::string crash_failpoint = "disk.write";
   /// Where the crash capture image is written. Required.
   std::string image_path;
@@ -64,14 +56,15 @@ enum class CrashOutcome {
   /// Detect-only: reopen (or an invariant check) failed with a clean typed
   /// Status — the torn state was *detected*, never silently accepted.
   kCorruptionDetected,
-  /// Strict: recovery succeeded, invariants hold, and the recovered state
-  /// is exactly the acked prefix (or acked prefix + in-flight op).
+  /// Snapshot store: recovery succeeded, invariants hold, and the
+  /// recovered state is exactly the acked prefix (or acked prefix +
+  /// in-flight op).
   kDurable,
-  /// Strict failure: an acknowledged operation is missing from the
-  /// recovered file, or an operation past the in-flight one is present.
+  /// Snapshot store failure: an acknowledged mutation is missing, or one
+  /// past the in-flight one is present.
   kLostAck,
-  /// Strict failure: recovery errored, an invariant failed, or replaying
-  /// the same captured image twice produced different bytes.
+  /// Snapshot store failure: recovery errored, an invariant failed, or a
+  /// second recovery of the recovered directory disagreed with the first.
   kRecoveryFailed,
 };
 
@@ -85,9 +78,9 @@ struct CrashRunResult {
   uint64_t writes_before_crash = 0;
   /// Nodes visible after a successful reopen.
   size_t recovered_nodes = 0;
-  /// CRC32C of the recovered image bytes (strict mode only). Equal crcs
-  /// across runs of the same (seed, crash point) certify byte-identical
-  /// recovery.
+  /// CRC32C of the recovered version image (snapshot store only). Equal
+  /// crcs across runs of the same (seed, crash point) certify
+  /// byte-identical recovery.
   uint32_t recovered_image_crc = 0;
 };
 
@@ -108,8 +101,8 @@ struct CrashSimReport {
   size_t lost_ack = 0;
   size_t recovery_failed = 0;
 
-  /// Kill points whose outcome violates the active criterion. In strict
-  /// mode only kDurable passes; detect-only accepts kRecovered and
+  /// Kill points whose outcome violates the active criterion. The store
+  /// sweep passes only kDurable; the file sweep accepts kRecovered and
   /// kCorruptionDetected. kNoCrash always fails: the scheduled kill never
   /// fired, so the point tested nothing.
   size_t failures() const { return no_crash + lost_ack + recovery_failed; }
@@ -122,9 +115,10 @@ Result<uint64_t> CountWorkloadWrites(const CrashSimOptions& options);
 
 /// Runs the workload with a crash scheduled at the `crash_point`-th
 /// evaluation of the configured failpoint (1-based), captures the platter,
-/// reopens and verifies. Returns an error only on harness-level failures
-/// (e.g. the capture file cannot be written); torn data is reported via
-/// the outcome, not as an error.
+/// reopens and classifies it as kRecovered or kCorruptionDetected.
+/// Returns an error only on harness-level failures (e.g. the capture file
+/// cannot be written); torn data is reported via the outcome, not as an
+/// error.
 Result<CrashRunResult> RunCrashOnce(const CrashSimOptions& options,
                                     uint64_t crash_point);
 
@@ -146,9 +140,10 @@ Result<CrashSimReport> RunCrashSim(const CrashSimOptions& options,
 /// MANIFEST.tmp, a half-compacted delta log — and the harness reopens the
 /// directory with SnapshotManager::Open.
 ///
-/// Always strict: the delta log *is* the store's durability mechanism, so
-/// recovery must succeed and land on exactly the acknowledged stream (plus,
-/// at most, the one mutation in flight when the store halted). Because a
+/// Always strict: the delta log is the repository's only durability
+/// mechanism, so recovery must succeed and land on exactly the
+/// acknowledged stream (plus, at most, the one mutation in flight when the
+/// store halted). Because a
 /// reorganization does not change the logical network, that criterion is
 /// precisely "exactly the old version or exactly the new version, never a
 /// blend": a recovered state mixing pre- and post-swap pages would fail

@@ -37,13 +37,6 @@ NetworkFile::NetworkFile(const AccessMethodOptions& options)
         index_disk_.get(), std::max<size_t>(4, options_.index_pool_pages));
     index_ = std::make_unique<BPlusTree>(index_disk_.get(), index_pool_.get());
   }
-  if (options_.durability) {
-    wal_ = std::make_unique<Wal>();
-    wal_->SetDevice(&disk_);
-    disk_.AttachWal(wal_.get());
-    disk_.SetVerifyChecksums(true);
-    if (index_disk_) index_disk_->SetVerifyChecksums(true);
-  }
 }
 
 Status NetworkFile::ScrubQuarantined(size_t* repaired, size_t* remaining) {
@@ -61,44 +54,6 @@ Status NetworkFile::ScrubQuarantined(size_t* repaired, size_t* remaining) {
   if (repaired != nullptr) *repaired = fixed;
   if (remaining != nullptr) *remaining = quarantine_.size();
   return Status::OK();
-}
-
-NetworkFile::MutationScope::MutationScope(NetworkFile* file) : file_(file) {
-  // Every mutation drops the hierarchy overlay: a shortcut graph built
-  // over records that are about to change must never answer queries.
-  file_->InvalidateHierarchyOverlay();
-  if (file_->options_.durability && !file_->disk_.InTxn()) {
-    owns_ = file_->disk_.BeginTxn().ok();
-  }
-}
-
-NetworkFile::MutationScope::~MutationScope() {
-  if (owns_ && !done_) (void)Finish(Status::IOError("operation abandoned"));
-}
-
-Status NetworkFile::MutationScope::Finish(Status op_status) {
-  if (!owns_) return op_status;
-  done_ = true;
-  std::vector<PageId> touched = file_->disk_.TxnTouchedPages();
-  if (op_status.ok()) {
-    Status commit = file_->disk_.CommitTxn();
-    if (commit.ok()) return Status::OK();
-    // The commit failed (injected log/device fault): the platter holds the
-    // pre-transaction state — or, past the flush barrier, a partial apply
-    // the next recovery completes. Either way the cached frames are stale.
-    for (PageId id : touched) {
-      file_->pool_.Discard(id);
-      file_->free_space_.erase(id);
-    }
-    return commit;
-  }
-  (void)file_->disk_.AbortTxn();
-  for (PageId id : touched) {
-    file_->pool_.Discard(id);
-    file_->free_space_.erase(id);
-    file_->update_counts_.erase(id);
-  }
-  return op_status;
 }
 
 std::optional<IoStats> NetworkFile::IndexIoStats() const {
@@ -146,24 +101,7 @@ Status NetworkFile::DropDataPage(PageId page) {
 
 Status NetworkFile::BuildFromAssignment(
     const Network& network, const std::vector<std::vector<NodeId>>& pages) {
-  MutationScope txn(this);
-  Status built = txn.Finish(BuildFromAssignmentBody(network, pages));
-  if (built.ok() && options_.durability) {
-    // The commit apply lands the creation writes after the body's reset;
-    // creation I/O is not part of any operation measurement either way.
-    disk_.ResetStats();
-    if (index_disk_) index_disk_->ResetStats();
-  }
-  if (built.ok() && options_.hierarchy_overlay) {
-    // The logical network is still in hand: contract it directly instead
-    // of rescanning the pages just written.
-    CCAM_RETURN_NOT_OK(BuildHierarchyOverlayFromNetwork(network));
-  }
-  return built;
-}
-
-Status NetworkFile::BuildFromAssignmentBody(
-    const Network& network, const std::vector<std::vector<NodeId>>& pages) {
+  InvalidateHierarchyOverlay();
   if (!page_of_.empty()) {
     return Status::InvalidArgument("file already created");
   }
@@ -199,6 +137,11 @@ Status NetworkFile::BuildFromAssignmentBody(
   // Creation I/O is not part of any operation measurement.
   disk_.ResetStats();
   if (index_disk_) index_disk_->ResetStats();
+  if (options_.hierarchy_overlay) {
+    // The logical network is still in hand: contract it directly instead
+    // of rescanning the pages just written.
+    CCAM_RETURN_NOT_OK(BuildHierarchyOverlayFromNetwork(network));
+  }
   return Status::OK();
 }
 
@@ -482,12 +425,11 @@ Status NetworkFile::ReorganizeForPolicy(ReorgPolicy policy,
 }
 
 Status NetworkFile::ReorganizeAll() {
-  MutationScope txn(this);
+  InvalidateHierarchyOverlay();
   last_op_structural_ = true;
   std::vector<PageId> pages = disk_.AllocatedPageIds();
-  Status st = Reorganize(std::move(pages));
-  if (st.ok()) st = FlushDirty();
-  return txn.Finish(st);
+  CCAM_RETURN_NOT_OK(Reorganize(std::move(pages)));
+  return FlushDirty();
 }
 
 Result<std::vector<NetworkFile::PageOccupancy>>
@@ -560,12 +502,6 @@ Status NetworkFile::OpenImage(const std::string& path) {
     return Status::InvalidArgument("file already created");
   }
   CCAM_RETURN_NOT_OK(disk_.LoadFromFile(path));
-  if (options_.durability) {
-    // Durable open: replay committed transactions from the image's WAL
-    // tail, discard the uncommitted remainder. After this the platter
-    // reflects exactly the acknowledged operations.
-    CCAM_RETURN_NOT_OK(disk_.Recover());
-  }
   CCAM_RETURN_NOT_OK(pool_.Reset());
   // Rebuild the node -> page map and the free-space map by scanning. The
   // image is untrusted (it may be a crash capture): every page is
@@ -610,11 +546,6 @@ Status NetworkFile::OpenImage(const std::string& path) {
   if (index_) {
     std::sort(index_entries.begin(), index_entries.end());
     CCAM_RETURN_NOT_OK(index_->BulkLoad(index_entries));
-  }
-  if (options_.durability) {
-    // A durable open promises a consistent graph, not just decodable
-    // pages: recovery must leave no dangling or asymmetric adjacency.
-    CCAM_RETURN_NOT_OK(CheckGraphInvariants());
   }
   if (options_.hierarchy_overlay) {
     // Reattach the overlay sidecar, if one was saved beside the image. A
@@ -704,14 +635,7 @@ Result<NodeRecord> NetworkFile::FindViaIndex(NodeId id) {
 
 Status NetworkFile::BulkInsert(const std::vector<NodeRecord>& records,
                                ReorgPolicy policy) {
-  // One transaction for the whole batch: the nested InsertNode scopes are
-  // no-ops, so the batch is a single group commit.
-  MutationScope txn(this);
-  return txn.Finish(BulkInsertImpl(records, policy));
-}
-
-Status NetworkFile::BulkInsertImpl(const std::vector<NodeRecord>& records,
-                                   ReorgPolicy policy) {
+  InvalidateHierarchyOverlay();
   std::set<PageId> touched;
   for (const NodeRecord& record : records) {
     CCAM_RETURN_NOT_OK(InsertNode(record, ReorgPolicy::kFirstOrder));
@@ -878,12 +802,7 @@ Result<Network> NetworkFile::ExportNetwork() {
 }
 
 Status NetworkFile::InsertNode(const NodeRecord& record, ReorgPolicy policy) {
-  MutationScope txn(this);
-  return txn.Finish(InsertNodeImpl(record, policy));
-}
-
-Status NetworkFile::InsertNodeImpl(const NodeRecord& record,
-                                   ReorgPolicy policy) {
+  InvalidateHierarchyOverlay();
   last_op_structural_ = false;
   if (page_of_.count(record.id) > 0) {
     return Status::AlreadyExists("node " + std::to_string(record.id));
@@ -979,11 +898,7 @@ Status NetworkFile::InsertNodeImpl(const NodeRecord& record,
 }
 
 Status NetworkFile::DeleteNode(NodeId id, ReorgPolicy policy) {
-  MutationScope txn(this);
-  return txn.Finish(DeleteNodeImpl(id, policy));
-}
-
-Status NetworkFile::DeleteNodeImpl(NodeId id, ReorgPolicy policy) {
+  InvalidateHierarchyOverlay();
   last_op_structural_ = false;
   NodeRecord rec;
   CCAM_ASSIGN_OR_RETURN(rec, ReadRecord(id));
@@ -1039,12 +954,7 @@ Status NetworkFile::DeleteNodeImpl(NodeId id, ReorgPolicy policy) {
 
 Status NetworkFile::InsertEdge(NodeId u, NodeId v, float cost,
                                ReorgPolicy policy) {
-  MutationScope txn(this);
-  return txn.Finish(InsertEdgeImpl(u, v, cost, policy));
-}
-
-Status NetworkFile::InsertEdgeImpl(NodeId u, NodeId v, float cost,
-                                   ReorgPolicy policy) {
+  InvalidateHierarchyOverlay();
   last_op_structural_ = false;
   if (u == v) return Status::InvalidArgument("self-loop");
   NodeRecord ru, rv;
@@ -1089,11 +999,7 @@ Status NetworkFile::InsertEdgeImpl(NodeId u, NodeId v, float cost,
 }
 
 Status NetworkFile::DeleteEdge(NodeId u, NodeId v, ReorgPolicy policy) {
-  MutationScope txn(this);
-  return txn.Finish(DeleteEdgeImpl(u, v, policy));
-}
-
-Status NetworkFile::DeleteEdgeImpl(NodeId u, NodeId v, ReorgPolicy policy) {
+  InvalidateHierarchyOverlay();
   last_op_structural_ = false;
   NodeRecord ru, rv;
   CCAM_ASSIGN_OR_RETURN(ru, ReadRecord(u));

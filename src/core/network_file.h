@@ -14,7 +14,6 @@
 #include "src/storage/disk_manager.h"
 #include "src/storage/page.h"
 #include "src/storage/page_quarantine.h"
-#include "src/storage/wal.h"
 
 namespace ccam {
 
@@ -121,27 +120,21 @@ class NetworkFile : public AccessMethod {
 
   /// Attaches a fault injector to every simulated device of this file
   /// (nullptr detaches): the data disk ("disk.*" failpoints), the index
-  /// disk when maintained ("index.*"), the write-ahead log when durability
-  /// is on ("wal.append" / "wal.flush"), and the hierarchy overlay's disk
+  /// disk when maintained ("index.*"), and the hierarchy overlay's disk
   /// when present ("hier.*"). The distinct prefixes let one fault schedule
   /// target any device without touching the others.
   void SetFaultInjector(FaultInjector* faults) {
     faults_ = faults;
     disk_.SetFaultInjector(faults);
     if (index_disk_) index_disk_->SetFaultInjector(faults);
-    if (wal_) wal_->SetFaultInjector(faults);
     if (hierarchy_) hierarchy_->SetFaultInjector(faults);
   }
-
-  /// The write-ahead log, when durability is on (for tests / inspection).
-  Wal* wal() { return wal_.get(); }
 
   /// Attaches (or detaches) a metrics registry to every simulated device
   /// of this file: the data disk ("disk.*" counters and latency
   /// histograms), the data buffer pool ("buffer_pool.*"), the index disk
   /// when maintained ("index.*" — the index pool stays unobserved so its
-  /// traffic never mixes into the buffer_pool.* series), and the
-  /// write-ahead log when durability is on ("wal.*"). Query sessions
+  /// traffic never mixes into the buffer_pool.* series). Query sessions
   /// opened from this file inherit the registry for their "query.*"
   /// spans. The hierarchy overlay's disk reports under "hier.*". Attach
   /// while the file is quiescent.
@@ -151,7 +144,6 @@ class NetworkFile : public AccessMethod {
     pool_.SetMetrics(metrics);
     quarantine_.SetMetrics(metrics);
     if (index_disk_) index_disk_->SetMetrics(metrics);
-    if (wal_) wal_->SetMetrics(metrics);
     if (hierarchy_) hierarchy_->SetMetrics(metrics);
   }
   MetricsRegistry* metrics() const override { return metrics_; }
@@ -250,31 +242,6 @@ class NetworkFile : public AccessMethod {
                           size_t* remaining = nullptr);
 
  protected:
-  /// Runs one public maintenance operation as a WAL transaction when
-  /// durability is on. The outermost scope of an operation owns the
-  /// transaction; nested scopes (BulkInsert calling InsertNode, create
-  /// loops calling AddNode) are no-ops, so a batch is one group commit.
-  ///
-  ///   MutationScope txn(this);
-  ///   return txn.Finish(DoTheWork());
-  ///
-  /// Finish commits on OK — the operation is acknowledged only after the
-  /// WAL flush barrier — and aborts otherwise, discarding the staged
-  /// overlay and every cached frame it touched, so the platter and the
-  /// pool both keep the pre-operation state. With durability off the scope
-  /// is a no-op and the operation behaves exactly as before.
-  class MutationScope {
-   public:
-    explicit MutationScope(NetworkFile* file);
-    ~MutationScope();
-    Status Finish(Status op_status);
-
-   private:
-    NetworkFile* file_;
-    bool owns_ = false;
-    bool done_ = false;
-  };
-
   /// Materializes `pages` (node sets) into data pages and builds the
   /// indexes. Used by subclasses' Create().
   Status BuildFromAssignment(const Network& network,
@@ -395,17 +362,6 @@ class NetworkFile : public AccessMethod {
   /// placement decisions do not charge data-page I/O).
   void NoteFreeSpace(PageId page, const SlottedPage& view);
 
-  /// Bodies of the public maintenance operations; the public entry points
-  /// wrap them in a MutationScope.
-  Status BuildFromAssignmentBody(
-      const Network& network, const std::vector<std::vector<NodeId>>& pages);
-  Status BulkInsertImpl(const std::vector<NodeRecord>& records,
-                        ReorgPolicy policy);
-  Status InsertNodeImpl(const NodeRecord& record, ReorgPolicy policy);
-  Status DeleteNodeImpl(NodeId id, ReorgPolicy policy);
-  Status InsertEdgeImpl(NodeId u, NodeId v, float cost, ReorgPolicy policy);
-  Status DeleteEdgeImpl(NodeId u, NodeId v, ReorgPolicy policy);
-
   AccessMethodOptions options_;
   DiskManager disk_;
   BufferPool pool_;
@@ -421,9 +377,6 @@ class NetworkFile : public AccessMethod {
   std::unique_ptr<DiskManager> index_disk_;
   std::unique_ptr<BufferPool> index_pool_;
   std::unique_ptr<BPlusTree> index_;
-
-  /// Write-ahead log of the data disk; non-null iff durability is on.
-  std::unique_ptr<Wal> wal_;
 
   /// Contraction-hierarchy overlay; non-null iff built and still valid.
   std::unique_ptr<HierarchyOverlay> hierarchy_;

@@ -71,11 +71,11 @@ struct ShardedOptions {
 };
 
 /// A network split across N CCAM shard files, each with its own
-/// DiskManager, BufferPool and (with durability on) WAL. The split reuses
-/// the deterministic recursive-bisection partitioner one level up: shards
-/// are the coarse cut, pages within each shard the fine cut, so the
-/// cut-minimizing property that gives CCAM its CRR also keeps cross-shard
-/// edges — and therefore cross-shard query traffic — low.
+/// DiskManager and BufferPool. The split reuses the deterministic
+/// recursive-bisection partitioner one level up: shards are the coarse cut,
+/// pages within each shard the fine cut, so the cut-minimizing property
+/// that gives CCAM its CRR also keeps cross-shard edges — and therefore
+/// cross-shard query traffic — low.
 ///
 /// Each shard stores its owned nodes plus *halo* copies of every
 /// cross-cut neighbor (successor or predecessor of an owned node that

@@ -14,13 +14,12 @@
 
 namespace ccam {
 
-/// One logical mutation against a published snapshot version. Unlike the
-/// page-image WAL (src/storage/wal.h), which makes a *single file's* page
-/// writes atomic, the delta log records mutations at the graph level — the
-/// form that can be replayed against *any* base image, which is exactly
-/// what the versioned snapshot swap needs: after a reorganization folds the
-/// log into a freshly reclustered image, the same tail of records replays
-/// against the new base as well as the old one.
+/// One logical mutation against a published snapshot version. The delta
+/// log is the repository's only durable write path: it records mutations
+/// at the graph level — the form that can be replayed against *any* base
+/// image, which is exactly what the versioned snapshot swap needs: after a
+/// reorganization folds the log into a freshly reclustered image, the same
+/// tail of records replays against the new base as well as the old one.
 struct DeltaRecord {
   enum class Kind : uint8_t {
     kInsertNode = 1,  // payload: encoded NodeRecord (full adjacency)
@@ -42,8 +41,7 @@ struct DeltaRecord {
 
 const char* DeltaKindName(DeltaRecord::Kind kind);
 
-/// Append-only log of DeltaRecords backed by a real file, with the same
-/// frame format and crash contract as the WAL:
+/// Append-only log of DeltaRecords backed by a real file. Frame format:
 ///
 ///   [0]      kind     u8
 ///   [1..9)   lsn      u64

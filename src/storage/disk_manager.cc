@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "src/common/coding.h"
-#include "src/storage/wal.h"
 
 namespace ccam {
 
@@ -89,27 +88,6 @@ Result<PageId> DiskManager::AllocatePage() {
   }
   allocs_.fetch_add(1, std::memory_order_relaxed);
   if (m_allocs_ != nullptr) m_allocs_->Inc();
-  if (in_txn_) {
-    PageId id;
-    if (!txn_free_list_.empty()) {
-      id = txn_free_list_.back();
-      txn_free_list_.pop_back();
-    } else {
-      id = txn_next_page_++;
-    }
-    if (id >= txn_allocated_.size()) txn_allocated_.resize(id + 1, false);
-    txn_allocated_[id] = true;
-    txn_freed_.erase(std::remove(txn_freed_.begin(), txn_freed_.end(), id),
-                     txn_freed_.end());
-    auto [it, inserted] =
-        staged_writes_.emplace(id, std::string(page_size_, '\0'));
-    if (!inserted) it->second.assign(page_size_, '\0');
-    if (std::find(touch_order_.begin(), touch_order_.end(), id) ==
-        touch_order_.end()) {
-      touch_order_.push_back(id);
-    }
-    return id;
-  }
   if (!free_list_.empty()) {
     PageId id = free_list_.back();
     free_list_.pop_back();
@@ -139,29 +117,6 @@ Status DiskManager::FreePage(PageId id) {
       return InjectedStatus(*fault, "free", id);
     }
   }
-  if (in_txn_) {
-    if (id >= txn_allocated_.size() || !txn_allocated_[id]) {
-      return Status::InvalidArgument("free of unallocated page " +
-                                     std::to_string(id));
-    }
-    txn_allocated_[id] = false;
-    staged_writes_.erase(id);
-    // Only pages live on the platter before the transaction produce a net
-    // free; a page both allocated and freed inside it is a no-op.
-    if (id < allocated_.size() && allocated_[id] &&
-        std::find(txn_freed_.begin(), txn_freed_.end(), id) ==
-            txn_freed_.end()) {
-      txn_freed_.push_back(id);
-      if (std::find(touch_order_.begin(), touch_order_.end(), id) ==
-          touch_order_.end()) {
-        touch_order_.push_back(id);
-      }
-    }
-    txn_free_list_.push_back(id);
-    frees_.fetch_add(1, std::memory_order_relaxed);
-    if (m_frees_ != nullptr) m_frees_->Inc();
-    return Status::OK();
-  }
   if (id >= pages_.size() || !allocated_[id]) {
     return Status::InvalidArgument("free of unallocated page " +
                                    std::to_string(id));
@@ -182,21 +137,6 @@ Status DiskManager::ReadPage(PageId id, char* out) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (halted()) return HaltedStatus("read of page " + std::to_string(id));
-    if (in_txn_) {
-      // The staged overlay is authoritative while a transaction is open: a
-      // staged page serves from memory (no device I/O), a staged free makes
-      // the page unreadable.
-      auto it = staged_writes_.find(id);
-      if (it != staged_writes_.end()) {
-        std::memcpy(out, it->second.data(), page_size_);
-        return Status::OK();
-      }
-      if (id < txn_allocated_.size() && !txn_allocated_[id] &&
-          id < allocated_.size() && allocated_[id]) {
-        return Status::IOError("read of page freed in open transaction: " +
-                               std::to_string(id));
-      }
-    }
     if (id >= pages_.size() || !allocated_[id]) {
       return Status::IOError("read of unallocated page " + std::to_string(id));
     }
@@ -257,18 +197,6 @@ Status DiskManager::WritePage(PageId id, const char* in) {
   if (write_hist != nullptr) t0 = std::chrono::steady_clock::now();
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (halted()) return HaltedStatus("write of page " + std::to_string(id));
-  if (in_txn_) {
-    // Staged: the overlay absorbs the write, the platter is untouched and
-    // the device failpoints are evaluated when the commit applies it.
-    if (id >= txn_allocated_.size() || !txn_allocated_[id]) {
-      return Status::IOError("write of unallocated page " +
-                             std::to_string(id));
-    }
-    auto [it, inserted] = staged_writes_.emplace(id, std::string());
-    it->second.assign(in, page_size_);
-    if (inserted) touch_order_.push_back(id);
-    return Status::OK();
-  }
   if (id >= pages_.size() || !allocated_[id]) {
     return Status::IOError("write of unallocated page " + std::to_string(id));
   }
@@ -331,17 +259,11 @@ Status DiskManager::VerifyPage(PageId id) const {
 
 bool DiskManager::IsAllocated(PageId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (in_txn_ && id < txn_allocated_.size()) return txn_allocated_[id];
   return id < pages_.size() && allocated_[id];
 }
 
 size_t DiskManager::NumAllocatedPages() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (in_txn_) {
-    size_t n = 0;
-    for (bool live : txn_allocated_) n += live ? 1 : 0;
-    return n;
-  }
   return pages_.size() - free_list_.size();
 }
 
@@ -361,285 +283,6 @@ void DiskManager::RestoreStats(const IoStats& snapshot) {
   writes_.store(snapshot.writes, std::memory_order_relaxed);
   allocs_.store(snapshot.allocs, std::memory_order_relaxed);
   frees_.store(snapshot.frees, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Staged transactions
-// ---------------------------------------------------------------------------
-
-void DiskManager::ClearTxnStateLocked() {
-  in_txn_ = false;
-  staged_writes_.clear();
-  touch_order_.clear();
-  txn_freed_.clear();
-  txn_allocated_.clear();
-  txn_free_list_.clear();
-  txn_next_page_ = 0;
-}
-
-Status DiskManager::BeginTxn() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (halted()) return HaltedStatus("begin transaction");
-  if (in_txn_) {
-    return Status::InvalidArgument("transaction already open");
-  }
-  in_txn_ = true;
-  txn_allocated_.assign(allocated_.begin(), allocated_.end());
-  txn_free_list_ = free_list_;
-  txn_next_page_ = static_cast<PageId>(pages_.size());
-  return Status::OK();
-}
-
-bool DiskManager::InTxn() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return in_txn_;
-}
-
-std::vector<PageId> DiskManager::TxnTouchedPages() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return touch_order_;
-}
-
-void DiskManager::MaterializeAllocation(PageId id) {
-  while (id >= pages_.size()) {
-    pages_.push_back(std::make_unique<char[]>(page_size_));
-    std::memset(pages_.back().get(), 0, page_size_);
-    allocated_.push_back(false);
-    seals_.push_back(zero_seal_);
-  }
-  allocated_[id] = true;
-}
-
-Status DiskManager::ApplyPlatterWrite(PageId id, const char* in) {
-  if (faults_ != nullptr) {
-    if (auto fault = faults_->Hit(fp_write_)) {
-      switch (fault->kind) {
-        case FaultAction::Kind::kShort:
-        case FaultAction::Kind::kCrash: {
-          size_t n = std::min(fault->bytes, page_size_);
-          std::memcpy(pages_[id].get(), in, n);
-          if (n == page_size_) seals_[id] = Crc32c(in, page_size_);
-          // Any fault while applying a committed transaction halts the
-          // device: a half-applied redo is exactly what recovery repairs,
-          // and a device that fails redo writes cannot be trusted to stay
-          // consistent. The WAL keeps the committed records until replay.
-          Halt();
-          return Status::IOError(
-              "simulated crash during commit apply of page " +
-              std::to_string(id) + " (torn after " + std::to_string(n) +
-              " bytes)");
-        }
-        case FaultAction::Kind::kNoSpace:
-        case FaultAction::Kind::kError: {
-          Halt();
-          return InjectedStatus(*fault, "commit apply", id);
-        }
-      }
-    }
-  }
-  std::memcpy(pages_[id].get(), in, page_size_);
-  seals_[id] = Crc32c(in, page_size_);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  if (m_writes_ != nullptr) m_writes_->Inc();
-  return Status::OK();
-}
-
-Status DiskManager::CommitTxn() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (!in_txn_) return Status::InvalidArgument("no open transaction");
-  if (halted()) {
-    ClearTxnStateLocked();
-    return HaltedStatus("commit transaction");
-  }
-  uint64_t txn = ++txn_counter_;
-
-  if (wal_ != nullptr) {
-    // Log the whole transaction, then flush: the flush barrier is the
-    // durability point. Any log failure — including an injected crash
-    // inside an append — halts the device and aborts: nothing reached the
-    // platter, so the pre-transaction state is intact.
-    Status log_status = wal_->Append(Wal::RecordType::kBegin, txn, {});
-    if (log_status.ok()) {
-      for (PageId id : touch_order_) {
-        auto it = staged_writes_.find(id);
-        if (it == staged_writes_.end()) continue;  // freed in-transaction
-        std::string payload;
-        PutFixed32(&payload, id);
-        payload += it->second;
-        log_status = wal_->Append(Wal::RecordType::kPageImage, txn, payload);
-        if (!log_status.ok()) break;
-      }
-    }
-    if (log_status.ok()) {
-      for (PageId id : txn_freed_) {
-        std::string payload;
-        PutFixed32(&payload, id);
-        log_status = wal_->Append(Wal::RecordType::kPageFree, txn, payload);
-        if (!log_status.ok()) break;
-      }
-    }
-    if (log_status.ok()) {
-      log_status = wal_->Append(Wal::RecordType::kCommit, txn, {});
-    }
-    if (log_status.ok()) log_status = wal_->Flush();
-    if (!log_status.ok()) {
-      Halt();
-      ClearTxnStateLocked();
-      return log_status;
-    }
-  }
-
-  // Apply the overlay to the platter. From here the transaction is
-  // committed: a crash below leaves the WAL holding everything Recover()
-  // needs to finish the job.
-  for (PageId id : touch_order_) {
-    auto it = staged_writes_.find(id);
-    if (it == staged_writes_.end()) continue;
-    MaterializeAllocation(id);
-    Status apply = ApplyPlatterWrite(id, it->second.data());
-    if (!apply.ok()) {
-      ClearTxnStateLocked();
-      return apply;
-    }
-  }
-  for (PageId id : txn_freed_) {
-    allocated_[id] = false;
-  }
-  // Ids allocated then freed inside the transaction never materialized;
-  // grow the platter so every id the adopted free list names exists.
-  while (pages_.size() < txn_next_page_) {
-    pages_.push_back(std::make_unique<char[]>(page_size_));
-    std::memset(pages_.back().get(), 0, page_size_);
-    allocated_.push_back(false);
-    seals_.push_back(zero_seal_);
-  }
-  // The transaction's working free list evolved exactly as the platter's
-  // would have; adopting it keeps allocation order identical to a
-  // non-transactional run of the same operations.
-  free_list_ = std::move(txn_free_list_);
-
-  Status checkpoint = Status::OK();
-  if (wal_ != nullptr) checkpoint = wal_->Truncate();
-  ClearTxnStateLocked();
-  return checkpoint;
-}
-
-Status DiskManager::AbortTxn() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (!in_txn_) return Status::InvalidArgument("no open transaction");
-  ClearTxnStateLocked();
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Recovery
-// ---------------------------------------------------------------------------
-
-Status DiskManager::Recover() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  // Recovery brings the device back from a simulated crash.
-  halted_.store(false, std::memory_order_release);
-  if (in_txn_) ClearTxnStateLocked();
-
-  std::string bytes = loaded_wal_;
-  if (bytes.empty() && wal_ != nullptr) bytes = wal_->durable();
-  loaded_wal_.clear();
-  if (bytes.empty()) {
-    if (wal_ != nullptr) return wal_->Truncate();
-    return Status::OK();
-  }
-
-  Wal scanner;
-  scanner.RestoreDurable(std::move(bytes));
-  auto scan = scanner.RecoverScan();
-  CCAM_RETURN_NOT_OK(scan.status());
-  const std::vector<Wal::Record>& records = scan.value();
-
-  // Group into transactions. The commit protocol is strictly sequential —
-  // one transaction at a time, flushed as a unit — so the durable log is a
-  // sequence of complete transactions plus at most one uncommitted tail.
-  struct PendingWrite {
-    PageId id;
-    const std::string* content;
-  };
-  bool open = false;
-  uint64_t open_txn = 0;
-  std::vector<PendingWrite> pending_writes;
-  std::vector<PageId> pending_frees;
-  size_t replayed = 0;
-  for (const Wal::Record& rec : records) {
-    switch (rec.type) {
-      case Wal::RecordType::kBegin:
-        if (open) {
-          return Status::Corruption(
-              "wal begin for txn " + std::to_string(rec.txn) +
-              " inside open txn " + std::to_string(open_txn));
-        }
-        open = true;
-        open_txn = rec.txn;
-        pending_writes.clear();
-        pending_frees.clear();
-        break;
-      case Wal::RecordType::kPageImage: {
-        if (!open || rec.txn != open_txn) {
-          return Status::Corruption("wal page-image outside its transaction");
-        }
-        if (rec.payload.size() != 4 + page_size_) {
-          return Status::Corruption(
-              "wal page-image payload is " +
-              std::to_string(rec.payload.size()) + " bytes, want " +
-              std::to_string(4 + page_size_));
-        }
-        PageId id = DecodeFixed32(rec.payload.data());
-        pending_writes.push_back({id, &rec.payload});
-        break;
-      }
-      case Wal::RecordType::kPageFree: {
-        if (!open || rec.txn != open_txn) {
-          return Status::Corruption("wal page-free outside its transaction");
-        }
-        if (rec.payload.size() != 4) {
-          return Status::Corruption("wal page-free payload malformed");
-        }
-        pending_frees.push_back(DecodeFixed32(rec.payload.data()));
-        break;
-      }
-      case Wal::RecordType::kCommit: {
-        if (!open || rec.txn != open_txn) {
-          return Status::Corruption("wal commit outside its transaction");
-        }
-        // The transaction is committed: redo it against the platter.
-        for (const PendingWrite& w : pending_writes) {
-          MaterializeAllocation(w.id);
-          std::memcpy(pages_[w.id].get(), w.content->data() + 4, page_size_);
-          seals_[w.id] = Crc32c(w.content->data() + 4, page_size_);
-        }
-        for (PageId id : pending_frees) {
-          if (id >= pages_.size()) {
-            return Status::Corruption("wal frees unknown page " +
-                                      std::to_string(id));
-          }
-          allocated_[id] = false;
-        }
-        open = false;
-        ++replayed;
-        break;
-      }
-    }
-  }
-  // An open transaction with no commit record is the uncommitted tail the
-  // crash cut off: it was never acknowledged, so it is discarded.
-  (void)replayed;
-
-  // Rebuild the free list the way LoadFromFile does — ascending — so a
-  // recovered image allocates exactly like a freshly loaded one.
-  free_list_.clear();
-  for (PageId id = 0; id < pages_.size(); ++id) {
-    if (!allocated_[id]) free_list_.push_back(id);
-  }
-
-  if (wal_ != nullptr) return wal_->Truncate();
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -667,8 +310,9 @@ Status DiskManager::SaveToFile(const std::string& path) const {
     out.write(pages_[i].get(), static_cast<std::streamsize>(page_size_));
   }
   // v2 tail sections. Readers of the original format stop at the pages;
-  // readers of this format find the seals and the durable WAL tail — the
-  // platter image of the log device at capture time.
+  // readers of this format find the seals, then the page-log trailer.
+  // Older builds kept a write-ahead page log there; it is always empty
+  // now, written as its fixed 16 bytes so image bytes stay unchanged.
   out.write(kSealMagic, sizeof(kSealMagic));
   char count[4];
   EncodeFixed32(count, static_cast<uint32_t>(seals_.size()));
@@ -678,14 +322,10 @@ Status DiskManager::SaveToFile(const std::string& path) const {
     EncodeFixed32(buf, seal);
     out.write(buf, sizeof(buf));
   }
-  const std::string* wal_bytes = &loaded_wal_;
-  if (wal_ != nullptr) wal_bytes = &wal_->durable();
   out.write(kWalMagic, sizeof(kWalMagic));
   char wal_len[8];
-  EncodeFixed64(wal_len, wal_bytes->size());
+  EncodeFixed64(wal_len, 0);
   out.write(wal_len, sizeof(wal_len));
-  out.write(wal_bytes->data(),
-            static_cast<std::streamsize>(wal_bytes->size()));
   out.flush();
   if (!out) return Status::ShortWrite("short write to " + path);
   return Status::OK();
@@ -709,6 +349,18 @@ Status DiskManager::LoadFromFile(const std::string& path) {
         "image page size " + std::to_string(page_size) +
         " does not match manager page size " + std::to_string(page_size_));
   }
+  // Bound the claimed page count by the bytes actually present before
+  // allocating anything: a hostile header must not size a reservation.
+  std::streampos body_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  uint64_t body_bytes = static_cast<uint64_t>(in.tellg() - body_start);
+  in.seekg(body_start);
+  if (num_pages > body_bytes / (1 + page_size_)) {
+    return Status::Corruption(
+        "image header claims " + std::to_string(num_pages) +
+        " pages; the file holds at most " +
+        std::to_string(body_bytes / (1 + page_size_)));
+  }
   std::vector<std::unique_ptr<char[]>> pages;
   std::vector<bool> allocated;
   std::vector<PageId> free_list;
@@ -723,10 +375,9 @@ Status DiskManager::LoadFromFile(const std::string& path) {
     allocated.push_back(flag != 0);
     if (flag == 0) free_list.push_back(i);
   }
-  // Optional v2 tail sections: page seals, then the durable WAL bytes.
+  // Optional v2 tail sections: page seals, then the page-log trailer.
   // A legacy image ends at the pages; its seals are computed from content.
   std::vector<uint32_t> seals;
-  std::string wal_bytes;
   char section[8];
   in.read(section, sizeof(section));
   if (in.gcount() == 0) {
@@ -759,12 +410,15 @@ Status DiskManager::LoadFromFile(const std::string& path) {
       }
       char wal_len_buf[8];
       in.read(wal_len_buf, sizeof(wal_len_buf));
-      if (!in) return Status::Corruption("truncated wal section");
+      if (!in) return Status::Corruption("truncated page-log trailer");
+      // A non-empty trailer is a page log an older durable build left
+      // unreplayed: opening the platter without it would silently drop
+      // committed transactions, so the image is refused.
       uint64_t wal_len = DecodeFixed64(wal_len_buf);
-      wal_bytes.resize(wal_len);
-      in.read(wal_bytes.data(), static_cast<std::streamsize>(wal_len));
-      if (in.gcount() != static_cast<std::streamsize>(wal_len)) {
-        return Status::Corruption("truncated wal section");
+      if (wal_len != 0) {
+        return Status::Corruption("image carries a " +
+                                  std::to_string(wal_len) +
+                                  "-byte unreplayed page log");
       }
     }
   } else {
@@ -775,8 +429,6 @@ Status DiskManager::LoadFromFile(const std::string& path) {
   allocated_ = std::move(allocated);
   free_list_ = std::move(free_list);
   seals_ = std::move(seals);
-  loaded_wal_ = std::move(wal_bytes);
-  if (in_txn_) ClearTxnStateLocked();
   lock.unlock();
   // A restored image is a fresh device: any simulated crash-halt is over.
   halted_.store(false, std::memory_order_release);

@@ -6,7 +6,6 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/fault_injector.h"
@@ -17,8 +16,6 @@
 #include "src/storage/page.h"
 
 namespace ccam {
-
-class Wal;
 
 /// Simulated disk: a growable array of fixed-size pages with exact I/O
 /// accounting. The paper evaluates access methods by the *number of data
@@ -48,22 +45,15 @@ class Wal;
 /// old/new content no longer matches it). Seals live beside the platter,
 /// not inside the SlottedPage header, so page capacity — and with it every
 /// blocking-factor and I/O count the paper calibrates — is unchanged.
-/// Verification on read is opt-in (SetVerifyChecksums): the durable file
-/// layer turns it on; raw-device tests and paper experiments keep the
+/// Verification on read is opt-in (SetVerifyChecksums): serving and
+/// chaos setups turn it on; raw-device tests and paper experiments keep the
 /// seed's exact read semantics. VerifyPage() checks one page on demand for
 /// scrubbing.
 ///
-/// Transactions. BeginTxn/CommitTxn/AbortTxn give the mutation path
-/// atomic multi-page updates without touching the buffer pool: while a
-/// transaction is open, WritePage / AllocatePage / FreePage land in a
-/// volatile staged overlay and the platter is untouched (no-steal at the
-/// device layer — an eviction mid-transaction stages, it cannot leak an
-/// uncommitted page to the platter). CommitTxn appends begin + after-image
-/// + free + commit records to the attached WAL, flushes it (the durability
-/// point), applies the staged overlay to the platter through the ordinary
-/// write failpoints, then truncates the log (checkpoint). AbortTxn
-/// discards the overlay. Recover() replays committed transactions from a
-/// loaded image's WAL tail and drops the uncommitted remainder.
+/// Writes land on the platter in place, at the moment they are issued:
+/// the paper measures every operation by the page writes it does when it
+/// does them. Durable mutation lives one level up, in the snapshot store's
+/// delta log (src/storage/delta_log.h); this device only detects damage.
 class DiskManager {
  public:
   explicit DiskManager(size_t page_size);
@@ -155,50 +145,19 @@ class DiskManager {
   void Halt() { halted_.store(true, std::memory_order_release); }
   void ClearHalt() { halted_.store(false, std::memory_order_release); }
 
-  /// Attaches (or detaches) the write-ahead log used by CommitTxn and
-  /// included in saved images. Not owned. The WAL's crash halts route back
-  /// here via Wal::SetDevice.
-  void AttachWal(Wal* wal) { wal_ = wal; }
-  Wal* wal() const { return wal_; }
-
-  /// Opens a staged transaction: until CommitTxn/AbortTxn, writes, allocs
-  /// and frees land in a volatile overlay and the platter is untouched.
-  Status BeginTxn();
-  bool InTxn() const;
-
-  /// Pages the open transaction has touched (written, allocated or freed),
-  /// in first-touch order. The caller uses this to invalidate cached
-  /// frames when the transaction aborts.
-  std::vector<PageId> TxnTouchedPages() const;
-
-  /// Logs the staged overlay to the WAL (begin, after-images in
-  /// first-touch order, frees, commit), flushes — the point after which
-  /// the transaction survives any crash — then applies the overlay to the
-  /// platter through the write failpoints and truncates the log. A crash
-  /// injected before the flush aborts the transaction; one injected after
-  /// it leaves a committed log that Recover() replays.
-  Status CommitTxn();
-
-  /// Discards the staged overlay; the platter keeps its pre-transaction
-  /// state.
-  Status AbortTxn();
-
-  /// Replays the WAL tail carried by the most recently loaded image (or
-  /// the attached WAL's durable bytes): committed transactions are applied
-  /// in log order, an uncommitted tail is discarded, a torn final record
-  /// is truncated, and a checksum-failing record fails with Corruption.
-  /// Counts no simulated I/O. Safe to call on an image with no WAL tail.
-  Status Recover();
-
   /// Writes the whole disk image (page size, allocation bitmap, page
-  /// contents, page seals, and the attached WAL's durable bytes) to a real
-  /// file. Counts no simulated I/O.
+  /// contents, page seals, and an empty trailer where older builds kept a
+  /// page log) to a real file. Counts no simulated I/O.
   Status SaveToFile(const std::string& path) const;
 
   /// Replaces this disk's contents with a previously saved image. The
   /// image's page size must match this manager's. Resets the I/O counters.
-  /// Legacy images without seal/WAL sections load with seals computed from
-  /// page content and an empty WAL tail.
+  /// Legacy images without seal/trailer sections load with seals computed
+  /// from page content. Every count in the header is checked against the
+  /// bytes the file actually holds before anything is allocated, and an
+  /// image whose trailer carries page-log bytes fails with Corruption: its
+  /// committed-but-unapplied transactions could never be replayed, so
+  /// opening it would silently lose them.
   Status LoadFromFile(const std::string& path);
 
   /// Reads just the page size from an image header, without loading it —
@@ -206,10 +165,6 @@ class DiskManager {
   static Result<size_t> PeekPageSize(const std::string& path);
 
  private:
-  Status ApplyPlatterWrite(PageId id, const char* in);
-  void MaterializeAllocation(PageId id);
-  void ClearTxnStateLocked();
-
   size_t page_size_;
   uint32_t zero_seal_;
   mutable std::shared_mutex mu_;
@@ -220,19 +175,6 @@ class DiskManager {
   std::vector<uint32_t> seals_;
   bool verify_checksums_ = false;
 
-  // Staged-transaction overlay (single-writer; guarded by mu_).
-  bool in_txn_ = false;
-  uint64_t txn_counter_ = 0;
-  std::unordered_map<PageId, std::string> staged_writes_;
-  std::vector<PageId> touch_order_;  // first-touch order, deduplicated
-  std::vector<PageId> txn_freed_;    // net frees of pre-txn pages, in order
-  std::vector<bool> txn_allocated_;  // staged view of the allocation bitmap
-  std::vector<PageId> txn_free_list_;
-  PageId txn_next_page_ = 0;
-
-  /// WAL bytes carried by the most recently loaded image, pending replay.
-  std::string loaded_wal_;
-
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};
   std::atomic<uint64_t> allocs_{0};
@@ -240,7 +182,6 @@ class DiskManager {
   std::atomic<uint32_t> read_latency_us_{0};
   std::atomic<bool> halted_{false};
   FaultInjector* faults_ = nullptr;
-  Wal* wal_ = nullptr;
   std::string prefix_ = "disk";
   std::string fp_read_ = "disk.read";
   std::string fp_write_ = "disk.write";

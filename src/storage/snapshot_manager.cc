@@ -215,11 +215,6 @@ static Status ValidateSnapshotOptions(const SnapshotOptions& options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("snapshot store: empty directory");
   }
-  if (options.am.durability) {
-    return Status::InvalidArgument(
-        "snapshot store: durability must be off (the delta log is the "
-        "store's durability mechanism)");
-  }
   if (options.am.hierarchy_overlay) {
     return Status::InvalidArgument(
         "snapshot store: hierarchy_overlay is not supported");

@@ -96,8 +96,7 @@ class SnapshotVersion {
 /// Tuning knobs of a snapshot store.
 struct SnapshotOptions {
   /// Page size, pool size, partitioner and thread count of every version's
-  /// base file (durability and hierarchy_overlay must stay off: the delta
-  /// log is the store's durability mechanism, and overlays over a retiring
+  /// base file (hierarchy_overlay must stay off: overlays over a retiring
   /// base are out of scope — see docs/INTERNALS.md, "Snapshot lifecycle").
   AccessMethodOptions am;
   /// Directory holding MANIFEST, delta.log and the version images.

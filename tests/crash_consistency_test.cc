@@ -2,17 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
 namespace ccam {
 namespace {
 
-std::string TempPath(const std::string& name) {
+/// Per-process scratch directory: ctest runs this binary under several
+/// entries at once (the default and the sweep configurations), so every
+/// capture image and store directory lives under a pid-named directory
+/// that no concurrent run shares. Removed when the test program exits.
+std::string ScratchDir() {
   const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+  return std::string(dir != nullptr ? dir : "/tmp") + "/ccam_crash_" +
+         std::to_string(::getpid());
+}
+
+class ScratchDirEnvironment : public ::testing::Environment {
+ public:
+  void SetUp() override { std::filesystem::create_directories(ScratchDir()); }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(ScratchDir(), ec);
+  }
+};
+
+const ::testing::Environment* const kScratchDir =
+    ::testing::AddGlobalTestEnvironment(new ScratchDirEnvironment);
+
+std::string TempPath(const std::string& name) {
+  return ScratchDir() + "/" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -129,79 +153,6 @@ TEST(CrashConsistencyTest, FirstOrderPolicyAlsoSurvivesCrashes) {
   }
 }
 
-// --- Strict durable mode ---------------------------------------------------
-// With durability on, detection is not enough: every kill point must
-// recover to exactly the acknowledged operations (plus at most the one in
-// flight, applied atomically), with deterministic replay.
-
-// Runs a strict sweep over one failpoint space and requires every point to
-// classify as kDurable.
-void ExpectAllDurable(const CrashSimOptions& opt, uint64_t points) {
-  auto report = RunCrashSim(opt, points);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->points.size(), 0u) << opt.crash_failpoint;
-  for (const CrashPointReport& p : report->points) {
-    EXPECT_EQ(p.result.outcome, CrashOutcome::kDurable)
-        << opt.crash_failpoint << " kill point " << p.crash_point << ": "
-        << CrashOutcomeName(p.result.outcome) << " — " << p.result.detail;
-  }
-}
-
-TEST(DurableCrashTest, EveryPageWriteKillPointIsDurable) {
-  // The faults-configuration sweep raises CCAM_DURABLE_POINTS so the three
-  // failpoint spaces together cover >= 200 seeded kill points.
-  int points = EnvInt("CCAM_DURABLE_POINTS", 16);
-  CrashSimOptions opt = BaseOptions(1995, "ccam_durable_write.img");
-  opt.durability = true;
-  ExpectAllDurable(opt, static_cast<uint64_t>(points));
-}
-
-TEST(DurableCrashTest, EveryWalAppendKillPointIsDurable) {
-  int points = EnvInt("CCAM_DURABLE_POINTS", 16);
-  CrashSimOptions opt = BaseOptions(1995, "ccam_durable_append.img");
-  opt.durability = true;
-  opt.crash_failpoint = "wal.append";
-  ExpectAllDurable(opt, static_cast<uint64_t>(points));
-}
-
-TEST(DurableCrashTest, EveryWalFlushKillPointIsDurable) {
-  int points = EnvInt("CCAM_DURABLE_POINTS", 16);
-  CrashSimOptions opt = BaseOptions(1995, "ccam_durable_flush.img");
-  opt.durability = true;
-  opt.crash_failpoint = "wal.flush";
-  ExpectAllDurable(opt, static_cast<uint64_t>(points));
-}
-
-TEST(DurableCrashTest, SecondSeedAndFirstOrderPolicyAreDurableToo) {
-  CrashSimOptions opt = BaseOptions(2024, "ccam_durable_seed2.img");
-  opt.durability = true;
-  opt.policy = ReorgPolicy::kFirstOrder;
-  ExpectAllDurable(opt, 8);
-}
-
-TEST(DurableCrashTest, RecoveredImageIsByteIdenticalAcrossRuns) {
-  // The WAL determinism guarantee: the same (seed, kill point) recovers to
-  // the same image, byte for byte — RunCrashOnce certifies each run's
-  // replay determinism internally and exposes the recovered image CRC, so
-  // equal CRCs across independent runs close the loop.
-  CrashSimOptions opt_a = BaseOptions(1995, "ccam_durable_det_a.img");
-  CrashSimOptions opt_b = BaseOptions(1995, "ccam_durable_det_b.img");
-  opt_a.durability = opt_b.durability = true;
-  for (uint64_t point : {3u, 29u, 61u}) {
-    auto a = RunCrashOnce(opt_a, point);
-    auto b = RunCrashOnce(opt_b, point);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ASSERT_EQ(a->outcome, CrashOutcome::kDurable) << a->detail;
-    EXPECT_EQ(a->recovered_image_crc, b->recovered_image_crc)
-        << "point " << point;
-    EXPECT_EQ(ReadFileBytes(opt_a.image_path), ReadFileBytes(opt_b.image_path))
-        << "point " << point;
-  }
-  std::remove(opt_a.image_path.c_str());
-  std::remove(opt_b.image_path.c_str());
-}
-
 // --- Snapshot-store mid-swap sweep -----------------------------------------
 // The versioned-swap reorganization protocol: kills inside the delta log,
 // the background image build, the MANIFEST publish and the retire steps.
@@ -263,9 +214,29 @@ TEST(SnapshotCrashTest, EveryMidSwapKillPointLandsOnOldOrNewVersion) {
   }
 }
 
-TEST(SnapshotCrashTest, SecondSeedSurvivesPublishAndRetireKills) {
-  for (const char* fp : {"snapshot.publish", "snapshot.retire"}) {
-    ExpectAllSnapshotDurable(SnapshotOptionsFor(2024, fp), 6);
+// The store is the only durable write path, so its acknowledgment barrier
+// carries the lossless-ack contract. With reorganization off, every
+// mutation is killed before, inside and after its barrier: the log
+// append and the log flush spaces at two seeds. Default: an evenly spread
+// subset per space; the faults configuration sets CCAM_STORE_SWEEP_POINTS
+// past the space size, so the store_crash_sweep entry kills at every point.
+TEST(SnapshotCrashTest, EveryLogKillPointKeepsTheAckedStream) {
+  int points = EnvInt("CCAM_STORE_SWEEP_POINTS", 6);
+  for (uint64_t seed : {1995u, 2024u}) {
+    for (const char* fp : {"snapshot.log.append", "snapshot.log.flush"}) {
+      SnapshotCrashOptions opt = SnapshotOptionsFor(seed, fp);
+      opt.reorg_every = 0;
+      ExpectAllSnapshotDurable(opt, static_cast<uint64_t>(points));
+    }
+  }
+}
+
+TEST(SnapshotCrashTest, SecondSeedSwapKillPointsLandOnOldOrNewVersion) {
+  int points = EnvInt("CCAM_STORE_SWEEP_POINTS", 6);
+  for (const char* fp :
+       {"snapshot.build", "snapshot.publish", "snapshot.retire"}) {
+    ExpectAllSnapshotDurable(SnapshotOptionsFor(2024, fp),
+                             static_cast<uint64_t>(points));
   }
 }
 
@@ -303,24 +274,6 @@ TEST(SnapshotCrashTest, WideTornPrefixCrossesWriteBoundaries) {
   opt.dir += "_wide";
   opt.torn_bytes = 1 << 20;
   ExpectAllSnapshotDurable(opt, 6);
-}
-
-TEST(DurableCrashTest, KillPointSpacesAreLargeEnoughForTheAcceptanceSweep) {
-  // The acceptance criterion wants >= 200 seeded kill points including
-  // kills inside WAL appends and flushes; check the three spaces are big
-  // enough to host the sweep (the sweep itself runs via
-  // CCAM_DURABLE_POINTS in the faults configuration).
-  uint64_t total = 0;
-  for (const char* fp : {"disk.write", "wal.append", "wal.flush"}) {
-    CrashSimOptions opt = BaseOptions(1995, "ccam_durable_space.img");
-    opt.durability = true;
-    opt.crash_failpoint = fp;
-    auto count = CountWorkloadWrites(opt);
-    ASSERT_TRUE(count.ok()) << fp << ": " << count.status().ToString();
-    EXPECT_GT(*count, 0u) << fp;
-    total += *count;
-  }
-  EXPECT_GE(total, 200u);
 }
 
 }  // namespace

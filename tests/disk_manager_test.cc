@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/common/fault_injector.h"
-#include "src/storage/wal.h"
 
 namespace ccam {
 namespace {
@@ -241,131 +240,6 @@ TEST(DiskManagerChecksumTest, OptInReadVerificationReturnsCorruption) {
   Status st = disk.ReadPage(p, buf);
   ASSERT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_NE(st.ToString().find("page 0"), std::string::npos);
-}
-
-TEST(DiskManagerTxnTest, CommitAppliesStagedWritesAtomically) {
-  DiskManager disk(64);
-  Wal wal;
-  wal.SetDevice(&disk);
-  disk.AttachWal(&wal);
-  PageId p = *disk.AllocatePage();
-  std::string before(64, 'x');
-  ASSERT_TRUE(disk.WritePage(p, before.data()).ok());
-
-  ASSERT_TRUE(disk.BeginTxn().ok());
-  EXPECT_TRUE(disk.InTxn());
-  std::string staged(64, 'y');
-  ASSERT_TRUE(disk.WritePage(p, staged.data()).ok());
-  PageId q = *disk.AllocatePage();
-  ASSERT_TRUE(disk.WritePage(q, staged.data()).ok());
-  // Staged reads see the overlay...
-  char buf[64];
-  ASSERT_TRUE(disk.ReadPage(p, buf).ok());
-  EXPECT_EQ(buf[0], 'y');
-  ASSERT_TRUE(disk.CommitTxn().ok());
-  EXPECT_FALSE(disk.InTxn());
-  // ...and after commit the platter holds them, seals included.
-  ASSERT_TRUE(disk.ReadPage(p, buf).ok());
-  EXPECT_EQ(buf[0], 'y');
-  EXPECT_TRUE(disk.VerifyPage(p).ok());
-  EXPECT_TRUE(disk.VerifyPage(q).ok());
-  // The committed log was checkpointed away.
-  EXPECT_EQ(wal.stats().durable_bytes, 0u);
-}
-
-TEST(DiskManagerTxnTest, AbortLeavesPlatterUntouched) {
-  DiskManager disk(64);
-  Wal wal;
-  wal.SetDevice(&disk);
-  disk.AttachWal(&wal);
-  PageId p = *disk.AllocatePage();
-  std::string before(64, 'x');
-  ASSERT_TRUE(disk.WritePage(p, before.data()).ok());
-
-  ASSERT_TRUE(disk.BeginTxn().ok());
-  std::string staged(64, 'y');
-  ASSERT_TRUE(disk.WritePage(p, staged.data()).ok());
-  PageId q = *disk.AllocatePage();
-  std::vector<PageId> touched = disk.TxnTouchedPages();
-  EXPECT_EQ(touched.size(), 2u);
-  ASSERT_TRUE(disk.AbortTxn().ok());
-  char buf[64];
-  ASSERT_TRUE(disk.ReadPage(p, buf).ok());
-  EXPECT_EQ(buf[0], 'x');
-  // The page allocated inside the aborted transaction never existed.
-  EXPECT_FALSE(disk.IsAllocated(q));
-}
-
-TEST(DiskManagerTxnTest, CrashBetweenFlushAndApplyReplaysFromWal) {
-  std::string path = "/tmp/ccam_dm_txn_recover.img";
-  FaultInjector faults(5);
-  DiskManager disk(64);
-  Wal wal;
-  wal.SetDevice(&disk);
-  wal.SetFaultInjector(&faults);
-  disk.AttachWal(&wal);
-  disk.SetFaultInjector(&faults);
-  PageId p = *disk.AllocatePage();
-  std::string before(64, 'x');
-  ASSERT_TRUE(disk.WritePage(p, before.data()).ok());
-
-  ASSERT_TRUE(disk.BeginTxn().ok());
-  std::string staged(64, 'y');
-  ASSERT_TRUE(disk.WritePage(p, staged.data()).ok());
-  // Kill the device inside the commit's apply phase: the WAL is flushed
-  // (the txn IS committed) but the platter write tears.
-  ASSERT_TRUE(faults.Configure("disk.write=crash:16@1").ok());
-  EXPECT_FALSE(disk.CommitTxn().ok());
-  EXPECT_TRUE(disk.halted());
-
-  // Capture platter + WAL, reload, replay.
-  {
-    FaultInjector::SuppressScope suppress(&faults);
-    ASSERT_TRUE(disk.SaveToFile(path).ok());
-  }
-  DiskManager reopened(64);
-  ASSERT_TRUE(reopened.LoadFromFile(path).ok());
-  ASSERT_TRUE(reopened.Recover().ok());
-  char buf[64];
-  ASSERT_TRUE(reopened.ReadPage(p, buf).ok());
-  EXPECT_EQ(buf[0], 'y') << "committed transaction lost";
-  EXPECT_TRUE(reopened.VerifyPage(p).ok());
-  std::remove(path.c_str());
-}
-
-TEST(DiskManagerTxnTest, UncommittedWalTailIsDiscardedOnRecovery) {
-  std::string path = "/tmp/ccam_dm_txn_uncommitted.img";
-  FaultInjector faults(5);
-  DiskManager disk(64);
-  Wal wal;
-  wal.SetDevice(&disk);
-  wal.SetFaultInjector(&faults);
-  disk.AttachWal(&wal);
-  disk.SetFaultInjector(&faults);
-  PageId p = *disk.AllocatePage();
-  std::string before(64, 'x');
-  ASSERT_TRUE(disk.WritePage(p, before.data()).ok());
-
-  ASSERT_TRUE(disk.BeginTxn().ok());
-  std::string staged(64, 'y');
-  ASSERT_TRUE(disk.WritePage(p, staged.data()).ok());
-  // Kill inside the flush barrier: a torn prefix of the log survives but
-  // the commit never became durable.
-  ASSERT_TRUE(faults.Configure("wal.flush=crash:40@1").ok());
-  EXPECT_FALSE(disk.CommitTxn().ok());
-  EXPECT_TRUE(disk.halted());
-
-  {
-    FaultInjector::SuppressScope suppress(&faults);
-    ASSERT_TRUE(disk.SaveToFile(path).ok());
-  }
-  DiskManager reopened(64);
-  ASSERT_TRUE(reopened.LoadFromFile(path).ok());
-  ASSERT_TRUE(reopened.Recover().ok());
-  char buf[64];
-  ASSERT_TRUE(reopened.ReadPage(p, buf).ok());
-  EXPECT_EQ(buf[0], 'x') << "uncommitted transaction leaked to the platter";
-  std::remove(path.c_str());
 }
 
 TEST(DiskManagerFaultTest, DetachedInjectorCostsNothing) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -30,9 +32,13 @@ int EnvInt(const char* name, int fallback) {
   return v != nullptr ? std::atoi(v) : fallback;
 }
 
+/// Per-process names: ctest runs this binary under two faults entries at
+/// once (dynamic_oracle_test and dynamic_oracle_sweep), and both run the
+/// snapshot oracle.
 std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name + "." +
+         std::to_string(::getpid());
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -413,6 +419,9 @@ TEST(SnapshotOracleTest, NoDivergenceFromInMemoryReferenceAcrossReorgs) {
   std::unique_ptr<SnapshotSession> again = (*reopened)->OpenSession();
   ExpectSessionMatchesOracle(again.get(), net, "reopened");
   ASSERT_TRUE((*reopened)->CheckConsistency().ok());
+  again.reset();
+  reopened->reset();
+  std::filesystem::remove_all(sopt.dir, ec);
 }
 
 }  // namespace

@@ -403,42 +403,6 @@ TEST(HierarchyPersistenceTest, FlippedRecordByteIsCorruptionNotNoOverlay) {
   std::remove(sidecar.c_str());
 }
 
-// Durability and the overlay compose: the overlay keeps no log of its own,
-// so a durable file's overlay round-trips like any other.
-TEST(HierarchyPersistenceTest, DurableFileRoundTripsItsOverlay) {
-  Network net = GenerateRandomGeometricNetwork(400, 80.0);
-  AccessMethodOptions options;
-  options.page_size = 1024;
-  options.buffer_pool_pages = 8;
-  options.durability = true;
-  options.hierarchy_overlay = true;
-  Ccam am(options, CcamCreateMode::kStatic);
-  ASSERT_TRUE(am.Create(net).ok());
-  ASSERT_TRUE(am.HasHierarchy());
-  const std::string path = TempPath("hier_durable.bin");
-  ASSERT_TRUE(am.SaveImage(path).ok());
-
-  Ccam reopened(options, CcamCreateMode::kStatic);
-  ASSERT_TRUE(reopened.OpenImage(path).ok());
-  ASSERT_TRUE(reopened.HasHierarchy());
-  EXPECT_TRUE(reopened.hierarchy()->CheckInvariants().ok());
-  EXPECT_EQ(reopened.hierarchy()->NumNodes(), net.NumNodes());
-
-  std::vector<NodeId> ids = net.NodeIds();
-  Random rng(32);
-  for (int i = 0; i < 32; ++i) {
-    NodeId src = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
-    NodeId dst = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
-    auto ch = ShortestPathCH(&reopened, src, dst);
-    auto dj = ShortestPathDijkstra(&reopened, src, dst);
-    ASSERT_TRUE(ch.ok());
-    ASSERT_TRUE(dj.ok());
-    ExpectMatchesOracle(net, *ch, *dj, src, dst);
-  }
-  std::remove(path.c_str());
-  std::remove((path + ".hier").c_str());
-}
-
 TEST(HierarchySessionTest, OverlayIoIsChargedPerSession) {
   Network net = GenerateMinneapolisLikeMap(1995);
   auto am = MakeOverlayFile(net, 1024);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
 
 #include "src/baseline/grid_am.h"
 #include "src/baseline/order_am.h"
@@ -46,6 +48,22 @@ TEST(DiskImageTest, SaveLoadRoundTrip) {
   EXPECT_EQ(std::memcmp(buf, out, 256), 0);
   // The freed slot is reused on the next allocation.
   EXPECT_EQ(*loaded.AllocatePage(), b);
+  std::remove(path.c_str());
+}
+
+TEST(DiskImageTest, SavedImageEndsInEmptyPageLogTrailer) {
+  // The trailer where older builds kept a page log is still written, as
+  // its fixed 16 bytes (magic + zero length), so image bytes are unchanged.
+  DiskManager disk(256);
+  (void)*disk.AllocatePage();
+  std::string path = TempPath("disk_image_trailer.bin");
+  ASSERT_TRUE(disk.SaveToFile(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_GE(bytes.size(), 16u);
+  EXPECT_EQ(bytes.substr(bytes.size() - 16),
+            std::string("CCAMWAL0") + std::string(8, '\0'));
   std::remove(path.c_str());
 }
 

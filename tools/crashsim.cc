@@ -5,24 +5,22 @@
 // surviving platter state is reopened and verified. Prints a per-point
 // outcome table, optionally writes a machine-readable JSON report, and
 // exits nonzero on any classification failure:
-//   - default (detect-only): a kill point must recover or be detected with
-//     a clean typed Status; a scheduled kill that never fires also fails.
-//   - --strict: runs with write-ahead logging on; every kill point must
-//     recover to exactly the acknowledged operations (plus at most the
-//     in-flight one, atomically), with deterministic replay.
-//
-// With --snapshot the system under test is the versioned snapshot store
-// (SnapshotManager): the seeded mutation stream interleaves synchronous
-// reorganizations, and the kill is scheduled on one of the "snapshot.*"
-// protocol failpoints (log.append, log.flush, build, publish, retire).
-// Snapshot mode is always strict — recovery must land on exactly the old
-// or exactly the new version, never a blend.
+//   - default (detect-only): the CCAM file writes pages in place, so a kill
+//     point must recover or be detected with a clean typed Status; a
+//     scheduled kill that never fires also fails.
+//   - --snapshot: the system under test is the versioned snapshot store
+//     (SnapshotManager), the only durable write path. The seeded mutation
+//     stream interleaves synchronous reorganizations (--reorg-every=0 turns
+//     them off), and the kill is scheduled on one of the "snapshot.*"
+//     protocol failpoints (log.append, log.flush, build, publish, retire).
+//     Every kill point must recover to exactly the acknowledged mutations
+//     (plus at most the in-flight one) — exactly the old or exactly the new
+//     version, never a blend.
 //
 // Usage:
 //   crashsim [--seed=N] [--page-size=N] [--ops=N] [--points=N]
 //            [--torn-bytes=N] [--policy=first|second|higher]
-//            [--failpoint=disk.write|wal.append|wal.flush]
-//            [--strict] [--json=PATH] [--image=PATH] [--verbose]
+//            [--json=PATH] [--image=PATH] [--verbose]
 //   crashsim --snapshot [--seed=N] [--page-size=N] [--ops=N] [--points=N]
 //            [--torn-bytes=N] [--reorg-every=N] [--dir=PATH]
 //            [--failpoint=snapshot.log.append|snapshot.log.flush|
@@ -77,8 +75,8 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--seed=N] [--page-size=N] [--ops=N] [--points=N]\n"
       "          [--torn-bytes=N] [--policy=first|second|higher]\n"
-      "          [--failpoint=disk.write|wal.append|wal.flush]\n"
-      "          [--strict] [--json=PATH] [--image=PATH] [--verbose]\n"
+      "          [--failpoint=disk.write] [--json=PATH] [--image=PATH]\n"
+      "          [--verbose]\n"
       "       %s --snapshot [--seed=N] [--page-size=N] [--ops=N]\n"
       "          [--points=N] [--torn-bytes=N] [--reorg-every=N]\n"
       "          [--dir=PATH] [--failpoint=snapshot.*] [--json=PATH]\n"
@@ -165,7 +163,6 @@ bool WriteJsonReport(const std::string& path,
       << "  \"page_size\": " << opt.page_size << ",\n"
       << "  \"policy\": \"" << ccam::ReorgPolicyName(opt.policy) << "\",\n"
       << "  \"torn_bytes\": " << opt.torn_bytes << ",\n"
-      << "  \"durability\": " << (opt.durability ? "true" : "false") << ",\n"
       << "  \"failpoint\": \"" << JsonEscape(opt.crash_failpoint) << "\",\n"
       << "  \"total_kill_points\": " << report.total_writes << ",\n"
       << "  \"swept\": " << report.points.size() << ",\n"
@@ -322,8 +319,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--list-failpoints") == 0) {
       return ListFailpoints();
     } else if (ParseFlag(argv[i], "failpoint", &v)) {
-      if (v != "disk.write" && v != "wal.append" && v != "wal.flush" &&
-          !IsSnapshotFailpoint(v)) {
+      if (v != "disk.write" && !IsSnapshotFailpoint(v)) {
         return Usage(argv[0]);
       }
       opt.crash_failpoint = v;
@@ -339,8 +335,6 @@ int main(int argc, char** argv) {
       } else {
         return Usage(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      opt.durability = true;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       verbose = true;
     } else {
@@ -363,13 +357,6 @@ int main(int argc, char** argv) {
                  opt.crash_failpoint.c_str());
     return 2;
   }
-  if (opt.crash_failpoint != "disk.write" && !opt.durability) {
-    std::fprintf(stderr,
-                 "crashsim: --failpoint=%s requires --strict (the WAL only "
-                 "exists in durable mode)\n",
-                 opt.crash_failpoint.c_str());
-    return 2;
-  }
 
   auto report = ccam::RunCrashSim(opt, points);
   if (!report.ok()) {
@@ -382,10 +369,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "crashsim: seed=%llu page-size=%zu policy=%s torn-bytes=%d "
-      "failpoint=%s mode=%s — %llu kill points, %zu swept\n",
+      "failpoint=%s mode=detect-only — %llu kill points, %zu swept\n",
       static_cast<unsigned long long>(opt.seed), opt.page_size,
       ccam::ReorgPolicyName(opt.policy), opt.torn_bytes,
-      opt.crash_failpoint.c_str(), opt.durability ? "strict" : "detect-only",
+      opt.crash_failpoint.c_str(),
       static_cast<unsigned long long>(report->total_writes),
       report->points.size());
   for (const ccam::CrashPointReport& p : report->points) {
@@ -400,10 +387,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "crashsim: %zu durable, %zu recovered, %zu corruption-detected, "
-      "%zu lost-ack, %zu recovery-failed, %zu no-crash\n",
-      report->durable, report->recovered, report->corruption_detected,
-      report->lost_ack, report->recovery_failed, report->no_crash);
+      "crashsim: %zu recovered, %zu corruption-detected, %zu no-crash\n",
+      report->recovered, report->corruption_detected, report->no_crash);
   if (!json_path.empty() && !WriteJsonReport(json_path, opt, *report)) {
     std::fprintf(stderr, "crashsim: cannot write JSON report to %s\n",
                  json_path.c_str());
@@ -411,15 +396,11 @@ int main(int argc, char** argv) {
   }
   if (report->failures() > 0) {
     std::fprintf(stderr, "crashsim: FAIL — %zu kill point(s) violated the "
-                 "%s criterion\n",
-                 report->failures(),
-                 opt.durability ? "strict durability" : "detection");
+                 "detection criterion\n",
+                 report->failures());
     return 1;
   }
-  std::printf(opt.durability
-                  ? "crashsim: OK — every kill point recovered exactly the "
-                    "acknowledged operations\n"
-                  : "crashsim: OK — every crash point recovered or was "
-                    "detected with a typed status\n");
+  std::printf("crashsim: OK — every crash point recovered or was "
+              "detected with a typed status\n");
   return 0;
 }

@@ -3,16 +3,14 @@
 // Walks every live page of an image and checks, per page: the CRC32C seal
 // against the page content, the slotted-page structure, and that every
 // live record decodes as a node record. Then reopens the image through the
-// file layer and runs the file- and graph-level invariant checks. By
-// default the image's WAL tail is replayed first (committed transactions
-// are applied, the uncommitted remainder discarded) so the verdict is
-// about the *recovered* state; --no-recover scrubs the raw platter as the
-// crash left it.
+// file layer and runs the file- and graph-level invariant checks. The
+// file writes pages in place, so the verdict is about the platter exactly
+// as it was saved (or as a crash left it).
 //
 // Exit codes: 0 clean, 1 damage found, 2 usage error.
 //
 // Usage:
-//   scrub [--no-recover] [--verbose] IMAGE
+//   scrub [--verbose] IMAGE
 
 #include <cstdio>
 #include <cstring>
@@ -27,21 +25,17 @@
 namespace {
 
 int Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--no-recover] [--verbose] IMAGE\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--verbose] IMAGE\n", argv0);
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool recover = true;
   bool verbose = false;
   std::string image;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-recover") == 0) {
-      recover = false;
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
+    if (std::strcmp(argv[i], "--verbose") == 0) {
       verbose = true;
     } else if (argv[i][0] == '-') {
       return Usage(argv[0]);
@@ -67,19 +61,10 @@ int main(int argc, char** argv) {
                  st.ToString().c_str());
     return 1;
   }
-  if (recover) {
-    st = disk.Recover();
-    if (!st.ok()) {
-      std::fprintf(stderr, "scrub: %s: WAL replay failed: %s\n",
-                   image.c_str(), st.ToString().c_str());
-      return 1;
-    }
-  }
 
   std::vector<ccam::PageId> pages = disk.AllocatedPageIds();
-  std::printf("scrub: %s — page-size=%zu, %zu live pages, %s\n",
-              image.c_str(), page_size, pages.size(),
-              recover ? "after WAL replay" : "raw platter (--no-recover)");
+  std::printf("scrub: %s — page-size=%zu, %zu live pages\n", image.c_str(),
+              page_size, pages.size());
 
   size_t damaged = 0;
   std::vector<char> buf(page_size);
@@ -115,12 +100,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // File-level pass: reopen through the access method and check the
-  // stitched graph. With recovery on this exercises the same durable-open
-  // path a restart would take.
+  // File-level pass: reopen through the access method (the same open path
+  // a restart takes) and check the stitched graph.
   ccam::AccessMethodOptions opt;
   opt.page_size = page_size;
-  opt.durability = recover;
   ccam::Ccam file(opt);
   st = file.OpenImage(image);
   if (st.ok()) st = file.CheckFileInvariants();

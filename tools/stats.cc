@@ -1,15 +1,14 @@
-// stats: runs a representative workload against a durable CCAM file with
-// the metrics registry attached and dumps every collected series — the
+// stats: runs a representative workload against a CCAM file with the
+// metrics registry attached and dumps every collected series — the
 // quickest way to see the observability layer end to end.
 //
-// The workload is the full stack: a static CCAM-S create with durability
-// on (WAL transactions, group commits), an insert/delete churn phase, and
-// one of each query operator (route evaluation, A* search, route-unit
-// aggregation, reachability traversal, spatial window). Afterwards the
-// tool verifies that every metric family the stack is instrumented with
-// (buffer_pool.*, disk.*, wal.*, query.*) collected at least one nonzero
-// sample, and exits nonzero otherwise — so it doubles as a smoke test
-// that the instrumentation stays wired through every layer.
+// The workload is the full stack: a static CCAM-S create, an insert/delete
+// churn phase, and one of each query operator (route evaluation, A*
+// search, route-unit aggregation, reachability traversal, spatial window).
+// Afterwards the tool verifies that every metric family the stack is
+// instrumented with (buffer_pool.*, disk.*, query.*) collected at least
+// one nonzero sample, and exits nonzero otherwise — so it doubles as a
+// smoke test that the instrumentation stays wired through every layer.
 //
 // Usage: stats [--json]
 //   default : human-readable table (MetricsRegistry::DumpText)
@@ -46,7 +45,6 @@ int Run(bool json) {
   AccessMethodOptions options;
   options.page_size = 1024;
   options.buffer_pool_pages = 16;
-  options.durability = true;  // exercise the wal.* series
   Ccam am(options, CcamCreateMode::kStatic);
 
   MetricsRegistry metrics;
@@ -55,9 +53,8 @@ int Run(bool json) {
   Status s = am.Create(net);
   if (!s.ok()) return Fail("create", s);
 
-  // Update churn: delete and re-insert a sample of nodes. Each operation
-  // is one WAL transaction, so this feeds wal.append / wal.flush_us and
-  // the pool's writeback counters.
+  // Update churn: delete and re-insert a sample of nodes. This feeds the
+  // disk write series and the pool's writeback counters.
   std::vector<NodeId> ids = net.NodeIds();
   for (size_t i = 0; i < ids.size(); i += 97) {
     auto rec = am.Find(ids[i]);
@@ -108,7 +105,7 @@ int Run(bool json) {
   }
 
   // Acceptance check: every instrumented family produced data.
-  const char* families[] = {"buffer_pool.", "disk.", "wal.", "query."};
+  const char* families[] = {"buffer_pool.", "disk.", "query."};
   std::vector<MetricsRegistry::Sample> samples = metrics.Samples();
   int missing = 0;
   for (const char* family : families) {
