@@ -91,8 +91,7 @@ tol = float(os.environ["TOL"]) / 100.0
 
 # Wall-clock-ish field names: noisy, compared within tolerance. Everything
 # else numeric is deterministic and must match exactly.
-NOISY = ("ms", "us", "time", "qps", "sec", "rate", "speedup", "occupancy",
-         "per_query")
+NOISY = ("ms", "us", "time", "qps", "sec", "rate", "speedup")
 
 def noisy(field):
     f = field.lower()

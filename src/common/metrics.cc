@@ -72,73 +72,6 @@ void MetricHistogram::Reset() {
 }
 
 // ---------------------------------------------------------------------------
-// TraceRing
-// ---------------------------------------------------------------------------
-
-void TraceRing::Enable(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity;
-  events_.clear();
-  events_.reserve(capacity);
-  next_ = 0;
-  recorded_ = 0;
-  epoch_ = std::chrono::steady_clock::now();
-}
-
-bool TraceRing::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_ > 0;
-}
-
-void TraceRing::Record(const char* name, uint64_t dur_us, uint64_t arg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) return;
-  Event ev;
-  ev.name = name;
-  ev.at_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-  ev.dur_us = dur_us;
-  ev.arg = arg;
-  if (events_.size() < capacity_) {
-    events_.push_back(ev);
-  } else {
-    events_[next_] = ev;
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++recorded_;
-}
-
-std::vector<TraceRing::Event> TraceRing::Events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Event> out;
-  out.reserve(events_.size());
-  // next_ is the oldest slot once the ring has wrapped.
-  for (size_t i = 0; i < events_.size(); ++i) {
-    out.push_back(events_[(next_ + i) % events_.size()]);
-  }
-  return out;
-}
-
-void TraceRing::Dump(std::FILE* out) const {
-  std::vector<Event> events = Events();
-  uint64_t total = recorded();
-  std::fprintf(out, "trace ring: %zu buffered of %" PRIu64 " recorded\n",
-               events.size(), total);
-  for (const Event& ev : events) {
-    std::fprintf(out, "  +%10" PRIu64 "us %-32s dur=%" PRIu64 "us arg=%" PRIu64
-                 "\n",
-                 ev.at_us, ev.name, ev.dur_us, ev.arg);
-  }
-}
-
-uint64_t TraceRing::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recorded_;
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
@@ -289,22 +222,20 @@ std::string MetricsRegistry::ExportJson() const {
 // QuerySpan
 // ---------------------------------------------------------------------------
 
-QuerySpan::QuerySpan(MetricsRegistry* registry, const char* op)
-    : registry_(registry), op_(op) {
-  if (registry_ == nullptr) return;
-  registry_->GetCounter(op_)->Inc();
-  hist_ = registry_->GetHistogram(std::string(op_) + "_us");
+QuerySpan::QuerySpan(MetricsRegistry* registry, const char* op) {
+  if (registry == nullptr) return;
+  registry->GetCounter(op)->Inc();
+  hist_ = registry->GetHistogram(std::string(op) + "_us");
   start_ = std::chrono::steady_clock::now();
 }
 
 QuerySpan::~QuerySpan() {
-  if (registry_ == nullptr) return;
+  if (hist_ == nullptr) return;
   uint64_t us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start_)
           .count());
   hist_->Record(us);
-  registry_->trace()->Record(op_, us);
 }
 
 }  // namespace ccam

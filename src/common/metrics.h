@@ -101,51 +101,6 @@ class MetricHistogram {
   std::atomic<uint64_t> sum_{0};
 };
 
-/// Fixed-capacity ring buffer of trace events — the flight recorder the
-/// crash harness dumps when a run fails. Event names must be string
-/// literals (or otherwise outlive the ring): the ring stores the pointer,
-/// never a copy, so recording does not allocate. Recording is mutex-
-/// serialized; tracing is meant for post-mortem forensics, not for the
-/// metrics hot path, and is off (capacity 0) unless explicitly enabled.
-class TraceRing {
- public:
-  struct Event {
-    const char* name = nullptr;
-    /// Microseconds since the ring was created (or ResetEpoch()).
-    uint64_t at_us = 0;
-    /// Span duration; 0 for instantaneous events.
-    uint64_t dur_us = 0;
-    /// Free-form tag (page id, node id, kill point, ...).
-    uint64_t arg = 0;
-  };
-
-  TraceRing() : epoch_(std::chrono::steady_clock::now()) {}
-
-  /// Enables the ring with space for `capacity` events (0 disables and
-  /// drops any recorded history).
-  void Enable(size_t capacity);
-  bool enabled() const;
-
-  void Record(const char* name, uint64_t dur_us = 0, uint64_t arg = 0);
-
-  /// The buffered events, oldest first.
-  std::vector<Event> Events() const;
-
-  /// Writes the buffered events to `out`, oldest first, one per line.
-  void Dump(std::FILE* out) const;
-
-  /// Events recorded since Enable() (including any the ring overwrote).
-  uint64_t recorded() const;
-
- private:
-  mutable std::mutex mu_;
-  std::chrono::steady_clock::time_point epoch_;
-  std::vector<Event> events_;
-  size_t capacity_ = 0;
-  size_t next_ = 0;      // ring cursor
-  uint64_t recorded_ = 0;
-};
-
 /// Name -> metric catalog. Get*() registers on first use and returns a
 /// stable pointer: components look their metrics up once (at attach time)
 /// and afterwards update them lock-free. Lookup takes the registry mutex
@@ -159,9 +114,6 @@ class MetricsRegistry {
   MetricCounter* GetCounter(std::string_view name);
   MetricGauge* GetGauge(std::string_view name);
   MetricHistogram* GetHistogram(std::string_view name);
-
-  /// The registry's trace ring (disabled until TraceRing::Enable).
-  TraceRing* trace() { return &trace_; }
 
   /// Zeroes every registered metric (the catalog itself is kept).
   void Reset();
@@ -196,7 +148,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<MetricGauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<MetricHistogram>, std::less<>>
       histograms_;
-  TraceRing trace_;
 };
 
 /// RAII span: records the scope's wall-clock duration (µs) into a
@@ -226,10 +177,8 @@ class ScopedLatencyTimer {
 };
 
 /// RAII query-operator span: on entry bumps "<op>" and starts the clock;
-/// on exit records the elapsed µs into "<op>_us" and appends a trace
-/// event when the registry's ring is enabled. A null registry is fully
-/// inert (one branch, no lookups, no clock). `op` must be a string
-/// literal ("query.route_eval", ...).
+/// on exit records the elapsed µs into "<op>_us" ("query.route_eval",
+/// ...). A null registry is fully inert (one branch, no lookups, no clock).
 class QuerySpan {
  public:
   QuerySpan(MetricsRegistry* registry, const char* op);
@@ -238,8 +187,6 @@ class QuerySpan {
   ~QuerySpan();
 
  private:
-  MetricsRegistry* registry_ = nullptr;
-  const char* op_ = nullptr;
   MetricHistogram* hist_ = nullptr;
   std::chrono::steady_clock::time_point start_;
 };

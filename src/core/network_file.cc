@@ -432,17 +432,28 @@ Status NetworkFile::ReorganizeAll() {
   return FlushDirty();
 }
 
+Status NetworkFile::ScanDataPagesOffTheBooks(
+    const std::function<Status(PageId)>& visit) {
+  IoStats before = disk_.stats();
+  Status scan = Status::OK();
+  for (PageId page : disk_.AllocatedPageIds()) {
+    scan = visit(page);
+    if (!scan.ok()) break;
+  }
+  disk_.RestoreStats(before);
+  return scan;
+}
+
 Result<std::vector<NetworkFile::PageOccupancy>>
 NetworkFile::ScanPageOccupancy() {
-  IoStats snapshot = disk_.stats();
   std::vector<PageOccupancy> out;
-  for (PageId page : disk_.AllocatedPageIds()) {
+  CCAM_RETURN_NOT_OK(ScanDataPagesOffTheBooks([&](PageId page) {
     PageGuard guard(&pool_, page);
     if (!guard.ok()) return guard.status();
     SlottedPage view(guard.data(), options_.page_size);
     out.push_back({page, view.NumRecords(), view.UsedBytes()});
-  }
-  disk_.RestoreStats(snapshot);
+    return Status::OK();
+  }));
   return out;
 }
 
@@ -745,41 +756,19 @@ Status NetworkFile::BuildHierarchyOverlayFromNetwork(const Network& network) {
 }
 
 Status NetworkFile::BuildHierarchyOverlay() {
-  // Reconstruct the logical network by scanning every data page. The scan
-  // reads through the pool like any query, but a rebuild is maintenance,
-  // not workload: its reads are excluded from the data I/O counters.
-  IoStats before = disk_.stats();
-  std::vector<NodeRecord> all;
-  Status scan = Status::OK();
-  for (PageId page : disk_.AllocatedPageIds()) {
-    auto records = RecordsOnPage(page);
-    if (!records.ok()) {
-      scan = records.status();
-      break;
-    }
-    for (NodeRecord& rec : *records) all.push_back(std::move(rec));
-  }
-  disk_.RestoreStats(before);
-  CCAM_RETURN_NOT_OK(scan);
-  return BuildHierarchyOverlayFromNetwork(NetworkFromRecords(all));
+  Network network;
+  CCAM_ASSIGN_OR_RETURN(network, ExportNetwork());
+  return BuildHierarchyOverlayFromNetwork(network);
 }
 
 Result<Network> NetworkFile::ExportNetwork() {
-  IoStats before = disk_.stats();
   std::vector<NodeRecord> all;
-  Status scan = Status::OK();
-  std::vector<PageId> pages = disk_.AllocatedPageIds();
-  std::sort(pages.begin(), pages.end());
-  for (PageId page : pages) {
-    auto records = RecordsOnPage(page);
-    if (!records.ok()) {
-      scan = records.status();
-      break;
-    }
-    for (NodeRecord& rec : *records) all.push_back(std::move(rec));
-  }
-  disk_.RestoreStats(before);
-  CCAM_RETURN_NOT_OK(scan);
+  CCAM_RETURN_NOT_OK(ScanDataPagesOffTheBooks([&](PageId page) {
+    std::vector<NodeRecord> records;
+    CCAM_ASSIGN_OR_RETURN(records, RecordsOnPage(page));
+    for (NodeRecord& rec : records) all.push_back(std::move(rec));
+    return Status::OK();
+  }));
   Network net;
   for (const NodeRecord& rec : all) {
     Status st = net.AddNode(rec.id, rec.x, rec.y, rec.payload);

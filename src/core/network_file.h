@@ -1,6 +1,7 @@
 #ifndef CCAM_CORE_NETWORK_FILE_H_
 #define CCAM_CORE_NETWORK_FILE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,7 +92,8 @@ class NetworkFile : public AccessMethod {
   };
 
   /// Reads every data page once and reports its occupancy. The scan's
-  /// page reads are excluded from the data I/O counters.
+  /// page reads are excluded from the data I/O counters, also when a read
+  /// fails.
   Result<std::vector<PageOccupancy>> ScanPageOccupancy();
 
   /// Reconstructs the logical network from the stored records: every node
@@ -189,12 +191,12 @@ class NetworkFile : public AccessMethod {
   Result<std::vector<NodeRecord>> SharedGetSuccessors(NodeId id, IoStats* io);
 
   /// --- Contraction-hierarchy overlay --------------------------------------
-  /// (Re)builds the overlay from the stored records: scans every data page
-  /// (the scan's reads are excluded from the data I/O counters, like
-  /// ScanPageOccupancy), contracts the reconstructed network, and persists
-  /// the shortcut graph beside the file. Create() does this automatically
-  /// when options.hierarchy_overlay is set; call it explicitly after
-  /// OpenImage or a mutation batch to re-enable CH queries.
+  /// (Re)builds the overlay from the stored records: reconstructs the
+  /// network with ExportNetwork (whose page reads are excluded from the
+  /// data I/O counters), contracts it, and persists the shortcut graph
+  /// beside the file. Create() does this automatically when
+  /// options.hierarchy_overlay is set; call it explicitly after OpenImage
+  /// or a mutation batch to re-enable CH queries.
   Status BuildHierarchyOverlay();
 
   bool HasHierarchy() const override {
@@ -353,6 +355,12 @@ class NetworkFile : public AccessMethod {
   Status RewritePages(const std::vector<PageId>& reuse,
                       const std::vector<std::vector<NodeId>>& subsets,
                       const std::unordered_map<NodeId, NodeRecord>& records);
+
+  /// Reads every data page in ascending id order through the buffer pool,
+  /// calling `visit` on each, and stops at the first error. A scan is
+  /// maintenance, not workload: its page reads are excluded from the data
+  /// I/O counters whether it succeeds or fails.
+  Status ScanDataPagesOffTheBooks(const std::function<Status(PageId)>& visit);
 
   /// Builds the subnetwork induced by `records` (edges among them only),
   /// the input to reclustering.

@@ -38,6 +38,12 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
+/// Simulated end-user population: request.user is sampled from it.
+constexpr uint64_t kUsers = 1000000;
+/// Route length (nodes) for route-eval walks; OD searches and aggregates
+/// derive from the same walks.
+constexpr size_t kRouteHops = 8;
+
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -99,7 +105,7 @@ std::vector<ServeRequest> BuildRequestPool(NetworkFile* file,
     // successor exists); may end early at a dead end.
     std::vector<NodeId> walk{origin};
     NodeId prev = kInvalidNodeId;
-    while (walk.size() < static_cast<size_t>(options.route_hops) + 1) {
+    while (walk.size() < kRouteHops + 1) {
       const std::vector<NodeId>& succ = successors[walk.back()];
       if (succ.empty()) break;
       NodeId next = succ[rng.Uniform(static_cast<uint32_t>(succ.size()))];
@@ -113,8 +119,8 @@ std::vector<ServeRequest> BuildRequestPool(NetworkFile* file,
 
     ServeRequest request;
     request.tenant = rng.Uniform(options.tenants > 0 ? options.tenants : 1);
-    request.user = (static_cast<uint64_t>(rng.Next()) << 32 | rng.Next()) %
-                   (options.users > 0 ? options.users : 1);
+    request.user =
+        (static_cast<uint64_t>(rng.Next()) << 32 | rng.Next()) % kUsers;
     double pick = rng.NextDouble() * w_total;
     if ((pick -= w_route) < 0.0 || walk.size() < 2) {
       request.op = ServeOp::kRouteEval;
@@ -175,14 +181,8 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
       std::this_thread::sleep_for(std::chrono::microseconds(
           static_cast<uint64_t>(next_us - static_cast<double>(now))));
     }
-    const uint64_t submit_us = NowMicros();
-    if (submit_us >= end_us) break;
-    ServeRequest request = pool[cursor % pool.size()];
-    if (options.deadline_budget_us != 0) {
-      request.deadline_us =
-          static_cast<int64_t>(submit_us + options.deadline_budget_us);
-    }
-    issued.push_back({service->Submit(std::move(request)),
+    if (NowMicros() >= end_us) break;
+    issued.push_back({service->Submit(pool[cursor % pool.size()]),
                       static_cast<uint64_t>(next_us)});
     ++cursor;
     double u = rng.NextDouble();
@@ -198,19 +198,11 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
   std::vector<uint64_t> latencies;
   latencies.reserve(issued.size());
   double occupancy_sum = 0.0;
-  uint64_t batched = 0;
   uint64_t last_done_us = start_us;
   for (const Issued& entry : issued) {
     const ServeResponse& response = entry.ticket->Wait();
     if (response.status.IsOverloaded()) {
       ++report.rejected;
-      continue;
-    }
-    if (response.status.IsDeadlineExceeded()) {
-      // A missed budget is not a completion and not an admission
-      // rejection: count it separately and keep it out of the latency
-      // percentiles, which are defined over completed requests.
-      ++report.deadline_failures;
       continue;
     }
     if (!response.status.ok()) {
@@ -221,7 +213,6 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
     latencies.push_back(
         response.done_us > entry.due_us ? response.done_us - entry.due_us : 0);
     occupancy_sum += response.batch_size;
-    if (response.batch_size > 1) ++batched;
     if (response.done_us > last_done_us) last_done_us = response.done_us;
   }
 
@@ -244,15 +235,8 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
     report.p50_us = pct(0.50);
     report.p95_us = pct(0.95);
     report.p99_us = pct(0.99);
-    double sum = 0.0;
-    for (uint64_t v : latencies) sum += static_cast<double>(v);
-    report.mean_latency_us = sum / static_cast<double>(latencies.size());
-  }
-  if (report.completed > 0) {
     report.mean_batch_occupancy =
         occupancy_sum / static_cast<double>(report.completed);
-    report.batched_fraction = static_cast<double>(batched) /
-                              static_cast<double>(report.completed);
   }
 
   const IoStats disk_after = file->DataIoStats();

@@ -11,14 +11,12 @@
 namespace ccam {
 namespace serve {
 
-/// Workload shape for the open-loop load generator (bench/serve_load, the
-/// ccam_cli `serve` subcommand, and the serving tests all drive the
-/// service through this one implementation).
+/// Workload shape for the open-loop load generator (the ccam_cli `serve`
+/// subcommand and the serving tests drive the service through this one
+/// implementation; perfbench has its own).
 struct LoadgenOptions {
   /// Paying tenants; requests pick one uniformly.
   uint32_t tenants = 4;
-  /// Simulated end-user population (request.user is sampled from it).
-  uint64_t users = 1000000;
   /// Aggregate offered arrival rate, requests/second (open loop: arrivals
   /// do not slow down when the service backs up — that is what the
   /// admission controller is for).
@@ -29,9 +27,6 @@ struct LoadgenOptions {
   /// file's data pages (0 = uniform). The IVHS story: everyone asks about
   /// the same downtown interchanges at rush hour.
   double zipf_theta = 0.9;
-  /// Route length (nodes) for route-eval walks; OD searches and
-  /// aggregates derive from the same walks.
-  int route_hops = 8;
   /// Operation mix, by weight (need not sum to 1).
   double w_route_eval = 0.5;
   double w_astar = 0.2;
@@ -41,10 +36,6 @@ struct LoadgenOptions {
   /// Distinct precomputed requests to cycle through.
   size_t pool_size = 4096;
   uint64_t seed = 42;
-  /// Per-request deadline budget in microseconds; each submitted request
-  /// carries deadline = submit time + budget. 0 (the default) submits
-  /// deadline-free traffic — the zero-overhead idle path.
-  uint64_t deadline_budget_us = 0;
 };
 
 /// What one load run measured. Latency percentiles are client-observed
@@ -55,9 +46,9 @@ struct LoadReport {
   uint64_t submitted = 0;
   uint64_t completed = 0;  // executed with an OK status
   uint64_t rejected = 0;
-  /// Executed requests that failed with a status other than Overloaded or
-  /// DeadlineExceeded (I/O, corruption, not-found, ...); excluded from
-  /// completed and from the latency percentiles.
+  /// Executed requests that failed with a status other than Overloaded
+  /// (I/O, corruption, not-found, ...); excluded from completed and from
+  /// the latency percentiles.
   uint64_t failed = 0;
   double elapsed_sec = 0.0;
   double qps = 0.0;  // completed / elapsed
@@ -65,11 +56,8 @@ struct LoadReport {
   uint64_t p50_us = 0;
   uint64_t p95_us = 0;
   uint64_t p99_us = 0;
-  double mean_latency_us = 0.0;
-  /// Mean region-batch occupancy over completed requests, and the
-  /// fraction that shared a batch with at least one other request.
+  /// Mean region-batch occupancy over completed requests.
   double mean_batch_occupancy = 0.0;
-  double batched_fraction = 0.0;
   /// Accounting over the run: data-page reads charged to the workers'
   /// sessions, the file's global disk-read delta, and whether they agree
   /// (the paper's conservation invariant, extended to the service).
@@ -78,10 +66,6 @@ struct LoadReport {
   bool conserved = false;
   /// Data buffer pool hit rate over the run.
   double hit_rate = 0.0;
-  /// Requests that missed their deadline (shed at admission or dequeue,
-  /// or expired mid-execution). Only populated when deadline_budget_us
-  /// is nonzero; excluded from completed/latency accounting.
-  uint64_t deadline_failures = 0;
 };
 
 /// Builds `options.pool_size` requests whose origins follow the zipf

@@ -40,8 +40,8 @@ struct QueryServiceOptions {
   /// Region batching: the largest number of same-region requests one
   /// worker pops and executes back to back. Batching is opportunistic:
   /// only requests already queued join a batch, so low loads pay no added
-  /// latency. 1 executes every request alone (the baseline the serve_load
-  /// bench compares against).
+  /// latency. 1 executes every request alone (`ccam_cli serve
+  /// --no-batching`).
   size_t max_batch = 16;
   /// Total execution attempts per request for retryable failures (IOError
   /// / ShortRead — transient transport faults). 1 (the default) disables

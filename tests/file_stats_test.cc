@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "src/common/fault_injector.h"
 #include "src/core/ccam.h"
 #include "src/graph/generator.h"
 
@@ -50,6 +51,28 @@ TEST(FileStatsTest, ScanDoesNotPerturbIoCounters) {
   IoStats before = am.DataIoStats();
   auto stats = CollectFileStats(&am, net);
   ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(am.DataIoStats().reads, before.reads);
+  EXPECT_EQ(am.DataIoStats().writes, before.writes);
+}
+
+// A scan that fails part-way is still maintenance: the reads it made
+// before the failing one stay off the paper's data counters.
+TEST(FileStatsTest, FailedScanDoesNotPerturbIoCounters) {
+  Network net = GenerateMinneapolisLikeMap(3);
+  Ccam am(Opts(), CcamCreateMode::kStatic);
+  ASSERT_TRUE(am.Create(net).ok());
+  ASSERT_TRUE(am.buffer_pool()->Reset().ok());  // every page read misses
+  am.ResetIoStats();
+  ASSERT_TRUE(am.Find(5).ok());
+  IoStats before = am.DataIoStats();
+  // Every data-page read from the fourth on fails, past the pool's retries.
+  FaultInjector faults(1);
+  faults.Arm("disk.read", {FaultAction::Kind::kError, Status::Code::kIOError, 0},
+             FaultTrigger::From(4));
+  am.SetFaultInjector(&faults);
+  auto pages = am.ScanPageOccupancy();
+  am.SetFaultInjector(nullptr);
+  EXPECT_TRUE(pages.status().IsIOError()) << pages.status().ToString();
   EXPECT_EQ(am.DataIoStats().reads, before.reads);
   EXPECT_EQ(am.DataIoStats().writes, before.writes);
 }

@@ -201,6 +201,58 @@ TEST(HierarchyDeterminismTest, OverlayMatchesGoldenDigests) {
   }
 }
 
+// The rescan path is pinned too: an overlay rebuilt over a reopened image
+// contracts the network reconstructed from the data pages, and must
+// reproduce the bytes a build from the in-memory network produces.
+TEST(HierarchyDeterminismTest, RescannedOverlayMatchesGoldenDigests) {
+  struct Case {
+    std::string name;
+    Network net;
+    size_t page_size;
+    uint32_t crc;
+  };
+  RoadMapOptions road;
+  road.rows = 32;
+  road.cols = 32;
+  road.nodes_to_remove = 8;
+  road.seed = 1995;
+  std::vector<Case> cases;
+  cases.push_back({"minneapolis", GenerateMinneapolisLikeMap(1995), 512,
+                   0x8bbe6c75});
+  cases.push_back({"minneapolis", GenerateMinneapolisLikeMap(1995), 4096,
+                   0x6227108d});
+  cases.push_back({"geometric", GenerateRandomGeometricNetwork(400, 80.0), 512,
+                   0x1f3a9079});
+  cases.push_back({"ring-radial", GenerateRingRadialCity(8, 12), 512,
+                   0xbdb174ae});
+  cases.push_back({"scale-free", GenerateScaleFreeNetwork(300), 2048,
+                   0x6ff5f2ff});
+  cases.push_back({"road-32", GenerateRoadMap(road), 1024, 0x70222d2e});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name + " page " + std::to_string(c.page_size));
+    AccessMethodOptions options;
+    options.page_size = c.page_size;
+    const std::string image = TempPath("hier_rescan.img");
+    {
+      Ccam am(options, CcamCreateMode::kStatic);
+      ASSERT_TRUE(am.Create(c.net).ok());
+      ASSERT_TRUE(am.SaveImage(image).ok());
+    }
+    Ccam reopened(options, CcamCreateMode::kStatic);
+    ASSERT_TRUE(reopened.OpenImage(image).ok());
+    std::remove(image.c_str());
+    ASSERT_FALSE(reopened.HasHierarchy());
+    ASSERT_TRUE(reopened.BuildHierarchyOverlay().ok());
+    ASSERT_TRUE(reopened.HasHierarchy());
+    EXPECT_EQ(reopened.hierarchy()->build_info().nodes, c.net.NumNodes());
+    const std::string path = TempPath("hier_rescan.bin");
+    ASSERT_TRUE(reopened.hierarchy()->SaveImage(path).ok());
+    const std::string bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), c.crc);
+  }
+}
+
 // A hand-built core around node v (contracted first; the test asserts
 // it) whose single witness search, from u, covers the search's edge
 // cases:

@@ -189,27 +189,6 @@ TEST(MetricsRegistryTest, EightThreadIncrementConservation) {
   EXPECT_EQ(hist->sum(), per_thread_sum * kThreads);
 }
 
-TEST(TraceRingTest, DisabledByDefaultAndRingOverwrite) {
-  TraceRing ring;
-  EXPECT_FALSE(ring.enabled());
-  ring.Record("ignored");
-  EXPECT_EQ(ring.recorded(), 0u);
-  EXPECT_TRUE(ring.Events().empty());
-
-  ring.Enable(4);
-  for (uint64_t i = 0; i < 6; ++i) ring.Record("ev", 0, i);
-  EXPECT_EQ(ring.recorded(), 6u);
-  std::vector<TraceRing::Event> events = ring.Events();
-  ASSERT_EQ(events.size(), 4u) << "ring keeps only the newest capacity";
-  // Oldest first: events 2, 3, 4, 5 survive.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].arg, i + 2);
-  }
-  ring.Enable(0);
-  EXPECT_FALSE(ring.enabled());
-  EXPECT_TRUE(ring.Events().empty());
-}
-
 TEST(QuerySpanTest, NullRegistryIsInert) {
   { QuerySpan span(nullptr, "query.test"); }  // must not touch anything
   MetricsRegistry reg;
