@@ -43,7 +43,8 @@
 #                  ThreadSanitizer (separate build directory)
 #  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test,
 #                  chaos_serve_test, hierarchy_test, hierarchy_crash_test,
-#                  disk_manager_test, format_stability_test,
+#                  disk_manager_test, buffer_pool_test,
+#                  buffer_pool_concurrency_test, format_stability_test,
 #                  persistence_test, crash_consistency_test (default,
 #                  sampled) and image_fuzz_test under AddressSanitizer +
 #                  UBSan (CCAM_ASAN / CCAM_UBSAN, separate build
@@ -52,7 +53,8 @@
 #                  free versions and sessions under concurrency, the CH
 #                  witness search indexes reused scratch arrays by dense
 #                  core id, the overlay's LoadImage decodes page 0 of every
-#                  torn crash capture, and the image loader decodes
+#                  torn crash capture, the pool's read-ahead reserves
+#                  and drops frames, and the image loader decodes
 #                  truncated, torn and hostile images
 #
 # Usage: scripts/ci.sh [build-dir] [tsan-build-dir] [debug-build-dir]
@@ -136,7 +138,8 @@ debug_asserts() {
 asan_stage() {
   local tests=(query_test shard_test snapshot_swap_test serve_test
                chaos_serve_test hierarchy_test hierarchy_crash_test
-               disk_manager_test format_stability_test persistence_test
+               disk_manager_test buffer_pool_test buffer_pool_concurrency_test
+               format_stability_test persistence_test
                crash_consistency_test image_fuzz_test)
   cmake -B "$ASAN_BUILD" -S . -DCCAM_ASAN=ON -DCCAM_UBSAN=ON &&
   cmake --build "$ASAN_BUILD" --target "${tests[@]}" -j "$(nproc)" ||

@@ -101,6 +101,18 @@ class AccessMethod {
   /// already-buffered successors without additional I/O.
   virtual Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) = 0;
 
+  /// Read-ahead hint for a known access sequence: the caller will read the
+  /// records of `nodes[0..n)` next, in that order. Returns how many of them
+  /// the hint covered; the caller hints again when its reads pass that
+  /// point (ReadAheadCursor does this). The hint reads pages early but
+  /// never changes which pages a query accesses. The default reads nothing
+  /// and covers all `n`, which keeps any wrapper that does not forward it
+  /// correct.
+  virtual size_t ReadAhead(const NodeId* nodes, size_t n) {
+    (void)nodes;
+    return n;
+  }
+
   /// Inserts a new node whose record carries its adjacency lists; entries
   /// referring to nodes not yet in the file are dropped (they are patched
   /// back when those nodes arrive). Updates the neighbors' lists.
@@ -177,6 +189,26 @@ class AccessMethod {
   /// Overlay-page I/O counters, kept separate from DataIoStats() so the
   /// paper's data-page accounting is untouched by the overlay.
   virtual IoStats HierarchyIoStats() const { return IoStats{}; }
+};
+
+/// Drives AccessMethod::ReadAhead over an operator's known access
+/// sequence: Before(i) runs ahead of the i-th read and hints the next
+/// window once the reads have passed the end of the last one.
+class ReadAheadCursor {
+ public:
+  ReadAheadCursor(AccessMethod* am, const std::vector<NodeId>& nodes)
+      : am_(am), nodes_(nodes) {}
+
+  void Before(size_t i) {
+    if (i >= end_) {
+      end_ = i + am_->ReadAhead(nodes_.data() + i, nodes_.size() - i);
+    }
+  }
+
+ private:
+  AccessMethod* am_;
+  const std::vector<NodeId>& nodes_;
+  size_t end_ = 0;  // first entry not covered by a hint yet
 };
 
 }  // namespace ccam

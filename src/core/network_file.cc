@@ -734,6 +734,16 @@ Result<std::vector<NodeRecord>> NetworkFile::SharedGetSuccessors(NodeId id,
   return GetSuccessorsTracked(id, io);
 }
 
+size_t NetworkFile::SharedReadAhead(const NodeId* nodes, size_t n,
+                                    IoStats* io) {
+  std::vector<PageId> pages(n);
+  for (size_t i = 0; i < n; ++i) {
+    auto it = page_of_.find(nodes[i]);
+    pages[i] = it == page_of_.end() ? kInvalidPageId : it->second;
+  }
+  return pool_.ReadAhead(pages.data(), n, io);
+}
+
 std::unique_ptr<QuerySession> NetworkFile::OpenSession() {
   return std::make_unique<QuerySession>(this);
 }

@@ -52,6 +52,9 @@ class NetworkFile : public AccessMethod {
                     ReorgPolicy policy);
   Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override;
   Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override;
+  size_t ReadAhead(const NodeId* nodes, size_t n) override {
+    return SharedReadAhead(nodes, n, nullptr);
+  }
   Status InsertNode(const NodeRecord& record, ReorgPolicy policy) override;
   Status DeleteNode(NodeId id, ReorgPolicy policy) override;
   Status InsertEdge(NodeId u, NodeId v, float cost,
@@ -189,6 +192,10 @@ class NetworkFile : public AccessMethod {
   Result<NodeRecord> SharedFind(NodeId id, IoStats* io);
   Result<NodeRecord> SharedGetASuccessor(NodeId from, NodeId to, IoStats* io);
   Result<std::vector<NodeRecord>> SharedGetSuccessors(NodeId id, IoStats* io);
+  /// ReadAhead for both the file and its sessions: maps the nodes to their
+  /// pages (unknown nodes have none) and reads the next window ahead
+  /// through BufferPool::ReadAhead, charging its loads to `io`.
+  size_t SharedReadAhead(const NodeId* nodes, size_t n, IoStats* io);
 
   /// --- Contraction-hierarchy overlay --------------------------------------
   /// (Re)builds the overlay from the stored records: reconstructs the

@@ -31,6 +31,12 @@ class QuerySession : public ReadSession {
 
   NetworkFile* file() const { return file_; }
 
+  /// Read-ahead loads are this session's misses: charged to DataIoStats().
+  size_t ReadAhead(const NodeId* nodes, size_t n) override {
+    DebugCheckThread();
+    return file_->SharedReadAhead(nodes, n, &io_);
+  }
+
   /// Sessions inherit the file's registry, so "query.*" spans from every
   /// concurrent stream land in the same catalog.
   MetricsRegistry* metrics() const override { return file_->metrics(); }

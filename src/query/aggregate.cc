@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <unordered_map>
 
 #include "src/common/metrics.h"
@@ -20,18 +19,22 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
   // Retrieve each distinct member node once; edge costs come from the
   // source node's successor-list. Buffered pages make co-clustered
   // route-units cheap.
-  std::set<NodeId> nodes;
+  std::vector<NodeId> nodes;
   for (const auto& [u, v] : unit.edges) {
-    nodes.insert(u);
-    nodes.insert(v);
+    nodes.push_back(u);
+    nodes.push_back(v);
   }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  ReadAheadCursor ahead(am, nodes);
   std::unordered_map<NodeId, NodeRecord> records;
   RequestContext* ctx = am->request_context();
-  for (NodeId id : nodes) {
+  for (size_t i = 0; i < nodes.size(); ++i) {
     if (ctx != nullptr) CCAM_RETURN_NOT_OK(ctx->Check());
+    ahead.Before(i);
     NodeRecord rec;
-    CCAM_ASSIGN_OR_RETURN(rec, am->Find(id));
-    records.emplace(id, std::move(rec));
+    CCAM_ASSIGN_OR_RETURN(rec, am->Find(nodes[i]));
+    records.emplace(nodes[i], std::move(rec));
   }
   agg.num_nodes = nodes.size();
   agg.min_edge_cost = std::numeric_limits<double>::infinity();
@@ -66,11 +69,14 @@ Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {
   }
   QuerySpan span(am->metrics(), "query.aggregate");
   IoStats before = am->DataIoStats();
+  ReadAheadCursor ahead(am, closed.nodes);
+  ahead.Before(0);
   NodeRecord current;
   CCAM_ASSIGN_OR_RETURN(current, am->Find(closed.nodes[0]));
   RequestContext* ctx = am->request_context();
   for (size_t i = 1; i < closed.nodes.size(); ++i) {
     if (ctx != nullptr) CCAM_RETURN_NOT_OK(ctx->Check());
+    ahead.Before(i);
     NodeId next = closed.nodes[i];
     auto cost = current.SuccessorCost(next);
     if (!cost.ok()) return cost.status();

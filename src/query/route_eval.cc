@@ -11,11 +11,16 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route) {
   QuerySpan span(am->metrics(), "query.route_eval");
 
   IoStats before = am->DataIoStats();
+  // The whole page sequence is known up front: read it ahead window by
+  // window so the misses of each window overlap.
+  ReadAheadCursor ahead(am, route.nodes);
+  ahead.Before(0);
   NodeRecord current;
   CCAM_ASSIGN_OR_RETURN(current, am->Find(route.nodes[0]));
   RequestContext* ctx = am->request_context();
   for (size_t i = 1; i < route.nodes.size(); ++i) {
     if (ctx != nullptr) CCAM_RETURN_NOT_OK(ctx->Check());
+    ahead.Before(i);
     NodeId next = route.nodes[i];
     float cost;
     {

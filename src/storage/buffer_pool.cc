@@ -132,34 +132,44 @@ Status BufferPool::EvictOneLocked(Shard* shard) {
 Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss) {
   Shard& shard = ShardFor(id);
   std::unique_lock<std::mutex> lock(shard.mu);
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
-    Frame& frame = it->second;
-    // Pin before any wait so the frame cannot be evicted under us.
-    ++frame.pin_count;
-    if (frame.io_pending) {
-      shard.io_cv.wait(lock, [&frame] { return !frame.io_pending; });
+  for (;;) {
+    auto it = shard.frames.find(id);
+    if (it != shard.frames.end()) {
+      Frame& frame = it->second;
+      // Pin before any wait so the frame cannot be evicted under us.
+      ++frame.pin_count;
+      if (frame.io_pending) {
+        shard.io_cv.wait(lock, [&frame] { return !frame.io_pending; });
+      }
+      if (frame.io_failed) {
+        if (--frame.pin_count == 0) shard.frames.erase(id);
+        return Status::IOError("concurrent read of page " +
+                               std::to_string(id) + " failed");
+      }
+      if (frame.read_ahead) {
+        frame.read_ahead = false;  // its load already counted the miss
+      } else {
+        ++shard.hits;
+        if (m_hit_ != nullptr) m_hit_->Inc();
+      }
+      frame.ref_bit = true;
+      if (policy_ == ReplacementPolicy::kLru) ListMoveToBack(&shard, &frame);
+      if (was_miss != nullptr) *was_miss = false;
+      return frame.data.get();
     }
-    if (frame.io_failed) {
-      if (--frame.pin_count == 0) shard.frames.erase(id);
-      return Status::IOError("concurrent read of page " + std::to_string(id) +
-                             " failed");
+    // Quarantined pages fail fast before a frame or disk read is spent on
+    // them: their reads already failed the bounded retries, so re-paying
+    // the I/O would only stall this request behind a known-bad page.
+    if (quarantine_ != nullptr) {
+      CCAM_RETURN_NOT_OK(quarantine_->Check(id));
     }
-    ++shard.hits;
-    if (m_hit_ != nullptr) m_hit_->Inc();
-    frame.ref_bit = true;
-    if (policy_ == ReplacementPolicy::kLru) ListMoveToBack(&shard, &frame);
-    if (was_miss != nullptr) *was_miss = false;
-    return frame.data.get();
-  }
-  // Quarantined pages fail fast before a frame or disk read is spent on
-  // them: their reads already failed the bounded retries, so re-paying the
-  // I/O would only stall this request behind a known-bad page.
-  if (quarantine_ != nullptr) {
-    CCAM_RETURN_NOT_OK(quarantine_->Check(id));
-  }
-  if (shard.frames.size() >= shard.capacity) {
-    CCAM_RETURN_NOT_OK(EvictOneLocked(&shard));
+    if (shard.frames.size() < shard.capacity) break;
+    Status evicted = EvictOneLocked(&shard);
+    if (evicted.ok()) break;
+    // A read-ahead batch pins its frames only until it lands: wait for
+    // one to land rather than fail, then look again (it may hold `id`).
+    if (shard.ahead_loads == 0) return evicted;
+    shard.io_cv.wait(lock);
   }
   Frame& frame = shard.frames[id];
   frame.id = id;
@@ -192,6 +202,97 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss) {
   if (m_miss_ != nullptr) m_miss_->Inc();
   if (was_miss != nullptr) *was_miss = true;
   return frame.data.get();
+}
+
+size_t BufferPool::ReadAhead(const PageId* pages, size_t n, IoStats* io) {
+  if (policy_ != ReplacementPolicy::kLru) return n;
+  // The window: the longest prefix whose distinct pages fit every shard.
+  // At most capacity() pages are distinct, so a linear lookup suffices.
+  std::vector<size_t> used(shards_.size(), 0);
+  std::vector<PageId> distinct;  // first-touch order
+  size_t window = 0;
+  for (; window < n; ++window) {
+    const PageId id = pages[window];
+    if (id == kInvalidPageId ||
+        std::find(distinct.begin(), distinct.end(), id) != distinct.end()) {
+      continue;
+    }
+    const size_t s = static_cast<size_t>(id) % shards_.size();
+    if (used[s] == shards_[s]->capacity) break;
+    ++used[s];
+    distinct.push_back(id);
+  }
+  // Reserve a pinned, io_pending frame per missing page, shard by shard in
+  // first-touch order, exactly as the window's fetches would have.
+  struct Load {
+    Shard* shard;
+    Frame* frame;
+  };
+  std::vector<Load> loads;
+  std::vector<PageId> ids;
+  std::vector<char*> outs;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (used[s] == 0) continue;
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (PageId id : distinct) {
+      if (static_cast<size_t>(id) % shards_.size() != s) continue;
+      auto it = shard.frames.find(id);
+      if (it != shard.frames.end()) {
+        // A failed read's frame has already left the list; its last pin
+        // out erases it.
+        if (!it->second.io_failed) {
+          it->second.ref_bit = true;
+          ListMoveToBack(&shard, &it->second);
+        }
+        continue;
+      }
+      if (quarantine_ != nullptr && quarantine_->Contains(id)) continue;
+      // Frames pinned by concurrent fetches can leave no victim: the rest
+      // of this shard's window is then left to the demand fetches.
+      if (shard.frames.size() >= shard.capacity &&
+          !EvictOneLocked(&shard).ok()) {
+        break;
+      }
+      Frame& frame = shard.frames[id];
+      frame.id = id;
+      frame.data = std::make_unique<char[]>(disk_->page_size());
+      frame.pin_count = 1;
+      frame.ref_bit = true;
+      frame.io_pending = true;
+      ListPushBack(&shard, &frame);
+      ++shard.ahead_loads;
+      loads.push_back({&shard, &frame});
+      ids.push_back(id);
+      outs.push_back(frame.data.get());
+    }
+  }
+  if (loads.empty()) return window;
+  std::vector<Status> statuses(loads.size());
+  disk_->ReadPages(ids.data(), outs.data(), ids.size(), statuses.data());
+  // Land the loads; they are grouped by shard, so each latch is taken once.
+  for (size_t i = 0; i < loads.size();) {
+    Shard& shard = *loads[i].shard;
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (; i < loads.size() && loads[i].shard == &shard; ++i) {
+      Frame& frame = *loads[i].frame;
+      frame.io_pending = false;
+      --shard.ahead_loads;
+      if (statuses[i].ok()) {
+        frame.read_ahead = true;
+        --frame.pin_count;
+        ++shard.misses;
+        if (m_miss_ != nullptr) m_miss_->Inc();
+        if (io != nullptr) ++io->reads;
+      } else {
+        frame.io_failed = true;
+        ListRemove(&shard, &frame);
+        if (--frame.pin_count == 0) shard.frames.erase(ids[i]);
+      }
+    }
+    shard.io_cv.notify_all();
+  }
+  return window;
 }
 
 Status BufferPool::ReadWithRetry(PageId id, char* data) {

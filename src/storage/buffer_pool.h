@@ -92,6 +92,25 @@ class BufferPool {
   /// charged one disk read). Per-session accounting is built on this.
   Result<char*> FetchPage(PageId id, bool* was_miss);
 
+  /// Reads ahead the pages of a known access sequence `pages[0..n)` (in the
+  /// order they will be fetched; kInvalidPageId entries are skipped) and
+  /// returns how many entries it covered: the longest prefix whose distinct
+  /// pages fit every shard's capacity. In first-touch order it moves the
+  /// resident pages of that window to MRU and reserves frames for the
+  /// missing ones, evicting through the normal victim rule, then reads the
+  /// missing pages in one disk batch. Each load counts as a miss, charged
+  /// to `io` when given; the first fetch of a loaded page then scores
+  /// neither a hit nor a miss. A page whose batch read fails is dropped and
+  /// charged to nobody, so its fetch re-reads it through the usual retry
+  /// and quarantine path; quarantined pages are skipped.
+  ///
+  /// LRU only: with at most a shard's capacity of distinct pages per
+  /// window, every demand miss would have evicted an untouched resident
+  /// page, oldest first, so victims, misses and final recency equal those
+  /// of fetching the window in order. FIFO and CLOCK pools return `n`
+  /// and do nothing.
+  size_t ReadAhead(const PageId* pages, size_t n, IoStats* io);
+
   /// Releases one pin; `dirty` marks the frame as modified.
   Status UnpinPage(PageId id, bool dirty);
 
@@ -121,10 +140,12 @@ class BufferPool {
   /// updated together under the owning shard's latch at the moment a fetch
   /// *completes successfully* (a hit when the frame was resident or the
   /// caller joined a landed single-flight read; a miss when this fetch's
-  /// own disk read completed) — so at any sampling instant
-  /// `hits + misses` equals the number of successful fetches that have
-  /// returned, even while other threads are mid-fetch. Failed fetches
-  /// count as neither.
+  /// own disk read completed) or a read-ahead load lands (a miss; the
+  /// first fetch of that page then counts as neither). So at any sampling
+  /// instant `hits + misses` equals the successful fetches that have
+  /// returned plus the read-ahead loads no fetch has claimed yet, even
+  /// while other threads are mid-fetch. Failed fetches and failed
+  /// read-ahead loads count as neither.
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -174,6 +195,7 @@ class BufferPool {
     bool ref_bit = false;   // referenced since the hand passed (CLOCK)
     bool io_pending = false;  // the miss read is still in flight
     bool io_failed = false;   // the miss read failed; frame is unusable
+    bool read_ahead = false;  // loaded ahead, not fetched since (counted)
     Frame* prev = nullptr;
     Frame* next = nullptr;
   };
@@ -192,6 +214,7 @@ class BufferPool {
     Frame* tail = nullptr;
     Frame* hand = nullptr;  // CLOCK hand (null = start at head)
     size_t capacity = 0;
+    size_t ahead_loads = 0;  // read-ahead frames pinned until they land
     uint64_t hits = 0;
     uint64_t misses = 0;
   };

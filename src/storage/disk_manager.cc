@@ -129,65 +129,82 @@ Status DiskManager::FreePage(PageId id) {
 }
 
 Status DiskManager::ReadPage(PageId id, char* out) {
+  Status status;
+  ReadPages(&id, &out, 1, &status);
+  return status;
+}
+
+void DiskManager::ReadPages(const PageId* ids, char* const* outs, size_t n,
+                            Status* statuses) {
   // Metric handles are written only while the device is quiescent (attach
   // time), like the fault injector; the clock is read only when attached.
   MetricHistogram* read_hist = m_read_us_;
   std::chrono::steady_clock::time_point t0;
   if (read_hist != nullptr) t0 = std::chrono::steady_clock::now();
+  size_t done = 0;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    if (halted()) return HaltedStatus("read of page " + std::to_string(id));
-    if (id >= pages_.size() || !allocated_[id]) {
-      return Status::IOError("read of unallocated page " + std::to_string(id));
+    for (size_t i = 0; i < n; ++i) {
+      statuses[i] = ReadLocked(ids[i], outs[i]);
+      if (statuses[i].ok()) ++done;
     }
-    if (faults_ != nullptr) {
-      if (auto fault = faults_->Hit(fp_read_)) {
-        switch (fault->kind) {
-          case FaultAction::Kind::kShort: {
-            // A prefix transfers; the rest of the caller's buffer is
-            // deterministic garbage (never the real page tail).
-            size_t n = std::min(fault->bytes, page_size_);
-            std::memcpy(out, pages_[id].get(), n);
-            std::memset(out + n, 0xCD, page_size_ - n);
-            return Status::ShortRead(
-                "short read of page " + std::to_string(id) + ": " +
-                std::to_string(n) + "/" + std::to_string(page_size_) +
-                " bytes");
-          }
-          case FaultAction::Kind::kCrash:
-            Halt();
-            return Status::IOError("simulated crash during read of page " +
-                                   std::to_string(id));
-          case FaultAction::Kind::kNoSpace:
-          case FaultAction::Kind::kError:
-            return InjectedStatus(*fault, "read", id);
-        }
-      }
-    }
-    std::memcpy(out, pages_[id].get(), page_size_);
-    if (verify_checksums_) {
-      uint32_t crc = Crc32c(out, page_size_);
-      if (crc != seals_[id]) {
-        return Status::Corruption("page " + std::to_string(id) +
-                                  " checksum mismatch: content crc32c " +
-                                  std::to_string(crc) + " != seal " +
-                                  std::to_string(seals_[id]));
-      }
-    }
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    if (m_reads_ != nullptr) m_reads_->Inc();
   }
-  // Latency is modeled outside the lock so in-flight reads overlap.
+  if (done == 0) return;
+  // Latency is modeled outside the lock so in-flight reads overlap, and
+  // once per batch: the batch's pages are queued at the device together.
   uint32_t latency = read_latency_us_.load(std::memory_order_relaxed);
   if (latency != 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(latency));
   }
   if (read_hist != nullptr) {
-    read_hist->Record(static_cast<uint64_t>(
+    const auto elapsed = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
-            .count()));
+            .count());
+    for (size_t i = 0; i < done; ++i) read_hist->Record(elapsed);
   }
+}
+
+Status DiskManager::ReadLocked(PageId id, char* out) {
+  if (halted()) return HaltedStatus("read of page " + std::to_string(id));
+  if (id >= pages_.size() || !allocated_[id]) {
+    return Status::IOError("read of unallocated page " + std::to_string(id));
+  }
+  if (faults_ != nullptr) {
+    if (auto fault = faults_->Hit(fp_read_)) {
+      switch (fault->kind) {
+        case FaultAction::Kind::kShort: {
+          // A prefix transfers; the rest of the caller's buffer is
+          // deterministic garbage (never the real page tail).
+          size_t n = std::min(fault->bytes, page_size_);
+          std::memcpy(out, pages_[id].get(), n);
+          std::memset(out + n, 0xCD, page_size_ - n);
+          return Status::ShortRead("short read of page " + std::to_string(id) +
+                                   ": " + std::to_string(n) + "/" +
+                                   std::to_string(page_size_) + " bytes");
+        }
+        case FaultAction::Kind::kCrash:
+          Halt();
+          return Status::IOError("simulated crash during read of page " +
+                                 std::to_string(id));
+        case FaultAction::Kind::kNoSpace:
+        case FaultAction::Kind::kError:
+          return InjectedStatus(*fault, "read", id);
+      }
+    }
+  }
+  std::memcpy(out, pages_[id].get(), page_size_);
+  if (verify_checksums_) {
+    uint32_t crc = Crc32c(out, page_size_);
+    if (crc != seals_[id]) {
+      return Status::Corruption("page " + std::to_string(id) +
+                                " checksum mismatch: content crc32c " +
+                                std::to_string(crc) + " != seal " +
+                                std::to_string(seals_[id]));
+    }
+  }
+  reads_.fetch_add(1, std::memory_order_relaxed);
+  if (m_reads_ != nullptr) m_reads_->Inc();
   return Status::OK();
 }
 

@@ -77,6 +77,14 @@ class DiskManager {
   /// match its seal fails with Corruption naming the page id.
   Status ReadPage(PageId id, char* out);
 
+  /// Reads `n` pages as one batch: page `ids[i]` into `outs[i]`, with its
+  /// outcome in `statuses[i]`. Each page goes through ReadPage's copy,
+  /// failpoint, seal and counting steps (a failed page does not stop the
+  /// rest), then the simulated latency is slept once for the whole batch.
+  /// Read-ahead uses this to overlap the misses of a known access sequence.
+  void ReadPages(const PageId* ids, char* const* outs, size_t n,
+                 Status* statuses);
+
   /// Overwrites the page from `in` (page_size bytes). Counts a write.
   /// An injected torn write persists only a prefix (the page keeps its old
   /// tail — and its old seal); only complete transfers count toward the
@@ -108,10 +116,12 @@ class DiskManager {
   /// that must not perturb experiment counters.
   void RestoreStats(const IoStats& snapshot);
 
-  /// Models disk latency for throughput experiments: every ReadPage sleeps
-  /// this long *after* releasing the structure lock, so concurrent misses
-  /// overlap like requests queued at a real device. 0 (the default) keeps
-  /// reads instantaneous; accounting is identical either way.
+  /// Models disk latency for throughput experiments: every ReadPage, and
+  /// every ReadPages batch as a whole, sleeps this long *after* releasing
+  /// the structure lock, so concurrent misses overlap like requests queued
+  /// at a real device and a batch costs one latency however many pages it
+  /// holds. A call whose reads all failed does not sleep. 0 (the default)
+  /// keeps reads instantaneous; accounting is identical either way.
   void SetSimulatedReadLatencyMicros(uint32_t micros) {
     read_latency_us_.store(micros, std::memory_order_relaxed);
   }
@@ -128,7 +138,8 @@ class DiskManager {
   /// "<prefix>.read" / "<prefix>.write" / "<prefix>.alloc" /
   /// "<prefix>.free" counters and feed "<prefix>.read_us" /
   /// "<prefix>.write_us" latency histograms (prefix as per
-  /// SetFailpointPrefix, default "disk"). Detached (the default), every
+  /// SetFailpointPrefix, default "disk"); a ReadPages batch records its
+  /// elapsed time once per page it read. Detached (the default), every
   /// instrumentation site is one null-pointer test — the simulated I/O
   /// accounting the paper's tables are built on is untouched either way.
   void SetMetrics(MetricsRegistry* metrics);
@@ -165,6 +176,10 @@ class DiskManager {
   static Result<size_t> PeekPageSize(const std::string& path);
 
  private:
+  /// One page's copy, failpoint, seal and counting steps; the caller holds
+  /// mu_ shared.
+  Status ReadLocked(PageId id, char* out);
+
   size_t page_size_;
   uint32_t zero_seal_;
   mutable std::shared_mutex mu_;

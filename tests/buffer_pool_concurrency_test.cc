@@ -17,6 +17,7 @@
 #include "src/core/query_session.h"
 #include "src/graph/generator.h"
 #include "src/graph/route.h"
+#include "src/query/aggregate.h"
 #include "src/query/route_eval.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"
@@ -312,6 +313,59 @@ TEST_F(QuerySessionTest, ParallelSessionsConserveAccounting) {
   for (const auto& [node, page] : am_->PageMap()) {
     EXPECT_EQ(am_->buffer_pool()->PinCount(page), 0);
   }
+}
+
+TEST(ReadAheadConcurrencyTest, RouteHammerOnASmallPoolConservesReads) {
+  // Eight sessions read ahead and evaluate routes and route-unit
+  // aggregates over one 16-page pool: reservations, evictions and landed
+  // batches race each other and the demand fetches. Every load is charged
+  // to exactly one session.
+  const Network net = GenerateMinneapolisLikeMap(1995);
+  AccessMethodOptions options;
+  options.page_size = 1024;
+  options.buffer_pool_pages = 16;
+  options.buffer_pool_shards = 2;
+  Ccam am(options, CcamCreateMode::kStatic);
+  ASSERT_TRUE(am.Create(net).ok());
+  am.disk()->SetSimulatedReadLatencyMicros(20);
+  const auto routes = GenerateRandomWalkRoutes(net, 96, 40, 13);
+  ASSERT_TRUE(am.buffer_pool()->Reset().ok());
+  am.buffer_pool()->ResetCounters();
+  am.ResetIoStats();
+
+  std::vector<std::unique_ptr<QuerySession>> sessions;
+  for (int t = 0; t < kThreads; ++t) sessions.push_back(am.OpenSession());
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      QuerySession* s = sessions[t].get();
+      for (size_t i = t; i < routes.size(); i += kThreads) {
+        auto res = EvaluateRoute(s, routes[i]);
+        if (!res.ok() || res->num_edges + 1 != routes[i].nodes.size()) {
+          failed.store(true);
+        }
+        RouteUnit unit;
+        for (size_t k = 0; k + 1 < routes[i].nodes.size(); ++k) {
+          unit.edges.emplace_back(routes[i].nodes[k], routes[i].nodes[k + 1]);
+        }
+        if (!AggregateRouteUnit(s, unit).ok()) failed.store(true);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_FALSE(failed.load());
+
+  uint64_t session_reads = 0;
+  for (const auto& s : sessions) session_reads += s->DataIoStats().reads;
+  const IoStats global = am.DataIoStats();
+  EXPECT_GT(global.reads, 0u);
+  EXPECT_EQ(session_reads, global.reads);
+  EXPECT_EQ(am.buffer_pool()->misses(), global.reads);
+  for (const auto& [node, page] : am.PageMap()) {
+    EXPECT_EQ(am.buffer_pool()->PinCount(page), 0);
+  }
+  EXPECT_LE(am.buffer_pool()->NumBuffered(), 16u);
 }
 
 TEST_F(QuerySessionTest, SessionsRejectMutations) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
+
+#include "src/common/fault_injector.h"
 
 namespace ccam {
 namespace {
@@ -353,6 +356,64 @@ TEST(ShardedBufferPoolTest, TrackedFetchReportsMiss) {
   ASSERT_TRUE(res.ok());
   EXPECT_FALSE(was_miss);
   ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+}
+
+TEST(BufferPoolReadAheadTest, WindowFitsCapacityAndLoadsCountOnce) {
+  DiskManager disk(64);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(*disk.AllocatePage());
+  BufferPool pool(&disk, 2, ReplacementPolicy::kLru, 1);
+  // Pages a a b c: the third distinct page does not fit a 2-page pool.
+  const std::vector<PageId> seq = {ids[0], ids[0], ids[1], ids[2]};
+  IoStats io;
+  EXPECT_EQ(pool.ReadAhead(seq.data(), seq.size(), &io), 3u);
+  EXPECT_EQ(disk.stats().reads, 2u);
+  EXPECT_EQ(io.reads, 2u);
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_TRUE(pool.Contains(ids[0]));
+  EXPECT_TRUE(pool.Contains(ids[1]));
+  // The first fetch of a loaded page scores nothing (its load was the
+  // miss); later fetches are ordinary hits.
+  for (int round = 0; round < 2; ++round) {
+    bool was_miss = true;
+    ASSERT_TRUE(pool.FetchPage(ids[0], &was_miss).ok());
+    EXPECT_FALSE(was_miss);
+    ASSERT_TRUE(pool.UnpinPage(ids[0], false).ok());
+  }
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(disk.stats().reads, 2u);
+  // Resident pages cost no read; the next window evicts the LRU page b.
+  const std::vector<PageId> next = {ids[0], ids[3]};
+  EXPECT_EQ(pool.ReadAhead(next.data(), next.size(), &io), 2u);
+  EXPECT_EQ(disk.stats().reads, 3u);
+  EXPECT_FALSE(pool.Contains(ids[1]));
+  EXPECT_TRUE(pool.Contains(ids[3]));
+}
+
+TEST(BufferPoolReadAheadTest, FailedBatchReadIsDroppedAndChargedToNobody) {
+  FaultInjector faults(1);
+  ASSERT_TRUE(faults.Configure("disk.read=short:8@1").ok());
+  DiskManager disk(64);
+  disk.SetFaultInjector(&faults);
+  const PageId a = *disk.AllocatePage();
+  const PageId b = *disk.AllocatePage();
+  BufferPool pool(&disk, 4, ReplacementPolicy::kLru, 1);
+  const std::vector<PageId> seq = {a, b};
+  IoStats io;
+  EXPECT_EQ(pool.ReadAhead(seq.data(), seq.size(), &io), 2u);
+  EXPECT_FALSE(pool.Contains(a));
+  EXPECT_TRUE(pool.Contains(b));
+  EXPECT_EQ(io.reads, 1u);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(disk.stats().reads, 1u);
+  // The demand fetch reads the dropped page itself, as an ordinary miss.
+  bool was_miss = false;
+  ASSERT_TRUE(pool.FetchPage(a, &was_miss).ok());
+  EXPECT_TRUE(was_miss);
+  ASSERT_TRUE(pool.UnpinPage(a, false).ok());
+  EXPECT_EQ(disk.stats().reads, 2u);
+  EXPECT_EQ(pool.PinCount(b), 0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -45,6 +46,47 @@ TEST(DiskManagerTest, StatsCountEveryAccess) {
   EXPECT_EQ(disk.stats().Accesses(), 3u);
   disk.ResetStats();
   EXPECT_EQ(disk.stats().Accesses(), 0u);
+}
+
+TEST(DiskManagerTest, ReadPagesCountsEveryPageOfTheBatch) {
+  DiskManager disk(64);
+  std::vector<PageId> ids;
+  std::vector<std::vector<char>> bufs(5, std::vector<char>(64));
+  std::vector<char*> outs;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(*disk.AllocatePage());
+    std::vector<char> content(64, static_cast<char>('a' + i));
+    ASSERT_TRUE(disk.WritePage(ids.back(), content.data()).ok());
+    outs.push_back(bufs[i].data());
+  }
+  std::vector<Status> statuses(5);
+  disk.ReadPages(ids.data(), outs.data(), 5, statuses.data());
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
+    EXPECT_EQ(bufs[i], std::vector<char>(64, static_cast<char>('a' + i)));
+  }
+  EXPECT_EQ(disk.stats().reads, 5u);
+}
+
+TEST(DiskManagerTest, ReadPagesSleepsTheLatencyOncePerBatch) {
+  DiskManager disk(64);
+  std::vector<PageId> ids;
+  std::vector<std::vector<char>> bufs(8, std::vector<char>(64));
+  std::vector<char*> outs;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(*disk.AllocatePage());
+    outs.push_back(bufs[i].data());
+  }
+  disk.SetSimulatedReadLatencyMicros(20000);
+  std::vector<Status> statuses(8);
+  const auto t0 = std::chrono::steady_clock::now();
+  disk.ReadPages(ids.data(), outs.data(), 8, statuses.data());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  // One 20 ms latency for the batch, not eight (160 ms).
+  EXPECT_GE(elapsed, std::chrono::milliseconds(20));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+  for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(disk.stats().reads, 8u);
 }
 
 TEST(DiskManagerTest, FreeAndReuse) {
@@ -121,6 +163,32 @@ TEST(DiskManagerFaultTest, ShortReadFillsTailAndReportsTypedStatus) {
   // The next read succeeds (transient fault).
   EXPECT_TRUE(disk.ReadPage(p, buf).ok());
   EXPECT_EQ(disk.stats().reads, 1u);
+}
+
+TEST(DiskManagerFaultTest, ReadPagesReportsPerPageStatuses) {
+  FaultInjector faults(1);
+  faults.Arm("disk.read",
+             {FaultAction::Kind::kShort, Status::Code::kIOError, 16},
+             FaultTrigger::Once(2));
+  DiskManager disk(64);
+  disk.SetFaultInjector(&faults);
+  std::vector<PageId> ids;
+  std::vector<std::vector<char>> bufs(4, std::vector<char>(64));
+  std::vector<char*> outs;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(*disk.AllocatePage());
+    outs.push_back(bufs[i].data());
+  }
+  std::vector<Status> statuses(4);
+  disk.ReadPages(ids.data(), outs.data(), 4, statuses.data());
+  // The second page's transfer was short; the rest of the batch completed.
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[1].IsShortRead()) << statuses[1].ToString();
+  EXPECT_NE(statuses[1].message().find("page " + std::to_string(ids[1])),
+            std::string::npos);
+  EXPECT_TRUE(statuses[2].ok()) << statuses[2].ToString();
+  EXPECT_TRUE(statuses[3].ok()) << statuses[3].ToString();
+  EXPECT_EQ(disk.stats().reads, 3u);
 }
 
 TEST(DiskManagerFaultTest, TornWriteKeepsOldTailAndReportsTypedStatus) {

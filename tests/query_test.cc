@@ -9,6 +9,7 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "src/common/fault_injector.h"
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/common/request_context.h"
@@ -623,6 +624,223 @@ TEST_F(QueryTest, MultiSourceDistancesAreShortest) {
       ASSERT_TRUE(dist.count(probe)) << probe;
       EXPECT_NEAR(dist[probe], expected, expected * 1e-5 + 1e-6);
     }
+  }
+}
+
+// --- Read-ahead ------------------------------------------------------------
+
+/// Forwards every call to `inner` but keeps AccessMethod::ReadAhead's no-op
+/// default: the demand-order oracle the read-ahead runs are compared with.
+class DemandOrderAccess : public AccessMethod {
+ public:
+  explicit DemandOrderAccess(AccessMethod* inner) : inner_(inner) {}
+
+  std::string Name() const override { return inner_->Name() + "/demand"; }
+  Status Create(const Network& n) override { return inner_->Create(n); }
+  Result<NodeRecord> Find(NodeId id) override { return inner_->Find(id); }
+  Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override {
+    return inner_->GetASuccessor(from, to);
+  }
+  Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override {
+    return inner_->GetSuccessors(id);
+  }
+  Status InsertNode(const NodeRecord& r, ReorgPolicy p) override {
+    return inner_->InsertNode(r, p);
+  }
+  Status DeleteNode(NodeId id, ReorgPolicy p) override {
+    return inner_->DeleteNode(id, p);
+  }
+  Status InsertEdge(NodeId u, NodeId v, float c, ReorgPolicy p) override {
+    return inner_->InsertEdge(u, v, c, p);
+  }
+  Status DeleteEdge(NodeId u, NodeId v, ReorgPolicy p) override {
+    return inner_->DeleteEdge(u, v, p);
+  }
+  IoStats DataIoStats() const override { return inner_->DataIoStats(); }
+  void ResetIoStats() override { inner_->ResetIoStats(); }
+  const NodePageMap& PageMap() const override { return inner_->PageMap(); }
+  BufferPool* buffer_pool() override { return inner_->buffer_pool(); }
+  bool LastOpChangedStructure() const override {
+    return inner_->LastOpChangedStructure();
+  }
+  size_t NumDataPages() const override { return inner_->NumDataPages(); }
+
+ private:
+  AccessMethod* inner_;
+};
+
+/// One query's answer and page accesses.
+using QueryOutcome = std::pair<double, uint64_t>;
+
+/// Route-units made of the edges of random walks.
+std::vector<RouteUnit> WalkUnits(const Network& net, int count, int length,
+                                 uint64_t seed) {
+  std::vector<RouteUnit> units;
+  for (const Route& walk : GenerateRandomWalkRoutes(net, count, length, seed)) {
+    RouteUnit unit;
+    for (size_t i = 0; i + 1 < walk.nodes.size(); ++i) {
+      unit.edges.emplace_back(walk.nodes[i], walk.nodes[i + 1]);
+    }
+    units.push_back(std::move(unit));
+  }
+  return units;
+}
+
+/// Evaluates routes and aggregates alternately on `am`, one shared pool.
+std::vector<QueryOutcome> RunInterleaved(AccessMethod* am,
+                                         const std::vector<Route>& routes,
+                                         const std::vector<RouteUnit>& units) {
+  std::vector<QueryOutcome> out;
+  for (size_t i = 0; i < routes.size(); ++i) {
+    auto route = EvaluateRoute(am, routes[i]);
+    EXPECT_TRUE(route.ok()) << route.status().ToString();
+    if (route.ok()) out.emplace_back(route->total_cost, route->page_accesses);
+    auto agg = AggregateRouteUnit(am, units[i % units.size()]);
+    EXPECT_TRUE(agg.ok()) << agg.status().ToString();
+    if (agg.ok()) out.emplace_back(agg->total_edge_cost, agg->page_accesses);
+  }
+  return out;
+}
+
+TEST(ReadAheadTest, LruReadAheadMatchesDemandOrderExactly) {
+  RoadMapOptions gen;
+  gen.rows = 40;
+  gen.cols = 40;
+  gen.seed = 20;
+  const Network net = GenerateRoadMap(gen);
+  const auto routes = GenerateRandomWalkRoutes(net, 40, 65, 21);
+  const auto units = WalkUnits(net, 40, 30, 22);
+  for (size_t page_size : {512, 1024, 2048}) {
+    for (size_t pool_pages : {1, 2, 3, 8, 64}) {
+      SCOPED_TRACE("page " + std::to_string(page_size) + ", pool " +
+                   std::to_string(pool_pages));
+      AccessMethodOptions options;
+      options.page_size = page_size;
+      options.buffer_pool_pages = pool_pages;
+      options.buffer_pool_shards = pool_pages == 64 ? 4 : 1;
+      options.num_threads = 1;
+      Ccam file(options, CcamCreateMode::kStatic);
+      ASSERT_TRUE(file.Create(net).ok());
+      auto session = file.OpenSession();
+      DemandOrderAccess demand(&file);
+
+      struct Run {
+        std::vector<QueryOutcome> outcomes;
+        uint64_t disk_reads = 0;
+        BufferPool::Counters counters;
+      };
+      auto run = [&](AccessMethod* am) {
+        EXPECT_TRUE(file.buffer_pool()->Reset().ok());
+        file.buffer_pool()->ResetCounters();
+        file.ResetIoStats();
+        session->ResetIoStats();
+        Run r;
+        r.outcomes = RunInterleaved(am, routes, units);
+        r.disk_reads = file.DataIoStats().reads;
+        r.counters = file.buffer_pool()->GetCounters();
+        return r;
+      };
+      const Run want = run(&demand);
+      const Run direct = run(&file);
+      EXPECT_EQ(direct.outcomes, want.outcomes);
+      EXPECT_EQ(direct.disk_reads, want.disk_reads);
+      EXPECT_EQ(direct.counters.hits, want.counters.hits);
+      EXPECT_EQ(direct.counters.misses, want.counters.misses);
+      const Run charged = run(session.get());
+      EXPECT_EQ(charged.outcomes, want.outcomes);
+      EXPECT_EQ(charged.disk_reads, want.disk_reads);
+      EXPECT_EQ(session->DataIoStats().reads, charged.disk_reads);
+      EXPECT_EQ(charged.counters.hits, want.counters.hits);
+      EXPECT_EQ(charged.counters.misses, want.counters.misses);
+    }
+  }
+}
+
+TEST(ReadAheadTest, FifoAndClockPoolsAreUntouched) {
+  const Network net = GenerateMinneapolisLikeMap(1995);
+  const auto routes = GenerateRandomWalkRoutes(net, 2, 40, 5);
+  const std::vector<NodeId>& nodes = routes[1].nodes;
+  for (ReplacementPolicy policy :
+       {ReplacementPolicy::kFifo, ReplacementPolicy::kClock}) {
+    SCOPED_TRACE(ReplacementPolicyName(policy));
+    AccessMethodOptions options;
+    options.buffer_pool_pages = 8;
+    options.replacement = policy;
+    Ccam file(options, CcamCreateMode::kStatic);
+    ASSERT_TRUE(file.Create(net).ok());
+    ASSERT_TRUE(EvaluateRoute(&file, routes[0]).ok());  // a warm pool
+    auto session = file.OpenSession();
+    const BufferPool::Counters before = file.buffer_pool()->GetCounters();
+    const uint64_t reads = file.DataIoStats().reads;
+    const size_t buffered = file.buffer_pool()->NumBuffered();
+    EXPECT_EQ(file.ReadAhead(nodes.data(), nodes.size()), nodes.size());
+    EXPECT_EQ(session->ReadAhead(nodes.data(), nodes.size()), nodes.size());
+    const BufferPool::Counters after = file.buffer_pool()->GetCounters();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(file.DataIoStats().reads, reads);
+    EXPECT_EQ(session->DataIoStats().reads, 0u);
+    EXPECT_EQ(file.buffer_pool()->NumBuffered(), buffered);
+  }
+  // The LRU contrast: from a cold pool one call loads a whole window, each
+  // load a miss, and covers at least the first entry.
+  AccessMethodOptions options;
+  options.buffer_pool_pages = 8;
+  Ccam file(options, CcamCreateMode::kStatic);
+  ASSERT_TRUE(file.Create(net).ok());
+  ASSERT_TRUE(file.buffer_pool()->Reset().ok());
+  file.buffer_pool()->ResetCounters();
+  file.ResetIoStats();
+  const size_t covered = file.ReadAhead(nodes.data(), nodes.size());
+  EXPECT_GE(covered, 1u);
+  EXPECT_LE(covered, nodes.size());
+  EXPECT_GE(file.DataIoStats().reads, 2u);
+  EXPECT_EQ(file.buffer_pool()->misses(), file.DataIoStats().reads);
+  EXPECT_EQ(file.buffer_pool()->hits(), 0u);
+}
+
+TEST(ReadAheadTest, ShortReadInABatchLeavesResultsIdentical) {
+  const Network net = GenerateMinneapolisLikeMap(1995);
+  const auto routes = GenerateRandomWalkRoutes(net, 30, 65, 31);
+  AccessMethodOptions options;
+  options.buffer_pool_pages = 8;
+  Ccam file(options, CcamCreateMode::kStatic);
+  ASSERT_TRUE(file.Create(net).ok());
+
+  auto evaluate_all = [&](QuerySession* session) {
+    std::vector<QueryOutcome> out;
+    for (const Route& route : routes) {
+      auto res = EvaluateRoute(session, route);
+      EXPECT_TRUE(res.ok()) << res.status().ToString();
+      if (res.ok()) out.emplace_back(res->total_cost, res->page_accesses);
+    }
+    return out;
+  };
+  ASSERT_TRUE(file.buffer_pool()->Reset().ok());
+  const auto oracle = evaluate_all(file.OpenSession().get());
+
+  // The first route's first window holds at least two missing pages, so
+  // read 2 of a cold pool is part of a batch.
+  ASSERT_TRUE(file.buffer_pool()->Reset().ok());
+  file.ResetIoStats();
+  file.ReadAhead(routes[0].nodes.data(), routes[0].nodes.size());
+  ASSERT_GE(file.DataIoStats().reads, 2u);
+
+  for (const char* schedule :
+       {"disk.read=short:64@2", "disk.read=short:64@every9"}) {
+    SCOPED_TRACE(schedule);
+    ASSERT_TRUE(file.buffer_pool()->Reset().ok());
+    FaultInjector faults(7);
+    file.SetFaultInjector(&faults);
+    ASSERT_TRUE(faults.Configure(schedule).ok());
+    const IoStats disk_before = file.DataIoStats();
+    auto session = file.OpenSession();
+    EXPECT_EQ(evaluate_all(session.get()), oracle);
+    EXPECT_FALSE(faults.FiringLog().empty());
+    EXPECT_EQ(session->DataIoStats().reads,
+              (file.DataIoStats() - disk_before).reads);
+    EXPECT_EQ(file.quarantine()->size(), 0u);
+    file.SetFaultInjector(nullptr);
   }
 }
 
