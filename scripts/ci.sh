@@ -34,11 +34,12 @@
 #   8. faults    — scripts/check_faults.sh: fault-injection + crash
 #                  consistency sweeps, differential oracle, lossless-ack
 #                  snapshot-store crashsim with JSON gating
-#   9. debug     — serve_test, query_test and shard_test in a separate
-#                  Debug build directory, so the `#ifndef NDEBUG` contract
-#                  tests (the read-session thread assert's death test) run
-#                  somewhere: tier-1 (RelWithDebInfo) and TSan both define
-#                  NDEBUG
+#   9. debug     — serve_test, query_test, shard_test and
+#                  snapshot_swap_test in a separate Debug build directory,
+#                  so the `#ifndef NDEBUG` contract checks (the
+#                  read-session thread assert and its death test, run by
+#                  every session read and read-ahead hint) run somewhere:
+#                  tier-1 (RelWithDebInfo) and TSan both define NDEBUG
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
 #  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test,
@@ -129,10 +130,11 @@ swap_stage() {
 debug_asserts() {
   cmake -B "$DEBUG_BUILD" -S . -DCMAKE_BUILD_TYPE=Debug &&
   cmake --build "$DEBUG_BUILD" --target serve_test query_test shard_test \
-    -j "$(nproc)" &&
+    snapshot_swap_test -j "$(nproc)" &&
   "$DEBUG_BUILD/tests/serve_test" &&
   "$DEBUG_BUILD/tests/query_test" &&
-  "$DEBUG_BUILD/tests/shard_test"
+  "$DEBUG_BUILD/tests/shard_test" &&
+  "$DEBUG_BUILD/tests/snapshot_swap_test"
 }
 
 asan_stage() {

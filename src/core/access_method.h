@@ -105,9 +105,10 @@ class AccessMethod {
   /// records of `nodes[0..n)` next, in that order. Returns how many of them
   /// the hint covered; the caller hints again when its reads pass that
   /// point (ReadAheadCursor does this). The hint reads pages early but
-  /// never changes which pages a query accesses. The default reads nothing
-  /// and covers all `n`, which keeps any wrapper that does not forward it
-  /// correct.
+  /// never changes which pages a query accesses. NetworkFile, QuerySession
+  /// and SnapshotSession (which skips the nodes its overlay shadows) read
+  /// ahead; the default reads nothing and covers all `n`, which keeps any
+  /// wrapper that does not forward it correct.
   virtual size_t ReadAhead(const NodeId* nodes, size_t n) {
     (void)nodes;
     return n;

@@ -132,6 +132,22 @@ void SnapshotSession::Refresh() {
   version_ = std::move(next);
 }
 
+size_t SnapshotSession::ReadAhead(const NodeId* nodes, size_t n) {
+  DebugCheckThread();
+  // One overlay view for the whole hint. The overlay only grows while the
+  // version is current, so a node shadowed now is still shadowed when it
+  // is read; kInvalidNodeId has no base page, so its entry reads nothing.
+  const SnapshotVersion& v = *version_;
+  std::vector<NodeId> base(nodes, nodes + n);
+  {
+    std::shared_lock<std::shared_mutex> lock(v.overlay_mu_);
+    for (NodeId& id : base) {
+      if (v.overlay_.count(id) != 0) id = kInvalidNodeId;
+    }
+  }
+  return v.file()->SharedReadAhead(base.data(), n, &io_);
+}
+
 Result<NodeRecord> SnapshotSession::DoFind(NodeId id) {
   std::optional<NodeRecord> overlay;
   if (version_->OverlayLookup(id, &overlay)) {

@@ -19,6 +19,7 @@
 #include "src/query/aggregate.h"
 #include "src/query/route_eval.h"
 #include "src/query/search.h"
+#include "tests/demand_order.h"
 
 namespace ccam {
 namespace {
@@ -628,79 +629,6 @@ TEST_F(QueryTest, MultiSourceDistancesAreShortest) {
 }
 
 // --- Read-ahead ------------------------------------------------------------
-
-/// Forwards every call to `inner` but keeps AccessMethod::ReadAhead's no-op
-/// default: the demand-order oracle the read-ahead runs are compared with.
-class DemandOrderAccess : public AccessMethod {
- public:
-  explicit DemandOrderAccess(AccessMethod* inner) : inner_(inner) {}
-
-  std::string Name() const override { return inner_->Name() + "/demand"; }
-  Status Create(const Network& n) override { return inner_->Create(n); }
-  Result<NodeRecord> Find(NodeId id) override { return inner_->Find(id); }
-  Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override {
-    return inner_->GetASuccessor(from, to);
-  }
-  Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override {
-    return inner_->GetSuccessors(id);
-  }
-  Status InsertNode(const NodeRecord& r, ReorgPolicy p) override {
-    return inner_->InsertNode(r, p);
-  }
-  Status DeleteNode(NodeId id, ReorgPolicy p) override {
-    return inner_->DeleteNode(id, p);
-  }
-  Status InsertEdge(NodeId u, NodeId v, float c, ReorgPolicy p) override {
-    return inner_->InsertEdge(u, v, c, p);
-  }
-  Status DeleteEdge(NodeId u, NodeId v, ReorgPolicy p) override {
-    return inner_->DeleteEdge(u, v, p);
-  }
-  IoStats DataIoStats() const override { return inner_->DataIoStats(); }
-  void ResetIoStats() override { inner_->ResetIoStats(); }
-  const NodePageMap& PageMap() const override { return inner_->PageMap(); }
-  BufferPool* buffer_pool() override { return inner_->buffer_pool(); }
-  bool LastOpChangedStructure() const override {
-    return inner_->LastOpChangedStructure();
-  }
-  size_t NumDataPages() const override { return inner_->NumDataPages(); }
-
- private:
-  AccessMethod* inner_;
-};
-
-/// One query's answer and page accesses.
-using QueryOutcome = std::pair<double, uint64_t>;
-
-/// Route-units made of the edges of random walks.
-std::vector<RouteUnit> WalkUnits(const Network& net, int count, int length,
-                                 uint64_t seed) {
-  std::vector<RouteUnit> units;
-  for (const Route& walk : GenerateRandomWalkRoutes(net, count, length, seed)) {
-    RouteUnit unit;
-    for (size_t i = 0; i + 1 < walk.nodes.size(); ++i) {
-      unit.edges.emplace_back(walk.nodes[i], walk.nodes[i + 1]);
-    }
-    units.push_back(std::move(unit));
-  }
-  return units;
-}
-
-/// Evaluates routes and aggregates alternately on `am`, one shared pool.
-std::vector<QueryOutcome> RunInterleaved(AccessMethod* am,
-                                         const std::vector<Route>& routes,
-                                         const std::vector<RouteUnit>& units) {
-  std::vector<QueryOutcome> out;
-  for (size_t i = 0; i < routes.size(); ++i) {
-    auto route = EvaluateRoute(am, routes[i]);
-    EXPECT_TRUE(route.ok()) << route.status().ToString();
-    if (route.ok()) out.emplace_back(route->total_cost, route->page_accesses);
-    auto agg = AggregateRouteUnit(am, units[i % units.size()]);
-    EXPECT_TRUE(agg.ok()) << agg.status().ToString();
-    if (agg.ok()) out.emplace_back(agg->total_edge_cost, agg->page_accesses);
-  }
-  return out;
-}
 
 TEST(ReadAheadTest, LruReadAheadMatchesDemandOrderExactly) {
   RoadMapOptions gen;

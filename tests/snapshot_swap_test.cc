@@ -14,6 +14,12 @@
 //     bit-identical whether or not a background build is in flight,
 //     and a reader holding a page pin never blocks a swap.
 //
+// SnapshotReadAheadTest pins down the session's read-ahead: on a
+// quiesced store it reads exactly the pages demand order reads, nodes
+// the overlay shadows read nothing, and beside a concurrent writer and
+// reorganizations every answer stays exact and every load is charged to
+// exactly one session.
+//
 // Registered in scripts/check_tsan.sh: the hammer runs under TSan to
 // catch ordering bugs the assertions cannot.
 
@@ -26,11 +32,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/ccam.h"
 #include "src/graph/generator.h"
+#include "src/query/aggregate.h"
+#include "src/query/route_eval.h"
+#include "tests/demand_order.h"
 
 namespace ccam {
 namespace {
@@ -53,6 +64,17 @@ int EnvInt(const char* name, int fallback) {
     if (v > 0) return v;
   }
   return fallback;
+}
+
+/// A pendant node `id` one unit beside `anchor`, joined to it both ways.
+NodeRecord PendantBeside(const Network& net, NodeId anchor, NodeId id) {
+  NodeRecord pendant;
+  pendant.id = id;
+  pendant.x = net.node(anchor).x + 1.0;
+  pendant.y = net.node(anchor).y + 1.0;
+  pendant.succ = {{anchor, 1.0f}};
+  pendant.pred = {{anchor, 1.0f}};
+  return pendant;
 }
 
 // 8 reader threads churn sessions while the main thread interleaves
@@ -344,12 +366,7 @@ TEST(SnapshotSwapTest, GetSuccessorsNeverSeesATornOverlayUpdate) {
 
   const std::vector<NodeId> ids = net.NodeIds();
   const NodeId anchor = ids.front();
-  NodeRecord pendant;
-  pendant.id = ids.back() + 1;
-  pendant.x = net.node(anchor).x + 1.0;
-  pendant.y = net.node(anchor).y + 1.0;
-  pendant.succ = {{anchor, 1.0f}};
-  pendant.pred = {{anchor, 1.0f}};
+  const NodeRecord pendant = PendantBeside(net, anchor, ids.back() + 1);
 
   std::atomic<uint64_t> calls{0};
   std::atomic<uint64_t> torn{0};
@@ -381,6 +398,263 @@ TEST(SnapshotSwapTest, GetSuccessorsNeverSeesATornOverlayUpdate) {
   EXPECT_GT(writes, 0u);
   EXPECT_EQ(torn.load(), 0u) << "of " << kCalls << " GetSuccessors calls";
   EXPECT_EQ(other.load(), 0u);
+  ASSERT_TRUE(store->CheckConsistency().ok());
+}
+
+// --- Read-ahead ------------------------------------------------------------
+
+/// Overlay edits the read-ahead tests run against: doubled edge costs on a
+/// spread of nodes, one deleted node and one pendant inserted beside an
+/// anchor, joined both ways.
+struct OverlayEdits {
+  std::vector<NodeId> updated;  // both endpoints of each re-costed edge
+  NodeId tombstoned = kInvalidNodeId;
+  NodeId inserted = kInvalidNodeId;
+  NodeId anchor = kInvalidNodeId;
+};
+
+OverlayEdits EditOverlay(SnapshotManager* store) {
+  OverlayEdits edits;
+  const Network& net = store->network();
+  const std::vector<NodeId> ids = net.NodeIds();
+  for (size_t k = 0; k < 20; ++k) {
+    const NodeId u = ids[(k * 37 + 5) % ids.size()];
+    if (net.node(u).succ.empty()) continue;
+    const AdjEntry e = net.node(u).succ.front();
+    EXPECT_TRUE(store->DeleteEdge(u, e.node).ok());
+    EXPECT_TRUE(store->InsertEdge(u, e.node, e.cost * 2.0f).ok());
+    edits.updated.push_back(u);
+    edits.updated.push_back(e.node);
+  }
+  edits.tombstoned = ids[ids.size() / 2];
+  EXPECT_TRUE(store->DeleteNode(edits.tombstoned).ok());
+  edits.anchor = ids[ids.size() / 3];
+  const NodeRecord pendant = PendantBeside(net, edits.anchor, ids.back() + 1);
+  EXPECT_TRUE(store->InsertNode(pendant).ok());
+  edits.inserted = pendant.id;
+  return edits;
+}
+
+Network ReadAheadMap() {
+  RoadMapOptions gen;
+  gen.rows = 30;
+  gen.cols = 30;
+  gen.seed = 20;
+  return GenerateRoadMap(gen);
+}
+
+// A session's read-ahead over a store with a populated overlay reads the
+// pages demand order reads, one for one: the same answers and page
+// accesses per query, the same disk reads and the same pool hit/miss
+// counters, with every load charged to the session.
+TEST(SnapshotReadAheadTest, QuiescedStoreMatchesDemandOrderExactly) {
+  const Network net = ReadAheadMap();
+  for (size_t pool_pages : {1, 2, 8, 64}) {
+    SCOPED_TRACE("pool " + std::to_string(pool_pages));
+    SnapshotOptions sopt = OptionsFor("ccam_read_ahead_demand_store");
+    sopt.am.buffer_pool_pages = pool_pages;
+    sopt.am.buffer_pool_shards = pool_pages == 64 ? 4 : 1;
+    auto mgr = SnapshotManager::Create(sopt, net);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+    SnapshotManager* store = mgr->get();
+    const OverlayEdits edits = EditOverlay(store);
+
+    // Walks over the edited network, plus a route and a unit through the
+    // overlay-only pendant.
+    auto routes = GenerateRandomWalkRoutes(store->network(), 40, 65, 21);
+    auto units = WalkUnits(store->network(), 40, 30, 22);
+    Route via;
+    via.nodes = {edits.anchor, edits.inserted, edits.anchor};
+    routes.insert(routes.begin(), via);
+    RouteUnit spur;
+    spur.edges = {{edits.anchor, edits.inserted},
+                  {edits.inserted, edits.anchor}};
+    units.insert(units.begin(), spur);
+
+    auto session = store->OpenSession();
+    SnapshotVersion* version = session->version();
+    size_t shadowed = 0;
+    for (const Route& route : routes) {
+      for (NodeId id : route.nodes) {
+        std::optional<NodeRecord> rec;
+        if (version->OverlayLookup(id, &rec)) ++shadowed;
+      }
+    }
+    ASSERT_GT(shadowed, via.nodes.size());
+
+    Ccam* file = version->file();
+    DemandOrderAccess demand(session.get());
+    struct Run {
+      std::vector<QueryOutcome> outcomes;
+      uint64_t disk_reads = 0;
+      uint64_t session_reads = 0;
+      BufferPool::Counters counters;
+    };
+    auto run = [&](AccessMethod* am) {
+      EXPECT_TRUE(file->buffer_pool()->Reset().ok());
+      file->buffer_pool()->ResetCounters();
+      file->ResetIoStats();
+      session->ResetIoStats();
+      Run r;
+      r.outcomes = RunInterleaved(am, routes, units);
+      r.disk_reads = file->DataIoStats().reads;
+      r.session_reads = session->DataIoStats().reads;
+      r.counters = file->buffer_pool()->GetCounters();
+      return r;
+    };
+    const Run want = run(&demand);
+    const Run got = run(session.get());
+    EXPECT_EQ(got.outcomes, want.outcomes);
+    EXPECT_EQ(got.disk_reads, want.disk_reads);
+    EXPECT_EQ(want.session_reads, want.disk_reads);
+    EXPECT_EQ(got.session_reads, got.disk_reads);
+    EXPECT_EQ(got.counters.hits, want.counters.hits);
+    EXPECT_EQ(got.counters.misses, want.counters.misses);
+  }
+}
+
+// Updated, tombstoned and overlay-only nodes are answered from memory, so
+// a hint naming only them reads nothing from a cold pool; a base node
+// beside them is read.
+TEST(SnapshotReadAheadTest, HintSkipsShadowedNodes) {
+  auto mgr = SnapshotManager::Create(OptionsFor("ccam_read_ahead_skip_store"),
+                                     ReadAheadMap());
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  SnapshotManager* store = mgr->get();
+  const OverlayEdits edits = EditOverlay(store);
+  auto session = store->OpenSession();
+  SnapshotVersion* version = session->version();
+  Ccam* file = version->file();
+  ASSERT_TRUE(file->buffer_pool()->Reset().ok());
+  file->buffer_pool()->ResetCounters();
+  file->ResetIoStats();
+
+  const std::vector<NodeId> shadowed = {edits.updated.front(),
+                                        edits.tombstoned, edits.inserted};
+  EXPECT_EQ(session->ReadAhead(shadowed.data(), shadowed.size()),
+            shadowed.size());
+  EXPECT_EQ(file->DataIoStats().reads, 0u);
+  EXPECT_EQ(session->DataIoStats().reads, 0u);
+  EXPECT_EQ(file->buffer_pool()->misses(), 0u);
+  EXPECT_EQ(file->buffer_pool()->NumBuffered(), 0u);
+
+  NodeId base = kInvalidNodeId;
+  for (NodeId id : store->network().NodeIds()) {
+    std::optional<NodeRecord> rec;
+    if (!version->OverlayLookup(id, &rec)) {
+      base = id;
+      break;
+    }
+  }
+  ASSERT_NE(base, kInvalidNodeId);
+  const std::vector<NodeId> mixed = {edits.tombstoned, base, edits.inserted};
+  EXPECT_EQ(session->ReadAhead(mixed.data(), mixed.size()), mixed.size());
+  EXPECT_EQ(file->DataIoStats().reads, 1u);
+  EXPECT_EQ(session->DataIoStats().reads, 1u);
+  EXPECT_TRUE(file->buffer_pool()->Contains(file->PageMap().at(base)));
+}
+
+// Four reader sessions read ahead while a writer shadows route nodes one
+// after another (a pendant inserted and deleted beside each) and
+// background reorganizations publish new versions. A node shadowed
+// between a hint and its read costs at most one extra load, charged to
+// the session: answers equal the quiesced ones, and the sessions' reads
+// sum to the versions' disk reads.
+TEST(SnapshotReadAheadTest, WriterAndReorgsKeepAnswersAndConserveReads) {
+  constexpr int kReaders = 4;
+  constexpr int kReorgs = 6;
+  SnapshotOptions sopt = OptionsFor("ccam_read_ahead_hammer_store");
+  sopt.am.buffer_pool_pages = 16;
+  sopt.am.buffer_pool_shards = 2;
+  const Network net = ReadAheadMap();
+  auto mgr = SnapshotManager::Create(sopt, net);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  SnapshotManager* store = mgr->get();
+  const auto routes = GenerateRandomWalkRoutes(net, 32, 50, 41);
+  const auto units = WalkUnits(net, 32, 25, 42);
+
+  // Keepers pin every published version to the end so its disk counters
+  // can be summed; each opens while its version is still current.
+  std::vector<std::unique_ptr<SnapshotSession>> keepers;
+  keepers.push_back(store->OpenSession());
+  Ccam* first = keepers.back()->version()->file();
+  const std::vector<QueryOutcome> oracle =
+      RunInterleaved(store->OpenSession().get(), routes, units);
+  ASSERT_EQ(oracle.size(), 2 * routes.size());
+  first->ResetIoStats();
+
+  std::vector<std::unique_ptr<SnapshotSession>> sessions;
+  for (int t = 0; t < kReaders; ++t) sessions.push_back(store->OpenSession());
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      SnapshotSession* s = sessions[t].get();
+      do {
+        for (size_t i = t; i < routes.size(); i += kReaders) {
+          s->Refresh();
+          auto route = EvaluateRoute(s, routes[i]);
+          if (!route.ok() || route->total_cost != oracle[2 * i].first) {
+            ++wrong;
+          }
+          auto agg = AggregateRouteUnit(s, units[i % units.size()]);
+          if (!agg.ok() || agg->total_edge_cost != oracle[2 * i + 1].first) {
+            ++wrong;
+          }
+        }
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+
+  // The writer walks the route nodes, shadowing each in the current
+  // version's overlay; the pendant never lies on a route, so no answer
+  // changes.
+  std::vector<NodeId> anchors;
+  for (const Route& route : routes) {
+    anchors.insert(anchors.end(), route.nodes.begin(), route.nodes.end());
+  }
+  const std::vector<NodeId> ids = net.NodeIds();
+  size_t next = 0;
+  Status status;
+  auto shadow_next = [&] {
+    const NodeId anchor = anchors[next++ % anchors.size()];
+    const NodeRecord pendant = PendantBeside(net, anchor, ids.back() + 1);
+    if (status.ok()) status = store->InsertNode(pendant);
+    if (status.ok()) status = store->DeleteNode(pendant.id);
+  };
+  for (int r = 0; r < kReorgs && status.ok(); ++r) {
+    for (int k = 0; k < 100; ++k) shadow_next();
+    if (status.ok()) status = store->StartBackgroundReorg();
+    while (status.ok() && store->ReorgActive()) shadow_next();
+    Status reorg = store->WaitForReorg();
+    if (status.ok()) status = reorg;
+    keepers.push_back(store->OpenSession());
+  }
+  for (int k = 0; k < 100; ++k) shadow_next();
+  stop.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(wrong.load(), 0);
+
+  uint64_t session_reads = 0;
+  for (const auto& s : sessions) session_reads += s->DataIoStats().reads;
+  uint64_t disk_reads = 0;
+  for (size_t v = 0; v < keepers.size(); ++v) {
+    SnapshotVersion* version = keepers[v]->version();
+    EXPECT_EQ(version->id(), v + 1);
+    disk_reads += version->file()->DataIoStats().reads;
+    for (const auto& [node, page] : version->file()->PageMap()) {
+      EXPECT_EQ(version->file()->buffer_pool()->PinCount(page), 0);
+    }
+  }
+  EXPECT_GT(session_reads, 0u);
+  EXPECT_EQ(session_reads, disk_reads);
+
+  sessions.clear();
+  keepers.clear();
+  EXPECT_EQ(store->TotalAcquires(), store->TotalReleases());
+  EXPECT_EQ(store->LiveVersionCount(), 1u);
   ASSERT_TRUE(store->CheckConsistency().ok());
 }
 
