@@ -1,6 +1,7 @@
 #ifndef CCAM_BENCH_BENCH_UTIL_H_
 #define CCAM_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -204,13 +205,20 @@ class BenchJsonWriter {
 
   /// One record per table row, keyed by the sanitized column headers and
   /// tagged with `tag` so multiple tables of one bench stay separable.
-  void AddTable(const std::string& tag, const TablePrinter& table) {
+  /// Columns named in `stdout_only` (wall-clock: host noise, not a
+  /// result) are printed but left out of the records.
+  void AddTable(const std::string& tag, const TablePrinter& table,
+                const std::vector<std::string>& stdout_only = {}) {
     std::vector<std::string> keys;
     keys.reserve(table.headers().size());
     for (const auto& h : table.headers()) keys.push_back(SanitizeKey(h));
     for (const auto& row : table.rows()) {
       std::string rec = "{\"table\": " + Quote(tag);
       for (size_t c = 0; c < keys.size(); ++c) {
+        if (std::find(stdout_only.begin(), stdout_only.end(),
+                      table.headers()[c]) != stdout_only.end()) {
+          continue;
+        }
         const std::string& cell = c < row.size() ? row[c] : std::string();
         rec += ", \"" + keys[c] + "\": " + EncodeValue(cell);
       }

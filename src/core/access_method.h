@@ -77,6 +77,13 @@ struct AccessMethodOptions {
   uint64_t seed = 42;
 };
 
+/// One entry of a read-ahead hint: the read of `node`'s record as a
+/// Get-A-successor from `from`, or as a Find when `from` is kInvalidNodeId.
+struct ReadHint {
+  NodeId from = kInvalidNodeId;
+  NodeId node = kInvalidNodeId;
+};
+
 /// Abstract access method for networks: the operation set from the paper's
 /// Section 1.2 — Create / Find / Insert / Delete plus the network-specific
 /// Get-A-successor and Get-successors that dominate the I/O of aggregate
@@ -101,16 +108,23 @@ class AccessMethod {
   /// already-buffered successors without additional I/O.
   virtual Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) = 0;
 
-  /// Read-ahead hint for a known access sequence: the caller will read the
-  /// records of `nodes[0..n)` next, in that order. Returns how many of them
-  /// the hint covered; the caller hints again when its reads pass that
-  /// point (ReadAheadCursor does this). The hint reads pages early but
-  /// never changes which pages a query accesses. NetworkFile, QuerySession
-  /// and SnapshotSession (which skips the nodes its overlay shadows) read
-  /// ahead; the default reads nothing and covers all `n`, which keeps any
+  /// Read-ahead hint for a known access sequence: the caller will next read
+  /// `hints[0].node`, `hints[1].node`, ... in that order, each as a
+  /// Get-A-successor from `from`, or as a Find when `from` is
+  /// kInvalidNodeId. Returns how many of them the hint covered; the caller
+  /// hints again when its reads pass that point (ReadAheadCursor does
+  /// this). An implementation maps entries only until its pool's window is
+  /// full, so passing the whole rest of a sequence costs one window. The
+  /// hint reads pages early but never changes which pages a query
+  /// accesses: a read whose page the hint loaded reports that load as its
+  /// miss (IoStats::ahead_misses). NetworkFile, QuerySession and
+  /// SnapshotSession (which skips the nodes its overlay shadows) ignore
+  /// `from`; ShardedQuerySession sends a Find to the owner's shard and a
+  /// Get-A-successor to `from`'s shard, whose halo copy the read will
+  /// fetch. The default reads nothing and covers all `n`, which keeps any
   /// wrapper that does not forward it correct.
-  virtual size_t ReadAhead(const NodeId* nodes, size_t n) {
-    (void)nodes;
+  virtual size_t ReadAhead(const ReadHint* hints, size_t n) {
+    (void)hints;
     return n;
   }
 
@@ -197,18 +211,28 @@ class AccessMethod {
 /// window once the reads have passed the end of the last one.
 class ReadAheadCursor {
  public:
-  ReadAheadCursor(AccessMethod* am, const std::vector<NodeId>& nodes)
-      : am_(am), nodes_(nodes) {}
+  /// `chained`: the operator reads nodes[0] with Find and every later node
+  /// as a Get-A-successor of the one before it (route and tour
+  /// evaluation). Otherwise every read is a Find (route-unit aggregates).
+  ReadAheadCursor(AccessMethod* am, const std::vector<NodeId>& nodes,
+                  bool chained)
+      : am_(am) {
+    hints_.reserve(nodes.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      hints_.push_back(
+          {chained && i > 0 ? nodes[i - 1] : kInvalidNodeId, nodes[i]});
+    }
+  }
 
   void Before(size_t i) {
     if (i >= end_) {
-      end_ = i + am_->ReadAhead(nodes_.data() + i, nodes_.size() - i);
+      end_ = i + am_->ReadAhead(hints_.data() + i, hints_.size() - i);
     }
   }
 
  private:
   AccessMethod* am_;
-  const std::vector<NodeId>& nodes_;
+  std::vector<ReadHint> hints_;
   size_t end_ = 0;  // first entry not covered by a hint yet
 };
 

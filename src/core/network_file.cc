@@ -734,14 +734,22 @@ Result<std::vector<NodeRecord>> NetworkFile::SharedGetSuccessors(NodeId id,
   return GetSuccessorsTracked(id, io);
 }
 
-size_t NetworkFile::SharedReadAhead(const NodeId* nodes, size_t n,
-                                    IoStats* io) {
-  std::vector<PageId> pages(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto it = page_of_.find(nodes[i]);
-    pages[i] = it == page_of_.end() ? kInvalidPageId : it->second;
+size_t NetworkFile::SharedReadAhead(
+    const ReadHint* hints, size_t n, IoStats* io,
+    const std::function<bool(NodeId)>& shadowed) {
+  BufferPool::ReadAheadWindow window(pool_);
+  size_t covered = 0;
+  for (; covered < n; ++covered) {
+    const NodeId id = hints[covered].node;
+    PageId page = kInvalidPageId;
+    if (!shadowed || !shadowed(id)) {
+      auto it = page_of_.find(id);
+      if (it != page_of_.end()) page = it->second;
+    }
+    if (!window.Admit(page)) break;
   }
-  return pool_.ReadAhead(pages.data(), n, io);
+  pool_.ReadAhead(window, io);
+  return covered;
 }
 
 std::unique_ptr<QuerySession> NetworkFile::OpenSession() {

@@ -52,8 +52,8 @@ class NetworkFile : public AccessMethod {
                     ReorgPolicy policy);
   Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override;
   Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override;
-  size_t ReadAhead(const NodeId* nodes, size_t n) override {
-    return SharedReadAhead(nodes, n, nullptr);
+  size_t ReadAhead(const ReadHint* hints, size_t n) override {
+    return SharedReadAhead(hints, n, nullptr);
   }
   Status InsertNode(const NodeRecord& record, ReorgPolicy policy) override;
   Status DeleteNode(NodeId id, ReorgPolicy policy) override;
@@ -61,7 +61,13 @@ class NetworkFile : public AccessMethod {
                     ReorgPolicy policy) override;
   Status DeleteEdge(NodeId u, NodeId v, ReorgPolicy policy) override;
 
-  IoStats DataIoStats() const override { return disk_.stats(); }
+  /// The disk's counters, with the pool's first fetches of read-ahead
+  /// loads as `ahead_misses`.
+  IoStats DataIoStats() const override {
+    IoStats stats = disk_.stats();
+    stats.ahead_misses = pool_.GetCounters().ahead_misses;
+    return stats;
+  }
   void ResetIoStats() override { disk_.ResetStats(); }
   const NodePageMap& PageMap() const override { return page_of_; }
   BufferPool* buffer_pool() override { return &pool_; }
@@ -192,10 +198,13 @@ class NetworkFile : public AccessMethod {
   Result<NodeRecord> SharedFind(NodeId id, IoStats* io);
   Result<NodeRecord> SharedGetASuccessor(NodeId from, NodeId to, IoStats* io);
   Result<std::vector<NodeRecord>> SharedGetSuccessors(NodeId id, IoStats* io);
-  /// ReadAhead for both the file and its sessions: maps the nodes to their
-  /// pages (unknown nodes have none) and reads the next window ahead
-  /// through BufferPool::ReadAhead, charging its loads to `io`.
-  size_t SharedReadAhead(const NodeId* nodes, size_t n, IoStats* io);
+  /// ReadAhead for both the file and its sessions: maps the hinted nodes
+  /// to their pages (unknown nodes have none) until the pool's window is
+  /// full and reads that window ahead, charging its loads to `io`.
+  /// `shadowed`, when given, names nodes whose reads fetch no page.
+  size_t SharedReadAhead(
+      const ReadHint* hints, size_t n, IoStats* io,
+      const std::function<bool(NodeId)>& shadowed = nullptr);
 
   /// --- Contraction-hierarchy overlay --------------------------------------
   /// (Re)builds the overlay from the stored records: reconstructs the

@@ -32,9 +32,9 @@ class QuerySession : public ReadSession {
   NetworkFile* file() const { return file_; }
 
   /// Read-ahead loads are this session's misses: charged to DataIoStats().
-  size_t ReadAhead(const NodeId* nodes, size_t n) override {
+  size_t ReadAhead(const ReadHint* hints, size_t n) override {
     DebugCheckThread();
-    return file_->SharedReadAhead(nodes, n, &io_);
+    return file_->SharedReadAhead(hints, n, &io_);
   }
 
   /// Sessions inherit the file's registry, so "query.*" spans from every

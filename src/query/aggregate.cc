@@ -26,7 +26,7 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
   }
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  ReadAheadCursor ahead(am, nodes);
+  ReadAheadCursor ahead(am, nodes, /*chained=*/false);
   std::unordered_map<NodeId, NodeRecord> records;
   RequestContext* ctx = am->request_context();
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -69,7 +69,7 @@ Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {
   }
   QuerySpan span(am->metrics(), "query.aggregate");
   IoStats before = am->DataIoStats();
-  ReadAheadCursor ahead(am, closed.nodes);
+  ReadAheadCursor ahead(am, closed.nodes, /*chained=*/true);
   ahead.Before(0);
   NodeRecord current;
   CCAM_ASSIGN_OR_RETURN(current, am->Find(closed.nodes[0]));

@@ -13,7 +13,7 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route) {
   IoStats before = am->DataIoStats();
   // The whole page sequence is known up front: read it ahead window by
   // window so the misses of each window overlap.
-  ReadAheadCursor ahead(am, route.nodes);
+  ReadAheadCursor ahead(am, route.nodes, /*chained=*/true);
   ahead.Before(0);
   NodeRecord current;
   CCAM_ASSIGN_OR_RETURN(current, am->Find(route.nodes[0]));

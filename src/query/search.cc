@@ -217,6 +217,17 @@ struct SearchCounters {
 /// harvest: on the sharded facade a halo copy's page is not the page the
 /// composed PageMap() names. The harvest changes reads, never the
 /// expansion order or the result.
+///
+/// Read-ahead: the search hints the reads it already knows it will make,
+/// so their misses overlap. The target and source Finds go as one hint,
+/// and at each settle the unread successors go as one hint before the
+/// first of them is read. A hint names only reads the search will make,
+/// in the order it makes them, and a run stops before a node that shares
+/// its PageMap() page with an earlier node of the run: a harvest after
+/// that earlier read may read it first, from another copy. So the pool
+/// sees demand order's window, and page accesses equal demand order's.
+/// The harvest counts misses in demand order too: a read whose page a
+/// hint loaded counts that load as its miss (IoStats::ahead_misses).
 template <typename OnSettle>
 Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
                            NodeId target, double heuristic_weight,
@@ -241,12 +252,48 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
 
   const uint64_t pool_pages = am->buffer_pool()->capacity();
   const NodePageMap& page_of = am->PageMap();
-  uint64_t reads = before.reads;  // DataIoStats().reads at the last poll
+  uint64_t loads = 0;  // pages the search's own hints loaded
+  uint64_t misses = 0;  // demand-order misses at the last poll
   auto missed = [&] {  // did the reads since the last poll miss the pool?
-    uint64_t now = am->DataIoStats().reads;
-    bool miss = now != reads;
-    reads = now;
+    const IoStats d = am->DataIoStats() - before;
+    const uint64_t fetched = d.reads + d.ahead_misses;
+    const uint64_t now = fetched > loads ? fetched - loads : 0;
+    bool miss = now != misses;
+    misses = now;
     return miss;
+  };
+  // Hints the reads of the unread nodes among node_at(i..n), each as read
+  // from `from`, as one run (see above; at most a pool of distinct pages).
+  // Returns the index of the first read the hint does not cover.
+  std::vector<ReadHint> run;
+  std::vector<size_t> run_at;  // index of each run entry
+  std::vector<PageId> run_pages;
+  auto read_ahead = [&](NodeId from, size_t i, size_t n, auto node_at) {
+    run.clear();
+    run_at.clear();
+    run_pages.clear();
+    size_t j = i;
+    for (; j < n; ++j) {
+      NodeId w = node_at(j);
+      uint32_t s = core->Lookup(w);
+      if (s != SearchCore::kNil && s != h.size()) continue;  // already read
+      auto page = page_of.find(w);
+      if (page != page_of.end()) {
+        if (run_pages.size() == pool_pages ||
+            std::find(run_pages.begin(), run_pages.end(), page->second) !=
+                run_pages.end()) {
+          break;
+        }
+        run_pages.push_back(page->second);
+      }
+      run.push_back({from, w});
+      run_at.push_back(j);
+    }
+    if (run.size() < 2) return j;  // one read overlaps nothing
+    const uint64_t reads = am->DataIoStats().reads;
+    const size_t covered = am->ReadAhead(run.data(), run.size());
+    loads += am->DataIoStats().reads - reads;
+    return covered < run.size() ? run_at[covered] : j;
   };
   auto harvest = [&](uint32_t s) {
     auto page = page_of.find(core->slot(s).id);
@@ -285,7 +332,6 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
       return;
     }
     bool miss = missed();
-    uint64_t misses = reads - before.reads;
     if (misses <= pool_pages) {
       unpolled = pool_pages - misses;
     } else if (miss) {
@@ -293,7 +339,13 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
     }
   };
 
+  std::vector<NodeId> finds;  // the target first, then the sources
+  if (target != kInvalidNodeId) finds.push_back(target);
+  finds.insert(finds.end(), sources.begin(), sources.end());
+  auto find_at = [&](size_t j) { return finds[j]; };
+  size_t ahead = 0;  // first entry of `finds` no hint covers
   if (target != kInvalidNodeId) {
+    ahead = read_ahead(kInvalidNodeId, 0, finds.size(), find_at);
     NodeRecord rec;
     CCAM_ASSIGN_OR_RETURN(rec, am->Find(target));
     tx = rec.x;
@@ -302,9 +354,13 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
     keep(rec);
     after_read(s);
   }
-  for (NodeId src : sources) {
+  for (size_t j = finds.size() - sources.size(); j < finds.size(); ++j) {
+    NodeId src = finds[j];
     uint32_t s = core->Intern(src);
     if (s == h.size()) {
+      if (j >= ahead) {
+        ahead = read_ahead(kInvalidNodeId, j, finds.size(), find_at);
+      }
       NodeRecord rec;
       CCAM_ASSIGN_OR_RETURN(rec, am->Find(src));
       keep(rec);
@@ -325,11 +381,17 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
     NodeId node = core->slot(cur).id;
     if (node == target) break;
     double g = core->slot(cur).g;
-    for (uint32_t a = first_arc[cur]; a < first_arc[cur + 1]; ++a) {
+    const uint32_t last_arc = first_arc[cur + 1];
+    auto succ_at = [&](size_t a) { return arcs[a].node; };
+    size_t settle_ahead = first_arc[cur];  // first arc no hint covers
+    for (uint32_t a = first_arc[cur]; a < last_arc; ++a) {
       AdjEntry arc = arcs[a];  // by value: keep() may grow `arcs`
       uint32_t t = core->Intern(arc.node);
       if (core->slot(t).closed) continue;
       if (t == h.size()) {  // first reach of an unread node
+        if (a >= settle_ahead) {
+          settle_ahead = read_ahead(node, a, last_arc, succ_at);
+        }
         NodeRecord rec;
         CCAM_ASSIGN_OR_RETURN(rec, am->GetASuccessor(node, arc.node));
         keep(rec);

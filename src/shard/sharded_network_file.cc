@@ -388,6 +388,42 @@ Result<std::vector<NodeRecord>> ShardedQuerySession::DoGetSuccessors(
   return sessions_[s]->GetSuccessors(id);
 }
 
+size_t ShardedQuerySession::ReadAhead(const ReadHint* hints, size_t n) {
+  DebugCheckThread();
+  // The shards this hint reaches, in first-touch order; few per hint.
+  struct Part {
+    uint32_t shard;
+    BufferPool::ReadAheadWindow window;
+    std::vector<ReadHint> hints;
+  };
+  std::vector<Part> parts;
+  size_t covered = 0;
+  for (; covered < n; ++covered) {
+    const ReadHint& hint = hints[covered];
+    const uint32_t s = router().ShardOf(
+        hint.from == kInvalidNodeId ? hint.node : hint.from);
+    if (s == ShardRouter::kInvalidShard) continue;  // its read fails
+    auto part = std::find_if(parts.begin(), parts.end(),
+                             [s](const Part& p) { return p.shard == s; });
+    if (part == parts.end()) {
+      parts.push_back({s, BufferPool::ReadAheadWindow(
+                              *sessions_[s]->buffer_pool()), {}});
+      part = parts.end() - 1;
+    }
+    const NodePageMap& pages = file_->shard(s)->PageMap();
+    auto it = pages.find(hint.node);
+    if (!part->window.Admit(it == pages.end() ? kInvalidPageId : it->second)) {
+      break;
+    }
+    part->hints.push_back(hint);
+  }
+  // Every part fits its window, so each shard session covers all of it.
+  for (const Part& part : parts) {
+    sessions_[part.shard]->ReadAhead(part.hints.data(), part.hints.size());
+  }
+  return covered;
+}
+
 IoStats ShardedQuerySession::DataIoStats() const {
   IoStats sum;
   for (const auto& session : sessions_) {

@@ -213,6 +213,13 @@ class ShardedQuerySession : public ReadSession {
   /// Attaches the lifecycle context to every per-shard session as well.
   void SetRequestContext(RequestContext* ctx) override;
 
+  /// Sends each entry to the shard session that will serve its read: a
+  /// Find to the owner's shard, a Get-A-successor to `from`'s shard (the
+  /// halo copy it reads). Covers entries until one does not fit its
+  /// shard's pool window, then reads each shard's part as one batch, so
+  /// every shard pool sees the window demand order would fill.
+  size_t ReadAhead(const ReadHint* hints, size_t n) override;
+
   /// The underlying per-shard session (the single-shard fast path
   /// dispatches existing per-file operators straight at one of these).
   QuerySession* shard_session(uint32_t s) { return sessions_[s].get(); }

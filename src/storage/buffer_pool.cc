@@ -30,7 +30,7 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity,
     : disk_(disk), capacity_(capacity), policy_(policy) {
   assert(capacity_ >= 1);
   size_t n = num_shards == 0 ? AutoShardCount(capacity_) : num_shards;
-  n = std::clamp<size_t>(n, 1, capacity_);
+  n = std::clamp<size_t>(n, 1, std::min(capacity_, kMaxShards));
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -129,7 +129,8 @@ Status BufferPool::EvictOneLocked(Shard* shard) {
   return EvictFrameLocked(shard, victim);
 }
 
-Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss) {
+Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
+                                    bool* was_ahead) {
   Shard& shard = ShardFor(id);
   std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {
@@ -146,8 +147,10 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss) {
         return Status::IOError("concurrent read of page " +
                                std::to_string(id) + " failed");
       }
-      if (frame.read_ahead) {
+      const bool ahead = frame.read_ahead;
+      if (ahead) {
         frame.read_ahead = false;  // its load already counted the miss
+        ++shard.ahead_misses;
       } else {
         ++shard.hits;
         if (m_hit_ != nullptr) m_hit_->Inc();
@@ -155,6 +158,7 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss) {
       frame.ref_bit = true;
       if (policy_ == ReplacementPolicy::kLru) ListMoveToBack(&shard, &frame);
       if (was_miss != nullptr) *was_miss = false;
+      if (was_ahead != nullptr) *was_ahead = ahead;
       return frame.data.get();
     }
     // Quarantined pages fail fast before a frame or disk read is spent on
@@ -201,27 +205,28 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss) {
   ++shard.misses;
   if (m_miss_ != nullptr) m_miss_->Inc();
   if (was_miss != nullptr) *was_miss = true;
+  if (was_ahead != nullptr) *was_ahead = false;
   return frame.data.get();
 }
 
-size_t BufferPool::ReadAhead(const PageId* pages, size_t n, IoStats* io) {
-  if (policy_ != ReplacementPolicy::kLru) return n;
-  // The window: the longest prefix whose distinct pages fit every shard.
-  // At most capacity() pages are distinct, so a linear lookup suffices.
-  std::vector<size_t> used(shards_.size(), 0);
-  std::vector<PageId> distinct;  // first-touch order
-  size_t window = 0;
-  for (; window < n; ++window) {
-    const PageId id = pages[window];
-    if (id == kInvalidPageId ||
-        std::find(distinct.begin(), distinct.end(), id) != distinct.end()) {
-      continue;
-    }
-    const size_t s = static_cast<size_t>(id) % shards_.size();
-    if (used[s] == shards_[s]->capacity) break;
-    ++used[s];
-    distinct.push_back(id);
+bool BufferPool::ReadAheadWindow::Admit(PageId id) {
+  if (pool_.policy_ != ReplacementPolicy::kLru || id == kInvalidPageId) {
+    return true;
   }
+  // At most capacity() pages are distinct, so a linear lookup suffices.
+  if (std::find(pages_.begin(), pages_.end(), id) != pages_.end()) {
+    return true;
+  }
+  const size_t s = static_cast<size_t>(id) % pool_.shards_.size();
+  if (used_[s] == pool_.shards_[s]->capacity) return false;
+  ++used_[s];
+  pages_.push_back(id);
+  return true;
+}
+
+void BufferPool::ReadAhead(const ReadAheadWindow& window, IoStats* io) {
+  const std::vector<PageId>& distinct = window.pages_;
+  if (distinct.empty()) return;
   // Reserve a pinned, io_pending frame per missing page, shard by shard in
   // first-touch order, exactly as the window's fetches would have.
   struct Load {
@@ -232,7 +237,7 @@ size_t BufferPool::ReadAhead(const PageId* pages, size_t n, IoStats* io) {
   std::vector<PageId> ids;
   std::vector<char*> outs;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (used[s] == 0) continue;
+    if (window.used_[s] == 0) continue;
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
     for (PageId id : distinct) {
@@ -267,7 +272,7 @@ size_t BufferPool::ReadAhead(const PageId* pages, size_t n, IoStats* io) {
       outs.push_back(frame.data.get());
     }
   }
-  if (loads.empty()) return window;
+  if (loads.empty()) return;
   std::vector<Status> statuses(loads.size());
   disk_->ReadPages(ids.data(), outs.data(), ids.size(), statuses.data());
   // Land the loads; they are grouped by shard, so each latch is taken once.
@@ -292,7 +297,6 @@ size_t BufferPool::ReadAhead(const PageId* pages, size_t n, IoStats* io) {
     }
     shard.io_cv.notify_all();
   }
-  return window;
 }
 
 Status BufferPool::ReadWithRetry(PageId id, char* data) {
@@ -434,6 +438,7 @@ BufferPool::Counters BufferPool::GetCounters() const {
     std::lock_guard<std::mutex> lock(shard->mu);
     total.hits += shard->hits;
     total.misses += shard->misses;
+    total.ahead_misses += shard->ahead_misses;
   }
   return total;
 }
@@ -443,6 +448,7 @@ void BufferPool::ResetCounters() {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->hits = 0;
     shard->misses = 0;
+    shard->ahead_misses = 0;
   }
 }
 
@@ -467,10 +473,14 @@ int BufferPool::PinCount(PageId id) const {
 PageGuard::PageGuard(BufferPool* pool, PageId id, IoStats* io)
     : pool_(pool), id_(id) {
   bool was_miss = false;
-  auto res = pool->FetchPage(id, &was_miss);
+  bool was_ahead = false;
+  auto res = pool->FetchPage(id, &was_miss, &was_ahead);
   if (res.ok()) {
     data_ = *res;
-    if (io != nullptr && was_miss) ++io->reads;
+    if (io != nullptr) {
+      io->reads += was_miss;
+      io->ahead_misses += was_ahead;
+    }
   } else {
     status_ = res.status();
     pool_ = nullptr;

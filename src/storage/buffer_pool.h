@@ -65,7 +65,7 @@ class BufferPool {
   /// min(kMaxShards, hardware threads), clamped so that every shard keeps
   /// at least kMinFramesPerShard frames — pools smaller than
   /// 2 * kMinFramesPerShard pages therefore collapse to a single shard.
-  /// Explicit counts are clamped to [1, capacity].
+  /// Explicit counts are clamped to [1, min(capacity, kMaxShards)].
   BufferPool(DiskManager* disk, size_t capacity,
              ReplacementPolicy policy = ReplacementPolicy::kLru,
              size_t num_shards = 0);
@@ -89,27 +89,48 @@ class BufferPool {
   Result<char*> FetchPage(PageId id) { return FetchPage(id, nullptr); }
 
   /// FetchPage that additionally reports whether the fetch missed (i.e.
-  /// charged one disk read). Per-session accounting is built on this.
-  Result<char*> FetchPage(PageId id, bool* was_miss);
+  /// charged one disk read) and, in `was_ahead`, whether it was the first
+  /// fetch of a page a read-ahead loaded (no read; demand order would have
+  /// missed here). Per-session accounting is built on this.
+  Result<char*> FetchPage(PageId id, bool* was_miss,
+                          bool* was_ahead = nullptr);
 
-  /// Reads ahead the pages of a known access sequence `pages[0..n)` (in the
-  /// order they will be fetched; kInvalidPageId entries are skipped) and
-  /// returns how many entries it covered: the longest prefix whose distinct
-  /// pages fit every shard's capacity. In first-touch order it moves the
-  /// resident pages of that window to MRU and reserves frames for the
-  /// missing ones, evicting through the normal victim rule, then reads the
-  /// missing pages in one disk batch. Each load counts as a miss, charged
-  /// to `io` when given; the first fetch of a loaded page then scores
-  /// neither a hit nor a miss. A page whose batch read fails is dropped and
-  /// charged to nobody, so its fetch re-reads it through the usual retry
-  /// and quarantine path; quarantined pages are skipped.
+  /// One read-ahead window, assembled in access order: the longest prefix
+  /// of a known access sequence whose distinct pages fit every shard's
+  /// capacity. Callers admit pages until one does not fit, so a hint costs
+  /// its window, not the rest of its sequence.
+  class ReadAheadWindow {
+   public:
+    explicit ReadAheadWindow(const BufferPool& pool) : pool_(pool) {}
+
+    /// Admits the next access's page; kInvalidPageId reads nothing and
+    /// always fits. False when the page does not fit: the window ends
+    /// before that access. FIFO and CLOCK pools admit everything and
+    /// record nothing.
+    bool Admit(PageId id);
+
+   private:
+    friend class BufferPool;
+    const BufferPool& pool_;
+    size_t used_[kMaxShards] = {};  // distinct pages per shard
+    std::vector<PageId> pages_;      // distinct, first-touch order
+  };
+
+  /// Reads `window` ahead. In first-touch order it moves the window's
+  /// resident pages to MRU and reserves frames for the missing ones,
+  /// evicting through the normal victim rule, then reads the missing pages
+  /// in one disk batch. Each load counts as a miss, charged to `io` when
+  /// given; the first fetch of a loaded page then scores neither a hit nor
+  /// a miss (FetchPage reports it in `was_ahead`). A page whose batch read
+  /// fails is dropped and charged to nobody, so its fetch re-reads it
+  /// through the usual retry and quarantine path; quarantined pages are
+  /// skipped.
   ///
   /// LRU only: with at most a shard's capacity of distinct pages per
   /// window, every demand miss would have evicted an untouched resident
   /// page, oldest first, so victims, misses and final recency equal those
-  /// of fetching the window in order. FIFO and CLOCK pools return `n`
-  /// and do nothing.
-  size_t ReadAhead(const PageId* pages, size_t n, IoStats* io);
+  /// of fetching the window in order. FIFO and CLOCK pools do nothing.
+  void ReadAhead(const ReadAheadWindow& window, IoStats* io);
 
   /// Releases one pin; `dirty` marks the frame as modified.
   Status UnpinPage(PageId id, bool dirty);
@@ -145,10 +166,12 @@ class BufferPool {
   /// instant `hits + misses` equals the successful fetches that have
   /// returned plus the read-ahead loads no fetch has claimed yet, even
   /// while other threads are mid-fetch. Failed fetches and failed
-  /// read-ahead loads count as neither.
+  /// read-ahead loads count as neither. `ahead_misses` counts those first
+  /// fetches of loaded pages (their loads are already in `misses`).
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
+    uint64_t ahead_misses = 0;
   };
 
   /// Aggregates the per-shard counters, taking each shard latch briefly so
@@ -217,6 +240,7 @@ class BufferPool {
     size_t ahead_loads = 0;  // read-ahead frames pinned until they land
     uint64_t hits = 0;
     uint64_t misses = 0;
+    uint64_t ahead_misses = 0;
   };
 
   Shard& ShardFor(PageId id) const {

@@ -12,6 +12,10 @@ struct IoStats {
   uint64_t writes = 0;
   uint64_t allocs = 0;
   uint64_t frees = 0;
+  /// Fetches whose page a read-ahead had loaded and no fetch had touched
+  /// since: the misses demand order would have had there. Each one's disk
+  /// read is already in `reads`, so Accesses() leaves them out.
+  uint64_t ahead_misses = 0;
 
   uint64_t Accesses() const { return reads + writes; }
 
@@ -25,12 +29,14 @@ struct IoStats {
   friend IoStats operator-(const IoStats& a, const IoStats& b) {
     auto sub = [](uint64_t x, uint64_t y) { return x >= y ? x - y : 0; };
     return {sub(a.reads, b.reads), sub(a.writes, b.writes),
-            sub(a.allocs, b.allocs), sub(a.frees, b.frees)};
+            sub(a.allocs, b.allocs), sub(a.frees, b.frees),
+            sub(a.ahead_misses, b.ahead_misses)};
   }
 
   friend bool operator==(const IoStats& a, const IoStats& b) {
     return a.reads == b.reads && a.writes == b.writes &&
-           a.allocs == b.allocs && a.frees == b.frees;
+           a.allocs == b.allocs && a.frees == b.frees &&
+           a.ahead_misses == b.ahead_misses;
   }
 };
 
@@ -40,6 +46,7 @@ inline IoStats SumStats(IoStats a, const IoStats& b) {
   a.writes += b.writes;
   a.allocs += b.allocs;
   a.frees += b.frees;
+  a.ahead_misses += b.ahead_misses;
   return a;
 }
 

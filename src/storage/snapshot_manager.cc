@@ -132,20 +132,17 @@ void SnapshotSession::Refresh() {
   version_ = std::move(next);
 }
 
-size_t SnapshotSession::ReadAhead(const NodeId* nodes, size_t n) {
+size_t SnapshotSession::ReadAhead(const ReadHint* hints, size_t n) {
   DebugCheckThread();
-  // One overlay view for the whole hint. The overlay only grows while the
-  // version is current, so a node shadowed now is still shadowed when it
-  // is read; kInvalidNodeId has no base page, so its entry reads nothing.
+  // A node the overlay shadows reads no base page. The overlay only grows
+  // while the version is current, so a node shadowed now is still
+  // shadowed when it is read. Each check takes the shared lock alone, so
+  // a publishing writer never waits for more than one lookup.
   const SnapshotVersion& v = *version_;
-  std::vector<NodeId> base(nodes, nodes + n);
-  {
+  return v.file()->SharedReadAhead(hints, n, &io_, [&v](NodeId id) {
     std::shared_lock<std::shared_mutex> lock(v.overlay_mu_);
-    for (NodeId& id : base) {
-      if (v.overlay_.count(id) != 0) id = kInvalidNodeId;
-    }
-  }
-  return v.file()->SharedReadAhead(base.data(), n, &io_);
+    return v.overlay_.count(id) != 0;
+  });
 }
 
 Result<NodeRecord> SnapshotSession::DoFind(NodeId id) {

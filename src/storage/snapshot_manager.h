@@ -394,12 +394,12 @@ class SnapshotSession : public ReadSession {
 
   MetricsRegistry* metrics() const override { return manager_->metrics(); }
 
-  /// Reads the base pages of `nodes[0..n)` ahead, charged to this session.
+  /// Reads the hinted nodes' base pages ahead, charged to this session.
   /// Nodes the pinned overlay shadows (updated, tombstoned or inserted
   /// since the version published) are served from memory and read
   /// nothing, so a quiesced store reads exactly the pages demand order
   /// would.
-  size_t ReadAhead(const NodeId* nodes, size_t n) override;
+  size_t ReadAhead(const ReadHint* hints, size_t n) override;
 
  protected:
   Result<NodeRecord> DoFind(NodeId id) override;

@@ -19,6 +19,7 @@
 #include "src/graph/route.h"
 #include "src/query/aggregate.h"
 #include "src/query/route_eval.h"
+#include "src/query/search.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"
 
@@ -316,10 +317,11 @@ TEST_F(QuerySessionTest, ParallelSessionsConserveAccounting) {
 }
 
 TEST(ReadAheadConcurrencyTest, RouteHammerOnASmallPoolConservesReads) {
-  // Eight sessions read ahead and evaluate routes and route-unit
-  // aggregates over one 16-page pool: reservations, evictions and landed
-  // batches race each other and the demand fetches. Every load is charged
-  // to exactly one session.
+  // Eight sessions read ahead and evaluate routes, route-unit aggregates
+  // and A* searches between the route ends over one 16-page pool:
+  // reservations, evictions and landed batches race each other and the
+  // demand fetches. Every load is charged to exactly one session, and
+  // every first fetch of a load to the session that made it.
   const Network net = GenerateMinneapolisLikeMap(1995);
   AccessMethodOptions options;
   options.page_size = 1024;
@@ -329,6 +331,12 @@ TEST(ReadAheadConcurrencyTest, RouteHammerOnASmallPoolConservesReads) {
   ASSERT_TRUE(am.Create(net).ok());
   am.disk()->SetSimulatedReadLatencyMicros(20);
   const auto routes = GenerateRandomWalkRoutes(net, 96, 40, 13);
+  std::vector<double> astar_costs;
+  for (const Route& route : routes) {
+    auto res = ShortestPathAStar(&am, route.nodes.front(), route.nodes.back());
+    ASSERT_TRUE(res.ok());
+    astar_costs.push_back(res->cost);
+  }
   ASSERT_TRUE(am.buffer_pool()->Reset().ok());
   am.buffer_pool()->ResetCounters();
   am.ResetIoStats();
@@ -350,6 +358,9 @@ TEST(ReadAheadConcurrencyTest, RouteHammerOnASmallPoolConservesReads) {
           unit.edges.emplace_back(routes[i].nodes[k], routes[i].nodes[k + 1]);
         }
         if (!AggregateRouteUnit(s, unit).ok()) failed.store(true);
+        auto path = ShortestPathAStar(s, routes[i].nodes.front(),
+                                      routes[i].nodes.back());
+        if (!path.ok() || path->cost != astar_costs[i]) failed.store(true);
       }
     });
   }
@@ -357,11 +368,17 @@ TEST(ReadAheadConcurrencyTest, RouteHammerOnASmallPoolConservesReads) {
   ASSERT_FALSE(failed.load());
 
   uint64_t session_reads = 0;
-  for (const auto& s : sessions) session_reads += s->DataIoStats().reads;
+  uint64_t session_ahead_misses = 0;
+  for (const auto& s : sessions) {
+    session_reads += s->DataIoStats().reads;
+    session_ahead_misses += s->DataIoStats().ahead_misses;
+  }
   const IoStats global = am.DataIoStats();
   EXPECT_GT(global.reads, 0u);
   EXPECT_EQ(session_reads, global.reads);
   EXPECT_EQ(am.buffer_pool()->misses(), global.reads);
+  EXPECT_GT(global.ahead_misses, 0u);
+  EXPECT_EQ(session_ahead_misses, global.ahead_misses);
   for (const auto& [node, page] : am.PageMap()) {
     EXPECT_EQ(am.buffer_pool()->PinCount(page), 0);
   }

@@ -358,6 +358,17 @@ TEST(ShardedBufferPoolTest, TrackedFetchReportsMiss) {
   ASSERT_TRUE(pool.UnpinPage(p, false).ok());
 }
 
+/// Admits `pages` into one read-ahead window until one does not fit, reads
+/// the window ahead and returns how many entries it covered.
+size_t ReadAhead(BufferPool* pool, const std::vector<PageId>& pages,
+                 IoStats* io) {
+  BufferPool::ReadAheadWindow window(*pool);
+  size_t covered = 0;
+  while (covered < pages.size() && window.Admit(pages[covered])) ++covered;
+  pool->ReadAhead(window, io);
+  return covered;
+}
+
 TEST(BufferPoolReadAheadTest, WindowFitsCapacityAndLoadsCountOnce) {
   DiskManager disk(64);
   std::vector<PageId> ids;
@@ -366,26 +377,30 @@ TEST(BufferPoolReadAheadTest, WindowFitsCapacityAndLoadsCountOnce) {
   // Pages a a b c: the third distinct page does not fit a 2-page pool.
   const std::vector<PageId> seq = {ids[0], ids[0], ids[1], ids[2]};
   IoStats io;
-  EXPECT_EQ(pool.ReadAhead(seq.data(), seq.size(), &io), 3u);
+  EXPECT_EQ(ReadAhead(&pool, seq, &io), 3u);
   EXPECT_EQ(disk.stats().reads, 2u);
   EXPECT_EQ(io.reads, 2u);
   EXPECT_EQ(pool.misses(), 2u);
   EXPECT_TRUE(pool.Contains(ids[0]));
   EXPECT_TRUE(pool.Contains(ids[1]));
   // The first fetch of a loaded page scores nothing (its load was the
-  // miss); later fetches are ordinary hits.
+  // miss) and reports itself as that miss; later fetches are ordinary
+  // hits.
   for (int round = 0; round < 2; ++round) {
     bool was_miss = true;
-    ASSERT_TRUE(pool.FetchPage(ids[0], &was_miss).ok());
+    bool was_ahead = round == 1;
+    ASSERT_TRUE(pool.FetchPage(ids[0], &was_miss, &was_ahead).ok());
     EXPECT_FALSE(was_miss);
+    EXPECT_EQ(was_ahead, round == 0);
     ASSERT_TRUE(pool.UnpinPage(ids[0], false).ok());
   }
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(pool.GetCounters().ahead_misses, 1u);
   EXPECT_EQ(disk.stats().reads, 2u);
   // Resident pages cost no read; the next window evicts the LRU page b.
   const std::vector<PageId> next = {ids[0], ids[3]};
-  EXPECT_EQ(pool.ReadAhead(next.data(), next.size(), &io), 2u);
+  EXPECT_EQ(ReadAhead(&pool, next, &io), 2u);
   EXPECT_EQ(disk.stats().reads, 3u);
   EXPECT_FALSE(pool.Contains(ids[1]));
   EXPECT_TRUE(pool.Contains(ids[3]));
@@ -401,7 +416,7 @@ TEST(BufferPoolReadAheadTest, FailedBatchReadIsDroppedAndChargedToNobody) {
   BufferPool pool(&disk, 4, ReplacementPolicy::kLru, 1);
   const std::vector<PageId> seq = {a, b};
   IoStats io;
-  EXPECT_EQ(pool.ReadAhead(seq.data(), seq.size(), &io), 2u);
+  EXPECT_EQ(ReadAhead(&pool, seq, &io), 2u);
   EXPECT_FALSE(pool.Contains(a));
   EXPECT_TRUE(pool.Contains(b));
   EXPECT_EQ(io.reads, 1u);

@@ -1,7 +1,7 @@
 // The demand-order oracle the read-ahead tests share: a wrapper that keeps
-// AccessMethod::ReadAhead's no-op default, and an interleaved route and
-// route-unit aggregate workload to run through it and through the access
-// method under test on one pool.
+// AccessMethod::ReadAhead's no-op default, plus an interleaved route and
+// route-unit aggregate workload and a search workload to run through it
+// and through the access method under test on one pool.
 
 #ifndef CCAM_TESTS_DEMAND_ORDER_H_
 #define CCAM_TESTS_DEMAND_ORDER_H_
@@ -12,10 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/core/access_method.h"
 #include "src/graph/route.h"
 #include "src/query/aggregate.h"
 #include "src/query/route_eval.h"
+#include "src/query/search.h"
 
 namespace ccam {
 
@@ -59,6 +61,13 @@ class DemandOrderAccess : public AccessMethod {
   AccessMethod* inner_;
 };
 
+/// A read-ahead hint that reads `nodes` with Find, in order.
+inline std::vector<ReadHint> FindHints(const std::vector<NodeId>& nodes) {
+  std::vector<ReadHint> hints;
+  for (NodeId id : nodes) hints.push_back({kInvalidNodeId, id});
+  return hints;
+}
+
 /// One query's answer and page accesses.
 using QueryOutcome = std::pair<double, uint64_t>;
 
@@ -90,6 +99,62 @@ inline std::vector<QueryOutcome> RunInterleaved(
     if (agg.ok()) out.emplace_back(agg->total_edge_cost, agg->page_accesses);
   }
   return out;
+}
+
+/// Seeded random node pairs of `net`.
+inline std::vector<std::pair<NodeId, NodeId>> RandomPairs(const Network& net,
+                                                          int count,
+                                                          uint64_t seed) {
+  const std::vector<NodeId> ids = net.NodeIds();
+  Random rng(seed);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < count; ++i) {
+    NodeId a = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
+    NodeId b = ids[rng.Uniform(static_cast<uint32_t>(ids.size()))];
+    pairs.emplace_back(a, b);
+  }
+  return pairs;
+}
+
+/// Runs every search kind on `am`, one shared pool: A* for each pair,
+/// Dijkstra for every third and an exhaustive three-source
+/// MultiSourceDistances for every fourth. Each search gives its answer,
+/// its expansions and its page accesses.
+inline std::vector<QueryOutcome> RunSearches(
+    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  std::vector<QueryOutcome> out;
+  auto add = [&](const Result<SearchResult>& res) {
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    if (!res.ok()) return;
+    out.emplace_back(res->cost, res->page_accesses);
+    out.emplace_back(res->nodes_expanded, res->path.size());
+  };
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [src, dst] = pairs[i];
+    add(ShortestPathAStar(am, src, dst, 0.7));
+    if (i % 3 == 0) add(ShortestPathDijkstra(am, dst, src));
+    if (i % 4 == 0) {
+      auto multi = MultiSourceDistances(
+          am, {src, dst, pairs[(i + 1) % pairs.size()].second});
+      EXPECT_TRUE(multi.ok()) << multi.status().ToString();
+      if (!multi.ok()) continue;
+      double sum = 0.0;
+      for (const auto& [node, d] : multi->distances) sum += d;
+      out.emplace_back(sum, multi->page_accesses);
+      out.emplace_back(multi->distances.size(), 0);
+    }
+  }
+  return out;
+}
+
+/// True when some search of `outcomes` (RunSearches) missed more pages
+/// than `pool_pages`, so its page harvest ran.
+inline bool SomeSearchOutgrewPool(const std::vector<QueryOutcome>& outcomes,
+                                  size_t pool_pages) {
+  for (size_t i = 0; i < outcomes.size(); i += 2) {
+    if (outcomes[i].second > pool_pages) return true;
+  }
+  return false;
 }
 
 }  // namespace ccam

@@ -701,8 +701,9 @@ TEST(ReadAheadTest, FifoAndClockPoolsAreUntouched) {
     const BufferPool::Counters before = file.buffer_pool()->GetCounters();
     const uint64_t reads = file.DataIoStats().reads;
     const size_t buffered = file.buffer_pool()->NumBuffered();
-    EXPECT_EQ(file.ReadAhead(nodes.data(), nodes.size()), nodes.size());
-    EXPECT_EQ(session->ReadAhead(nodes.data(), nodes.size()), nodes.size());
+    const std::vector<ReadHint> hints = FindHints(nodes);
+    EXPECT_EQ(file.ReadAhead(hints.data(), hints.size()), nodes.size());
+    EXPECT_EQ(session->ReadAhead(hints.data(), hints.size()), nodes.size());
     const BufferPool::Counters after = file.buffer_pool()->GetCounters();
     EXPECT_EQ(after.hits, before.hits);
     EXPECT_EQ(after.misses, before.misses);
@@ -719,12 +720,34 @@ TEST(ReadAheadTest, FifoAndClockPoolsAreUntouched) {
   ASSERT_TRUE(file.buffer_pool()->Reset().ok());
   file.buffer_pool()->ResetCounters();
   file.ResetIoStats();
-  const size_t covered = file.ReadAhead(nodes.data(), nodes.size());
+  const size_t covered = file.ReadAhead(FindHints(nodes).data(), nodes.size());
   EXPECT_GE(covered, 1u);
   EXPECT_LE(covered, nodes.size());
   EXPECT_GE(file.DataIoStats().reads, 2u);
   EXPECT_EQ(file.buffer_pool()->misses(), file.DataIoStats().reads);
   EXPECT_EQ(file.buffer_pool()->hits(), 0u);
+}
+
+// A hint over the rest of a long route maps entries only until one does
+// not fit the pool's window, so hinting every window of a route costs
+// the route once, not once per window.
+TEST(ReadAheadTest, HintMapsOnlyItsWindow) {
+  const Network net = GenerateMinneapolisLikeMap(1995);
+  const Route route = GenerateRandomWalkRoutes(net, 1, 65, 9)[0];
+  AccessMethodOptions options;
+  options.buffer_pool_pages = 1;
+  Ccam file(options, CcamCreateMode::kStatic);
+  ASSERT_TRUE(file.Create(net).ok());
+  const std::vector<ReadHint> hints = FindHints(route.nodes);
+  size_t mapped = 0;
+  const size_t covered =
+      file.SharedReadAhead(hints.data(), hints.size(), nullptr, [&](NodeId) {
+        ++mapped;
+        return false;
+      });
+  EXPECT_GE(covered, 1u);
+  EXPECT_LT(covered, hints.size());
+  EXPECT_EQ(mapped, covered + 1);  // the first entry that does not fit
 }
 
 TEST(ReadAheadTest, ShortReadInABatchLeavesResultsIdentical) {
@@ -751,7 +774,8 @@ TEST(ReadAheadTest, ShortReadInABatchLeavesResultsIdentical) {
   // read 2 of a cold pool is part of a batch.
   ASSERT_TRUE(file.buffer_pool()->Reset().ok());
   file.ResetIoStats();
-  file.ReadAhead(routes[0].nodes.data(), routes[0].nodes.size());
+  file.ReadAhead(FindHints(routes[0].nodes).data(),
+                 routes[0].nodes.size());
   ASSERT_GE(file.DataIoStats().reads, 2u);
 
   for (const char* schedule :
@@ -767,6 +791,154 @@ TEST(ReadAheadTest, ShortReadInABatchLeavesResultsIdentical) {
     EXPECT_FALSE(faults.FiringLog().empty());
     EXPECT_EQ(session->DataIoStats().reads,
               (file.DataIoStats() - disk_before).reads);
+    EXPECT_EQ(file.quarantine()->size(), 0u);
+    file.SetFaultInjector(nullptr);
+  }
+}
+
+// Searches hint their endpoint Finds and each settle's unread successors.
+// On LRU pools every answer, page access, disk read and pool counter
+// equals demand order's, for the file and a session, including searches
+// that outgrow the pool and harvest (a hint's load counts as its read's
+// miss there). FIFO and CLOCK pools read nothing ahead.
+TEST(SearchReadAheadTest, SearchesMatchDemandOrderExactly) {
+  RoadMapOptions gen;
+  gen.rows = 40;
+  gen.cols = 40;
+  gen.seed = 20;
+  const Network net = GenerateRoadMap(gen);
+  const auto pairs = RandomPairs(net, 16, 23);
+  struct Config {
+    size_t page_size;
+    size_t pool_pages;
+    ReplacementPolicy policy;
+  };
+  std::vector<Config> configs;
+  for (size_t page_size : {512, 1024}) {
+    for (size_t pool_pages : {1, 2, 3, 8, 64}) {
+      configs.push_back({page_size, pool_pages, ReplacementPolicy::kLru});
+    }
+  }
+  configs.push_back({1024, 8, ReplacementPolicy::kFifo});
+  configs.push_back({1024, 8, ReplacementPolicy::kClock});
+  for (const Config& config : configs) {
+    SCOPED_TRACE(std::string(ReplacementPolicyName(config.policy)) +
+                 ", page " + std::to_string(config.page_size) + ", pool " +
+                 std::to_string(config.pool_pages));
+    AccessMethodOptions options;
+    options.page_size = config.page_size;
+    options.buffer_pool_pages = config.pool_pages;
+    options.buffer_pool_shards = config.pool_pages == 64 ? 4 : 1;
+    options.replacement = config.policy;
+    options.num_threads = 1;
+    Ccam file(options, CcamCreateMode::kStatic);
+    ASSERT_TRUE(file.Create(net).ok());
+    auto session = file.OpenSession();
+    DemandOrderAccess demand(&file);
+
+    struct Run {
+      std::vector<QueryOutcome> outcomes;
+      uint64_t disk_reads = 0;
+      BufferPool::Counters counters;
+    };
+    auto run = [&](AccessMethod* am) {
+      EXPECT_TRUE(file.buffer_pool()->Reset().ok());
+      file.buffer_pool()->ResetCounters();
+      file.ResetIoStats();
+      session->ResetIoStats();
+      Run r;
+      r.outcomes = RunSearches(am, pairs);
+      r.disk_reads = file.DataIoStats().reads;
+      r.counters = file.buffer_pool()->GetCounters();
+      return r;
+    };
+    const Run want = run(&demand);
+    EXPECT_TRUE(SomeSearchOutgrewPool(want.outcomes, config.pool_pages));
+    for (AccessMethod* am : {static_cast<AccessMethod*>(&file),
+                             static_cast<AccessMethod*>(session.get())}) {
+      SCOPED_TRACE(am->Name());
+      const Run got = run(am);
+      EXPECT_EQ(got.outcomes, want.outcomes);
+      EXPECT_EQ(got.disk_reads, want.disk_reads);
+      EXPECT_EQ(got.counters.hits, want.counters.hits);
+      EXPECT_EQ(got.counters.misses, want.counters.misses);
+      if (config.policy != ReplacementPolicy::kLru) {
+        EXPECT_EQ(got.counters.ahead_misses, 0u);
+      }
+    }
+    EXPECT_EQ(session->DataIoStats().reads, file.DataIoStats().reads);
+  }
+}
+
+/// Forwards every call, read-ahead included, and notes one disk read that
+/// falls inside a settle hint's batch: the second page of the first settle
+/// hint that loads two or more pages (disk reads counted from 1).
+class SettleBatchProbe : public DemandOrderAccess {
+ public:
+  SettleBatchProbe(AccessMethod* inner, Ccam* file)
+      : DemandOrderAccess(inner), inner_(inner), file_(file) {}
+
+  size_t ReadAhead(const ReadHint* hints, size_t n) override {
+    const uint64_t before = file_->DataIoStats().reads;
+    const size_t covered = inner_->ReadAhead(hints, n);
+    if (batch_read == 0 && hints[0].from != kInvalidNodeId &&
+        file_->DataIoStats().reads >= before + 2) {
+      batch_read = before + 2;
+    }
+    return covered;
+  }
+
+  uint64_t batch_read = 0;
+
+ private:
+  AccessMethod* inner_;
+  Ccam* file_;
+};
+
+// A short read that lands inside a settle's read-ahead batch drops that
+// load; the demand fetch re-reads the page, so the answers are those of a
+// fault-free run. The fault-free run finds a disk read inside a settle
+// batch, and the faulted runs repeat its reads up to that point.
+TEST(SearchReadAheadTest, ShortReadInASettleBatchLeavesAnswersIdentical) {
+  const Network net = GenerateMinneapolisLikeMap(1995);
+  const auto pairs = RandomPairs(net, 24, 41);
+  AccessMethodOptions options;
+  options.buffer_pool_pages = 8;
+  Ccam file(options, CcamCreateMode::kStatic);
+  ASSERT_TRUE(file.Create(net).ok());
+  // Answers only: the accesses of a faulted run differ by the re-reads.
+  auto answers = [](const std::vector<QueryOutcome>& outcomes) {
+    std::vector<double> out;
+    for (size_t i = 0; i < outcomes.size(); i += 2) {
+      out.push_back(outcomes[i].first);
+      out.push_back(static_cast<double>(outcomes[i + 1].first));
+    }
+    return out;
+  };
+  auto cold_run = [&](uint64_t* batch_read) {
+    EXPECT_TRUE(file.buffer_pool()->Reset().ok());
+    file.ResetIoStats();
+    auto session = file.OpenSession();
+    SettleBatchProbe probe(session.get(), &file);
+    auto out = answers(RunSearches(&probe, pairs));
+    EXPECT_EQ(session->DataIoStats().reads, file.DataIoStats().reads);
+    if (batch_read != nullptr) *batch_read = probe.batch_read;
+    return out;
+  };
+  uint64_t batch_read = 0;
+  const auto oracle = cold_run(&batch_read);
+  ASSERT_GT(batch_read, 0u);
+
+  for (const std::string& schedule :
+       {"disk.read=short:64@" + std::to_string(batch_read),
+        std::string("disk.read=short:64@every7"),
+        std::string("disk.read=short:64@every9")}) {
+    SCOPED_TRACE(schedule);
+    FaultInjector faults(7);
+    file.SetFaultInjector(&faults);
+    ASSERT_TRUE(faults.Configure(schedule).ok());
+    EXPECT_EQ(cold_run(nullptr), oracle);
+    EXPECT_FALSE(faults.FiringLog().empty());
     EXPECT_EQ(file.quarantine()->size(), 0u);
     file.SetFaultInjector(nullptr);
   }

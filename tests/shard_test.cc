@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -35,6 +36,7 @@
 #include "src/query/spatial.h"
 #include "src/shard/shard_query.h"
 #include "src/shard/sharded_network_file.h"
+#include "tests/demand_order.h"
 
 namespace ccam {
 namespace {
@@ -468,6 +470,160 @@ TEST(ShardMetricsTest, ShardFamilyCollectsCrossingsAndFanout) {
   EXPECT_EQ(gauge_reads, sharded.DataIoStats().reads);
 }
 
+// --- Read-ahead on the facade --------------------------------------------
+
+/// Resets every shard pool and counter of `file` and `session`.
+void ResetShards(ShardedNetworkFile* file, ShardedQuerySession* session) {
+  for (uint32_t s = 0; s < file->num_shards(); ++s) {
+    EXPECT_TRUE(file->shard(s)->buffer_pool()->Reset().ok());
+    file->shard(s)->buffer_pool()->ResetCounters();
+  }
+  file->ResetIoStats();
+  session->ResetIoStats();
+}
+
+/// Pool counters summed over the shards of `file`.
+BufferPool::Counters ShardCounters(ShardedNetworkFile* file) {
+  BufferPool::Counters sum;
+  for (uint32_t s = 0; s < file->num_shards(); ++s) {
+    BufferPool::Counters c = file->shard(s)->buffer_pool()->GetCounters();
+    sum.hits += c.hits;
+    sum.misses += c.misses;
+    sum.ahead_misses += c.ahead_misses;
+  }
+  return sum;
+}
+
+// The facade sends each hinted read to the shard that serves it (a Find
+// to the owner, a Get-A-successor to `from`'s halo copy), so searches,
+// routes and aggregates read exactly what demand order reads, shard by
+// shard: answers, page accesses, per-shard disk reads and pool counters.
+TEST(ShardReadAheadTest, FacadeMatchesDemandOrderExactly) {
+  RoadMapOptions gen;
+  gen.rows = 40;
+  gen.cols = 40;
+  gen.seed = 20;
+  const Network net = GenerateRoadMap(gen);
+  const auto pairs = RandomPairs(net, 12, 23);
+  const auto routes = GenerateRandomWalkRoutes(net, 24, 65, 21);
+  const auto units = WalkUnits(net, 24, 30, 22);
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    for (size_t page_size : {512, 1024}) {
+      for (size_t pool_pages : {1, 2, 3, 8, 64}) {
+        SCOPED_TRACE(std::to_string(shards) + " shards, page " +
+                     std::to_string(page_size) + ", pool " +
+                     std::to_string(pool_pages));
+        ShardedOptions sopts;
+        sopts.num_shards = shards;
+        sopts.am.page_size = page_size;
+        sopts.am.buffer_pool_pages = pool_pages;
+        sopts.am.buffer_pool_shards = pool_pages == 64 ? 4 : 1;
+        sopts.am.num_threads = 1;
+        ShardedNetworkFile file(sopts);
+        ASSERT_TRUE(file.Create(net).ok());
+        auto session = file.OpenSession();
+        DemandOrderAccess demand(session.get());
+
+        struct Run {
+          std::vector<QueryOutcome> outcomes;
+          std::vector<uint64_t> shard_reads;
+          BufferPool::Counters counters;
+        };
+        auto run = [&](AccessMethod* am) {
+          ResetShards(&file, session.get());
+          Run r;
+          r.outcomes = RunSearches(am, pairs);
+          for (const QueryOutcome& o : RunInterleaved(am, routes, units)) {
+            r.outcomes.push_back(o);
+          }
+          for (uint32_t s = 0; s < shards; ++s) {
+            r.shard_reads.push_back(file.ShardIoStats(s).reads);
+            EXPECT_EQ(session->ShardIoStats(s).reads, r.shard_reads.back());
+          }
+          r.counters = ShardCounters(&file);
+          return r;
+        };
+        const Run want = run(&demand);
+        const Run got = run(session.get());
+        EXPECT_TRUE(SomeSearchOutgrewPool(want.outcomes, pool_pages));
+        EXPECT_EQ(got.outcomes, want.outcomes);
+        EXPECT_EQ(got.shard_reads, want.shard_reads);
+        EXPECT_EQ(got.counters.hits, want.counters.hits);
+        EXPECT_EQ(got.counters.misses, want.counters.misses);
+        EXPECT_GT(got.counters.ahead_misses, 0u);
+      }
+    }
+  }
+}
+
+
+// The plain operators on the facade, which read ahead through it, against
+// the `*Sharded` operators over the differential oracle's route set, from
+// cold pools. Answers are equal. Aggregates read the same pages shard by
+// shard. Stitched routes re-Find each crossing node in its own shard, so
+// the plain routes read no more in total.
+TEST(ShardReadAheadTest, PlainOperatorsOnTheFacadeMatchShardedOperators) {
+  const Network& net = PaperNet();
+  for (uint32_t shards : {2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    auto file = MakeSharded(net, shards);
+    auto plain = file->OpenSession();
+    auto stitched = file->OpenSession();
+    const std::vector<Route> routes = OracleRoutes(net, 200, 1995 + shards);
+    auto shard_reads = [&](ShardedQuerySession* session) {
+      std::vector<uint64_t> reads;
+      for (uint32_t s = 0; s < shards; ++s) {
+        reads.push_back(session->ShardIoStats(s).reads);
+      }
+      return reads;
+    };
+
+    ResetShards(file.get(), plain.get());
+    for (const Route& route : routes) {
+      auto want = EvaluateRouteSharded(stitched.get(), route);
+      auto got = EvaluateRoute(plain.get(), route);
+      ASSERT_TRUE(want.ok() && got.ok());
+      EXPECT_DOUBLE_EQ(got->total_cost, want->eval.total_cost);
+      EXPECT_EQ(got->num_edges, want->eval.num_edges);
+    }
+    // Both sessions shared the pools above; replay each from cold pools.
+    for (ShardedQuerySession* session : {plain.get(), stitched.get()}) {
+      ResetShards(file.get(), session);
+      for (const Route& route : routes) {
+        ASSERT_TRUE(session == plain.get()
+                        ? EvaluateRoute(session, route).ok()
+                        : EvaluateRouteSharded(session, route).ok());
+      }
+    }
+    EXPECT_LE(plain->DataIoStats().reads, stitched->DataIoStats().reads);
+
+    std::vector<RouteUnit> units;
+    for (const Route& route : routes) {
+      RouteUnit unit;
+      for (size_t i = 1; i < route.nodes.size(); ++i) {
+        unit.edges.emplace_back(route.nodes[i - 1], route.nodes[i]);
+      }
+      units.push_back(std::move(unit));
+    }
+    std::vector<double> stitched_costs;
+    for (ShardedQuerySession* session : {stitched.get(), plain.get()}) {
+      ResetShards(file.get(), session);
+      for (size_t i = 0; i < units.size(); ++i) {
+        auto got = session == plain.get()
+                       ? AggregateRouteUnit(session, units[i])
+                       : AggregateRouteUnitSharded(session, units[i]);
+        ASSERT_TRUE(got.ok());
+        if (session == stitched.get()) {
+          stitched_costs.push_back(got->total_edge_cost);
+        } else {
+          EXPECT_EQ(got->total_edge_cost, stitched_costs[i]);
+        }
+      }
+    }
+    EXPECT_EQ(shard_reads(plain.get()), shard_reads(stitched.get()));
+  }
+}
+
 // --- Concurrency (run under TSan via scripts/check_tsan.sh) ---------------
 
 TEST(ShardConcurrencyTest, EightReaderHammerConservesAndAgrees) {
@@ -516,6 +672,78 @@ TEST(ShardConcurrencyTest, EightReaderHammerConservesAndAgrees) {
   // counters sum exactly to the shard disks' global reads.
   EXPECT_EQ(total_session_reads, sharded->DataIoStats().reads);
   EXPECT_GT(total_session_reads, 0u);
+}
+
+// Four facade sessions read ahead and run A* searches and cross-shard
+// route-unit aggregates at once: answers match the unsharded file, the
+// sessions' reads sum to the shard disks' reads, and no pin is left.
+TEST(ShardConcurrencyTest, FourSearchAndAggregateSessionsConserve) {
+  const Network& net = PaperNet();
+  auto baseline = MakeBaseline(net);
+  auto sharded = MakeSharded(net, 4);
+  for (uint32_t s = 0; s < 4; ++s) {
+    sharded->shard(s)->disk()->SetSimulatedReadLatencyMicros(20);
+  }
+  const auto pairs = RandomPairs(net, 48, 31);
+  std::vector<RouteUnit> units;
+  std::vector<double> want_paths, want_units;
+  auto oracle = baseline->OpenSession();
+  auto probe = sharded->OpenSession();
+  for (const RouteUnit& unit : WalkUnits(net, 200, 12, 32)) {
+    std::vector<NodeId> ends;
+    for (const auto& [u, v] : unit.edges) {
+      ends.push_back(u);
+      ends.push_back(v);
+    }
+    if (probe->router().PlanFor(ends).single()) continue;
+    auto want = AggregateRouteUnit(oracle.get(), unit);
+    ASSERT_TRUE(want.ok());
+    units.push_back(unit);
+    want_units.push_back(want->total_edge_cost);
+  }
+  ASSERT_GE(units.size(), 8u);
+  for (const auto& [src, dst] : pairs) {
+    auto want = ShortestPathAStar(oracle.get(), src, dst);
+    ASSERT_TRUE(want.ok());
+    want_paths.push_back(want->cost);
+  }
+  sharded->ResetIoStats();
+
+  constexpr int kSessions = 4;
+  std::vector<std::unique_ptr<ShardedQuerySession>> sessions;
+  for (int t = 0; t < kSessions; ++t) {
+    sessions.push_back(sharded->OpenSession());
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kSessions; ++t) {
+    workers.emplace_back([&, t] {
+      ShardedQuerySession* session = sessions[t].get();
+      for (size_t i = t; i < pairs.size(); i += 2) {
+        auto path = ShortestPathAStar(session, pairs[i].first, pairs[i].second);
+        if (!path.ok() || path->cost != want_paths[i]) ++wrong;
+        const size_t u = i % units.size();
+        auto agg = AggregateRouteUnit(session, units[u]);
+        if (!agg.ok() || agg->total_edge_cost != want_units[u]) ++wrong;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(wrong.load(), 0);
+
+  uint64_t reads = 0;
+  for (const auto& session : sessions) reads += session->DataIoStats().reads;
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(reads, sharded->DataIoStats().reads);
+  uint64_t ahead_misses = 0;
+  for (uint32_t s = 0; s < 4; ++s) {
+    NetworkFile* shard = sharded->shard(s);
+    ahead_misses += shard->DataIoStats().ahead_misses;
+    for (const auto& [node, page] : shard->PageMap()) {
+      EXPECT_EQ(shard->buffer_pool()->PinCount(page), 0);
+    }
+  }
+  EXPECT_GT(ahead_misses, 0u);
 }
 
 }  // namespace

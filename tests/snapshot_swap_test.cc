@@ -516,6 +516,59 @@ TEST(SnapshotReadAheadTest, QuiescedStoreMatchesDemandOrderExactly) {
 // Updated, tombstoned and overlay-only nodes are answered from memory, so
 // a hint naming only them reads nothing from a cold pool; a base node
 // beside them is read.
+// Searches on a session over a store with a populated overlay read what
+// demand order reads: their endpoint and settle hints skip the shadowed
+// nodes, and the harvest counts a hint's load as its read's miss.
+TEST(SnapshotReadAheadTest, QuiescedStoreSearchesMatchDemandOrderExactly) {
+  const Network net = ReadAheadMap();
+  for (size_t page_size : {512, 1024}) {
+    for (size_t pool_pages : {1, 2, 3, 8, 64}) {
+      SCOPED_TRACE("page " + std::to_string(page_size) + ", pool " +
+                   std::to_string(pool_pages));
+      SnapshotOptions sopt = OptionsFor("ccam_search_ahead_demand_store");
+      sopt.am.page_size = page_size;
+      sopt.am.buffer_pool_pages = pool_pages;
+      sopt.am.buffer_pool_shards = pool_pages == 64 ? 4 : 1;
+      auto mgr = SnapshotManager::Create(sopt, net);
+      ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+      SnapshotManager* store = mgr->get();
+      const OverlayEdits edits = EditOverlay(store);
+      auto pairs = RandomPairs(store->network(), 12, 23);
+      pairs.insert(pairs.begin(), {edits.inserted, edits.updated.front()});
+
+      auto session = store->OpenSession();
+      Ccam* file = session->version()->file();
+      DemandOrderAccess demand(session.get());
+      struct Run {
+        std::vector<QueryOutcome> outcomes;
+        uint64_t disk_reads = 0;
+        uint64_t session_reads = 0;
+        BufferPool::Counters counters;
+      };
+      auto run = [&](AccessMethod* am) {
+        EXPECT_TRUE(file->buffer_pool()->Reset().ok());
+        file->buffer_pool()->ResetCounters();
+        file->ResetIoStats();
+        session->ResetIoStats();
+        Run r;
+        r.outcomes = RunSearches(am, pairs);
+        r.disk_reads = file->DataIoStats().reads;
+        r.session_reads = session->DataIoStats().reads;
+        r.counters = file->buffer_pool()->GetCounters();
+        return r;
+      };
+      const Run want = run(&demand);
+      const Run got = run(session.get());
+      EXPECT_TRUE(SomeSearchOutgrewPool(want.outcomes, pool_pages));
+      EXPECT_EQ(got.outcomes, want.outcomes);
+      EXPECT_EQ(got.disk_reads, want.disk_reads);
+      EXPECT_EQ(got.session_reads, got.disk_reads);
+      EXPECT_EQ(got.counters.hits, want.counters.hits);
+      EXPECT_EQ(got.counters.misses, want.counters.misses);
+    }
+  }
+}
+
 TEST(SnapshotReadAheadTest, HintSkipsShadowedNodes) {
   auto mgr = SnapshotManager::Create(OptionsFor("ccam_read_ahead_skip_store"),
                                      ReadAheadMap());
@@ -531,7 +584,7 @@ TEST(SnapshotReadAheadTest, HintSkipsShadowedNodes) {
 
   const std::vector<NodeId> shadowed = {edits.updated.front(),
                                         edits.tombstoned, edits.inserted};
-  EXPECT_EQ(session->ReadAhead(shadowed.data(), shadowed.size()),
+  EXPECT_EQ(session->ReadAhead(FindHints(shadowed).data(), shadowed.size()),
             shadowed.size());
   EXPECT_EQ(file->DataIoStats().reads, 0u);
   EXPECT_EQ(session->DataIoStats().reads, 0u);
@@ -548,7 +601,8 @@ TEST(SnapshotReadAheadTest, HintSkipsShadowedNodes) {
   }
   ASSERT_NE(base, kInvalidNodeId);
   const std::vector<NodeId> mixed = {edits.tombstoned, base, edits.inserted};
-  EXPECT_EQ(session->ReadAhead(mixed.data(), mixed.size()), mixed.size());
+  EXPECT_EQ(session->ReadAhead(FindHints(mixed).data(), mixed.size()),
+            mixed.size());
   EXPECT_EQ(file->DataIoStats().reads, 1u);
   EXPECT_EQ(session->DataIoStats().reads, 1u);
   EXPECT_TRUE(file->buffer_pool()->Contains(file->PageMap().at(base)));
