@@ -42,14 +42,12 @@
 #                  tier-1 (RelWithDebInfo) and TSan both define NDEBUG
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
-#  11. asan      — query_test, shard_test, snapshot_swap_test, serve_test,
-#                  chaos_serve_test, hierarchy_test, hierarchy_crash_test,
-#                  disk_manager_test, buffer_pool_test,
-#                  buffer_pool_concurrency_test, format_stability_test,
-#                  persistence_test, crash_consistency_test (default,
-#                  sampled) and image_fuzz_test under AddressSanitizer +
-#                  UBSan (CCAM_ASAN / CCAM_UBSAN, separate build
-#                  directory): the search's page harvest grows the arc
+#  11. asan      — every target built, the whole tier-1 ctest suite,
+#                  then the hierarchy_crash_test and
+#                  crash_consistency_test (default, sampled) fault
+#                  suites, under AddressSanitizer + UBSan (CCAM_ASAN /
+#                  CCAM_UBSAN, separate build directory): among others,
+#                  the search's page harvest grows the arc
 #                  array a relax loop indexes, the serve/snapshot paths
 #                  free versions and sessions under concurrency, the CH
 #                  witness search indexes reused scratch arrays by dense
@@ -138,18 +136,11 @@ debug_asserts() {
 }
 
 asan_stage() {
-  local tests=(query_test shard_test snapshot_swap_test serve_test
-               chaos_serve_test hierarchy_test hierarchy_crash_test
-               disk_manager_test buffer_pool_test buffer_pool_concurrency_test
-               format_stability_test persistence_test
-               crash_consistency_test image_fuzz_test)
   cmake -B "$ASAN_BUILD" -S . -DCCAM_ASAN=ON -DCCAM_UBSAN=ON &&
-  cmake --build "$ASAN_BUILD" --target "${tests[@]}" -j "$(nproc)" ||
-    return 1
-  local t
-  for t in "${tests[@]}"; do
-    "$ASAN_BUILD/tests/$t" || return 1
-  done
+  cmake --build "$ASAN_BUILD" -j "$(nproc)" &&
+  ctest --test-dir "$ASAN_BUILD" --output-on-failure &&
+  "$ASAN_BUILD/tests/hierarchy_crash_test" &&
+  "$ASAN_BUILD/tests/crash_consistency_test"
 }
 
 run_stage "tier-1 (ctest)" tier1

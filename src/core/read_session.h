@@ -86,7 +86,7 @@ class ReadSession : public AccessMethod {
   /// reads through this session. The session does not own the context; the
   /// caller keeps it alive for the duration of the request. Detached is
   /// the default and costs one branch per read.
-  virtual void SetRequestContext(RequestContext* ctx) { ctx_ = ctx; }
+  void SetRequestContext(RequestContext* ctx) { ctx_ = ctx; }
   RequestContext* request_context() const override { return ctx_; }
 
   /// Transfers the session to the calling thread (debug-build contract

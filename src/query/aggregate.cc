@@ -58,7 +58,6 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
 }
 
 Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {
-  TourEvalResult result;
   if (tour.nodes.size() < 2) {
     return Status::InvalidArgument("a tour needs at least two nodes");
   }
@@ -67,26 +66,7 @@ Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {
   if (closed.nodes.front() != closed.nodes.back()) {
     closed.nodes.push_back(closed.nodes.front());
   }
-  QuerySpan span(am->metrics(), "query.aggregate");
-  IoStats before = am->DataIoStats();
-  ReadAheadCursor ahead(am, closed.nodes, /*chained=*/true);
-  ahead.Before(0);
-  NodeRecord current;
-  CCAM_ASSIGN_OR_RETURN(current, am->Find(closed.nodes[0]));
-  RequestContext* ctx = am->request_context();
-  for (size_t i = 1; i < closed.nodes.size(); ++i) {
-    if (ctx != nullptr) CCAM_RETURN_NOT_OK(ctx->Check());
-    ahead.Before(i);
-    NodeId next = closed.nodes[i];
-    auto cost = current.SuccessorCost(next);
-    if (!cost.ok()) return cost.status();
-    result.total_cost += *cost;
-    ++result.num_edges;
-    CCAM_ASSIGN_OR_RETURN(current, am->GetASuccessor(current.id, next));
-  }
-  IoStats after = am->DataIoStats();
-  result.page_accesses = (after - before).Accesses();
-  return result;
+  return EvaluateRoute(am, closed);
 }
 
 Result<LocationAllocationResult> EvaluateLocationAllocation(

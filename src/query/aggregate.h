@@ -8,6 +8,7 @@
 #include "src/common/result.h"
 #include "src/core/access_method.h"
 #include "src/graph/route.h"
+#include "src/query/route_eval.h"
 
 namespace ccam {
 
@@ -37,12 +38,9 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
 
 /// Tour evaluation (paper future work): evaluates a closed route (the last
 /// node must equal the first, or the closing edge must exist). Returns the
-/// route-evaluation aggregate of the closed tour.
-struct TourEvalResult {
-  double total_cost = 0.0;
-  size_t num_edges = 0;
-  uint64_t page_accesses = 0;
-};
+/// route-evaluation aggregate of the closed tour: EvaluateRoute on the
+/// tour with its origin appended when the tour does not already end there.
+using TourEvalResult = RouteEvalResult;
 Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour);
 
 /// Location-allocation evaluation (paper future work): given candidate

@@ -1,65 +1,14 @@
 #include "src/shard/shard_query.h"
 
-#include <unordered_set>
-
 namespace ccam {
 
 Result<ShardedRouteResult> EvaluateRouteSharded(ShardedQuerySession* session,
                                                 const Route& route) {
   ShardedRouteResult result;
-  if (route.nodes.empty()) return result;
-  const ShardRouter& router = session->router();
-  ShardPlan plan = router.PlanFor(route.nodes);
-  if (plan.empty()) {
-    return Status::NotFound("route uses no node owned by any shard");
-  }
-  result.fanout = plan.shards.size();
-
-  if (plan.single()) {
-    // Fast path: the whole route lives in one shard; run the existing
-    // per-file operator on that shard's session directly.
-    CCAM_ASSIGN_OR_RETURN(
-        result.eval,
-        EvaluateRoute(session->shard_session(plan.shards[0]), route));
-    return result;
-  }
-
-  // Stitch: walk maximal same-owner runs. Run k spans [start..i] where
-  // node i is the first whose owner differs from the run's — included so
-  // the crossing edge resolves against the halo copy; run k+1 then starts
-  // at i in i's own shard.
-  size_t start = 0;
-  uint32_t owner = router.ShardOf(route.nodes[0]);
-  if (owner == ShardRouter::kInvalidShard) {
-    return Status::NotFound("route origin not owned by any shard");
-  }
-  for (size_t i = 1; i <= route.nodes.size(); ++i) {
-    uint32_t next_owner =
-        i < route.nodes.size() ? router.ShardOf(route.nodes[i]) : owner;
-    if (next_owner == ShardRouter::kInvalidShard) {
-      return Status::NotFound("route node " +
-                              std::to_string(route.nodes[i]) +
-                              " not owned by any shard");
-    }
-    if (i < route.nodes.size() && next_owner == owner) continue;
-
-    Route segment;
-    size_t end = i < route.nodes.size() ? i + 1 : i;  // halo-inclusive
-    segment.nodes.assign(route.nodes.begin() + start,
-                         route.nodes.begin() + end);
-    RouteEvalResult part;
-    CCAM_ASSIGN_OR_RETURN(
-        part, EvaluateRoute(session->shard_session(owner), segment));
-    result.eval.total_cost += part.total_cost;
-    result.eval.num_edges += part.num_edges;
-    result.eval.page_accesses += part.page_accesses;
-
-    if (i < route.nodes.size()) {
-      ++result.cut_crossings;
-      start = i;
-      owner = next_owner;
-    }
-  }
+  result.fanout = session->router().PlanFor(route.nodes).shards.size();
+  const uint64_t crossings = session->CutCrossings();
+  CCAM_ASSIGN_OR_RETURN(result.eval, EvaluateRoute(session, route));
+  result.cut_crossings = session->CutCrossings() - crossings;
   return result;
 }
 
@@ -73,11 +22,6 @@ Result<RouteUnitAggregate> AggregateRouteUnitSharded(
   }
   ShardPlan plan = session->router().PlanFor(endpoints);
   if (fanout != nullptr) *fanout = plan.shards.size();
-  if (plan.single()) {
-    return AggregateRouteUnit(session->shard_session(plan.shards[0]), unit);
-  }
-  // Cross-shard unit: the facade session resolves every endpoint from its
-  // owning shard, with halo copies keeping each hop local.
   return AggregateRouteUnit(session, unit);
 }
 

@@ -7,40 +7,29 @@
 
 namespace ccam {
 
-/// Outcome of one sharded route evaluation: the plain route-evaluation
-/// aggregate plus the routing facts the shard layer adds.
+// Reporting wrappers kept for perfbench's shard_routes workload, which
+// reads the shard layer's routing facts from them. Each runs the plain
+// operator once on the facade session; new code calls EvaluateRoute /
+// AggregateRouteUnit on a ShardedQuerySession directly and takes the
+// facts from router().PlanFor(...) and CutCrossings().
+
+/// Outcome of one route evaluation on a sharded file: the plain
+/// route-evaluation aggregate plus the routing facts the shard layer adds.
 struct ShardedRouteResult {
   RouteEvalResult eval;
-  /// Shards the router planned for this route (1 = fast path).
+  /// Distinct owner shards of the route's nodes.
   size_t fanout = 0;
   /// Route edges whose endpoints live in different shards.
   uint64_t cut_crossings = 0;
 };
 
-/// Route evaluation over a sharded file. The router first computes the
-/// minimal shard set of the route's nodes:
-///
-///  * single shard — dispatches the whole route straight to that shard's
-///    per-file QuerySession (the existing EvaluateRoute operator, zero
-///    facade overhead);
-///  * multiple shards — splits the route into maximal single-shard runs
-///    and evaluates each run on its owner shard. A run deliberately
-///    *includes* the first node past the cut: that node's record is the
-///    shard's halo copy — bit-identical to the owner's — so the crossing
-///    edge's cost is read locally and the next run re-anchors with one
-///    Find() in the neighbor's own shard. Costs, edge counts and page
-///    accesses sum across runs; no edge is counted twice.
-///
-/// Results are identical to evaluating the route on the facade session
-/// (or on the unsharded file); only the dispatch differs.
+/// EvaluateRoute on the facade session, plus its fan-out and the cut
+/// crossings the facade's Get-A-successor counted during the call.
 Result<ShardedRouteResult> EvaluateRouteSharded(ShardedQuerySession* session,
                                                 const Route& route);
 
-/// Aggregate over a route-unit on a sharded file: single-shard units
-/// dispatch to that shard's session (fast path), cross-shard units run on
-/// the facade session, whose per-call owner routing resolves every edge
-/// endpoint from its owning shard (halo copies keep each Get-A-successor
-/// local). `fanout`, when given, receives the planned shard count.
+/// AggregateRouteUnit on the facade session. `fanout`, when given,
+/// receives the distinct owner shards of the unit's edge endpoints.
 Result<RouteUnitAggregate> AggregateRouteUnitSharded(
     ShardedQuerySession* session, const RouteUnit& unit,
     size_t* fanout = nullptr);

@@ -10,10 +10,9 @@
 
 namespace ccam {
 
-/// The shard set one query must touch, ascending and deduplicated. A
-/// single-shard plan lets the caller dispatch straight to that shard's
-/// per-file operators (the fast path); a multi-shard plan means partial
-/// results must be stitched at halo nodes.
+/// The shard set one query touches, ascending and deduplicated: its size
+/// is the query's fan-out, and a multi-shard plan marks a cross-shard
+/// query. Routing itself is the facade session's, read by read.
 struct ShardPlan {
   std::vector<uint32_t> shards;
   bool single() const { return shards.size() == 1; }

@@ -452,9 +452,4 @@ std::vector<NodeId> ShardedQuerySession::LiveNodeIds() const {
   return ids;
 }
 
-void ShardedQuerySession::SetRequestContext(RequestContext* ctx) {
-  ReadSession::SetRequestContext(ctx);
-  for (const auto& session : sessions_) session->SetRequestContext(ctx);
-}
-
 }  // namespace ccam

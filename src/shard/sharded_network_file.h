@@ -180,8 +180,10 @@ class ShardedNetworkFile {
 /// to the owning shard's QuerySession; per-shard accesses accumulate in
 /// that session and DataIoStats() returns their sum, so the sharded
 /// accounting sums exactly to the unsharded baseline on a 1-shard
-/// configuration. One sharded session per thread, like every ReadSession
-/// (its per-shard sessions bind to the first reading thread too).
+/// configuration. The request context attaches to the facade alone: its
+/// read prologue checks it once per read, before routing. One sharded
+/// session per thread, like every ReadSession (its per-shard sessions
+/// bind to the first reading thread too).
 class ShardedQuerySession : public ReadSession {
  public:
   explicit ShardedQuerySession(ShardedNetworkFile* file);
@@ -196,7 +198,7 @@ class ShardedQuerySession : public ReadSession {
 
   const NodePageMap& PageMap() const override { return file_->PageMap(); }
   /// Shard 0's pool (interface requirement; per-shard pools are reached
-  /// through shard_session(s)->buffer_pool()).
+  /// through file()->shard(s)->buffer_pool()).
   BufferPool* buffer_pool() override;
   size_t NumDataPages() const override { return file_->NumDataPages(); }
 
@@ -210,9 +212,6 @@ class ShardedQuerySession : public ReadSession {
 
   MetricsRegistry* metrics() const override { return file_->metrics(); }
 
-  /// Attaches the lifecycle context to every per-shard session as well.
-  void SetRequestContext(RequestContext* ctx) override;
-
   /// Sends each entry to the shard session that will serve its read: a
   /// Find to the owner's shard, a Get-A-successor to `from`'s shard (the
   /// halo copy it reads). Covers entries until one does not fit its
@@ -220,9 +219,6 @@ class ShardedQuerySession : public ReadSession {
   /// every shard pool sees the window demand order would fill.
   size_t ReadAhead(const ReadHint* hints, size_t n) override;
 
-  /// The underlying per-shard session (the single-shard fast path
-  /// dispatches existing per-file operators straight at one of these).
-  QuerySession* shard_session(uint32_t s) { return sessions_[s].get(); }
   const ShardRouter& router() const { return file_->router(); }
   ShardedNetworkFile* file() const { return file_; }
 

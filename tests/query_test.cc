@@ -576,6 +576,20 @@ TEST_F(QueryTest, TourEvaluationClosesTheLoop) {
   ASSERT_TRUE(net_.EdgeCost(u, v, &c1).ok());
   ASSERT_TRUE(net_.EdgeCost(v, u, &c2).ok());
   EXPECT_NEAR(res->total_cost, double{c1} + double{c2}, 1e-4);
+
+  // A tour is the route evaluation of the closed route: same cost, edges
+  // and page accesses, each run from a cold pool.
+  Route closed;
+  closed.nodes = {u, v, u};
+  ASSERT_TRUE(am_->buffer_pool()->Reset().ok());
+  auto toured = EvaluateTour(am_.get(), tour);
+  ASSERT_TRUE(am_->buffer_pool()->Reset().ok());
+  auto routed = EvaluateRoute(am_.get(), closed);
+  ASSERT_TRUE(toured.ok() && routed.ok());
+  EXPECT_EQ(toured->total_cost, routed->total_cost);
+  EXPECT_EQ(toured->num_edges, routed->num_edges);
+  EXPECT_EQ(toured->page_accesses, routed->page_accesses);
+  EXPECT_GT(toured->page_accesses, 0u);
 }
 
 TEST_F(QueryTest, TourTooShortRejected) {

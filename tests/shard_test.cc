@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/common/metrics.h"
+#include "src/common/request_context.h"
 #include "src/core/ccam.h"
 #include "src/core/query_session.h"
 #include "src/graph/generator.h"
@@ -86,6 +87,15 @@ std::unique_ptr<ShardedNetworkFile> MakeSharded(const Network& net,
 std::vector<Route> OracleRoutes(const Network& net, int count,
                                 uint64_t seed) {
   return GenerateRandomWalkRoutes(net, count, /*length=*/12, seed);
+}
+
+/// The route-unit made of a route's edges.
+RouteUnit UnitOf(const Route& route) {
+  RouteUnit unit;
+  for (size_t i = 1; i < route.nodes.size(); ++i) {
+    unit.edges.emplace_back(route.nodes[i - 1], route.nodes[i]);
+  }
+  return unit;
 }
 
 // --- 1-shard bit-identicality --------------------------------------------
@@ -153,19 +163,15 @@ TEST(ShardOracleTest, RouteResultsMatchUnshardedAcrossShardCounts) {
       EXPECT_EQ(facade->total_cost, want->total_cost);
       EXPECT_EQ(facade->num_edges, want->num_edges);
 
-      // The stitched path sums per-segment; identical values, possibly
-      // re-associated.
-      auto stitched = EvaluateRouteSharded(session.get(), route);
-      ASSERT_TRUE(stitched.ok());
-      EXPECT_DOUBLE_EQ(stitched->eval.total_cost, want->total_cost);
-      EXPECT_EQ(stitched->eval.num_edges, want->num_edges);
-      EXPECT_GE(stitched->fanout, 1u);
-      EXPECT_LE(stitched->fanout, shards);
-      if (stitched->fanout > 1) ++multi;
+      const size_t fanout =
+          sharded->router().PlanFor(route.nodes).shards.size();
+      EXPECT_GE(fanout, 1u);
+      EXPECT_LE(fanout, shards);
+      if (fanout > 1) ++multi;
     }
     // The partitioner keeps shards coherent, but 200 random walks across
     // 2+ shards must cross at least once — otherwise the oracle is not
-    // actually exercising the stitching path.
+    // actually exercising cross-shard routing.
     EXPECT_GT(multi, 0u) << shards << " shards";
     EXPECT_GT(session->CutCrossings(), 0u) << shards << " shards";
   }
@@ -179,24 +185,33 @@ TEST(ShardOracleTest, AggregateAndTourMatchUnsharded) {
     auto sharded = MakeSharded(net, shards);
     auto session = sharded->OpenSession();
     std::vector<Route> routes = OracleRoutes(net, 40, 42 + shards);
+    size_t tours = 0;
     for (const Route& route : routes) {
-      RouteUnit unit;
-      unit.name = "unit";
-      for (size_t i = 1; i < route.nodes.size(); ++i) {
-        unit.edges.emplace_back(route.nodes[i - 1], route.nodes[i]);
+      // There and back: a tour wherever every street is two-way.
+      Route tour = route;
+      tour.nodes.insert(tour.nodes.end(), route.nodes.rbegin() + 1,
+                        route.nodes.rend());
+      auto want_tour = EvaluateTour(base_session.get(), tour);
+      auto got_tour = EvaluateTour(session.get(), tour);
+      ASSERT_EQ(got_tour.ok(), want_tour.ok());
+      if (want_tour.ok()) {
+        ++tours;
+        EXPECT_EQ(got_tour->total_cost, want_tour->total_cost);
+        EXPECT_EQ(got_tour->num_edges, want_tour->num_edges);
       }
+
+      const RouteUnit unit = UnitOf(route);
       auto want = AggregateRouteUnit(base_session.get(), unit);
       ASSERT_TRUE(want.ok());
-      size_t fanout = 0;
-      auto got = AggregateRouteUnitSharded(session.get(), unit, &fanout);
+      auto got = AggregateRouteUnit(session.get(), unit);
       ASSERT_TRUE(got.ok());
       EXPECT_DOUBLE_EQ(got->total_edge_cost, want->total_edge_cost);
       EXPECT_EQ(got->min_edge_cost, want->min_edge_cost);
       EXPECT_EQ(got->max_edge_cost, want->max_edge_cost);
       EXPECT_EQ(got->num_edges, want->num_edges);
       EXPECT_EQ(got->num_nodes, want->num_nodes);
-      EXPECT_GE(fanout, 1u);
     }
+    EXPECT_GT(tours, 0u) << shards << " shards";
   }
 }
 
@@ -324,7 +339,7 @@ TEST(ShardIoStatsTest, SessionStatsSumToShardDiskReads) {
   auto session = sharded->OpenSession();
   std::vector<Route> routes = OracleRoutes(net, 120, 3);
   for (const Route& route : routes) {
-    ASSERT_TRUE(EvaluateRouteSharded(session.get(), route).ok());
+    ASSERT_TRUE(EvaluateRoute(session.get(), route).ok());
   }
   // Facade sum == per-shard sum == the shard disks' global read counters
   // (single session, cold pools: every miss is this session's miss).
@@ -421,13 +436,13 @@ TEST(ShardFileTest, SaveOpenRoundTripPreservesEverything) {
   auto want_session = sharded->OpenSession();
   auto got_session = reopened.OpenSession();
   for (const Route& route : OracleRoutes(net, 50, 11)) {
-    auto want = EvaluateRouteSharded(want_session.get(), route);
-    auto got = EvaluateRouteSharded(got_session.get(), route);
+    auto want = EvaluateRoute(want_session.get(), route);
+    auto got = EvaluateRoute(got_session.get(), route);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->eval.total_cost, want->eval.total_cost);
-    EXPECT_EQ(got->eval.num_edges, want->eval.num_edges);
-    EXPECT_EQ(got->cut_crossings, want->cut_crossings);
+    EXPECT_EQ(got->total_cost, want->total_cost);
+    EXPECT_EQ(got->num_edges, want->num_edges);
+    EXPECT_EQ(got_session->CutCrossings(), want_session->CutCrossings());
   }
 
   // A mismatched shard count is a typed error, not a misread.
@@ -452,7 +467,8 @@ TEST(ShardMetricsTest, ShardFamilyCollectsCrossingsAndFanout) {
 
   auto session = sharded.OpenSession();
   for (const Route& route : OracleRoutes(net, 60, 5)) {
-    ASSERT_TRUE(EvaluateRouteSharded(session.get(), route).ok());
+    sharded.router().PlanFor(route.nodes);
+    ASSERT_TRUE(EvaluateRoute(session.get(), route).ok());
   }
   sharded.PublishShardMetrics();
 
@@ -557,71 +573,106 @@ TEST(ShardReadAheadTest, FacadeMatchesDemandOrderExactly) {
 }
 
 
-// The plain operators on the facade, which read ahead through it, against
-// the `*Sharded` operators over the differential oracle's route set, from
-// cold pools. Answers are equal. Aggregates read the same pages shard by
-// shard. Stitched routes re-Find each crossing node in its own shard, so
-// the plain routes read no more in total.
-TEST(ShardReadAheadTest, PlainOperatorsOnTheFacadeMatchShardedOperators) {
+// The reporting wrappers perfbench reads its shard.* numbers from: over
+// the differential oracle's route set, `fanout` is the number of distinct
+// owners of a route's nodes (of a unit's endpoints, for aggregates) and
+// `cut_crossings` the number of owner changes along the route.
+TEST(ShardWrapperTest, WrappersReportOwnersAndCrossings) {
   const Network& net = PaperNet();
   for (uint32_t shards : {2u, 4u, 8u}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
     auto file = MakeSharded(net, shards);
-    auto plain = file->OpenSession();
-    auto stitched = file->OpenSession();
-    const std::vector<Route> routes = OracleRoutes(net, 200, 1995 + shards);
-    auto shard_reads = [&](ShardedQuerySession* session) {
-      std::vector<uint64_t> reads;
-      for (uint32_t s = 0; s < shards; ++s) {
-        reads.push_back(session->ShardIoStats(s).reads);
-      }
-      return reads;
-    };
-
-    ResetShards(file.get(), plain.get());
-    for (const Route& route : routes) {
-      auto want = EvaluateRouteSharded(stitched.get(), route);
-      auto got = EvaluateRoute(plain.get(), route);
-      ASSERT_TRUE(want.ok() && got.ok());
-      EXPECT_DOUBLE_EQ(got->total_cost, want->eval.total_cost);
-      EXPECT_EQ(got->num_edges, want->eval.num_edges);
-    }
-    // Both sessions shared the pools above; replay each from cold pools.
-    for (ShardedQuerySession* session : {plain.get(), stitched.get()}) {
-      ResetShards(file.get(), session);
-      for (const Route& route : routes) {
-        ASSERT_TRUE(session == plain.get()
-                        ? EvaluateRoute(session, route).ok()
-                        : EvaluateRouteSharded(session, route).ok());
-      }
-    }
-    EXPECT_LE(plain->DataIoStats().reads, stitched->DataIoStats().reads);
-
-    std::vector<RouteUnit> units;
-    for (const Route& route : routes) {
-      RouteUnit unit;
-      for (size_t i = 1; i < route.nodes.size(); ++i) {
-        unit.edges.emplace_back(route.nodes[i - 1], route.nodes[i]);
-      }
-      units.push_back(std::move(unit));
-    }
-    std::vector<double> stitched_costs;
-    for (ShardedQuerySession* session : {stitched.get(), plain.get()}) {
-      ResetShards(file.get(), session);
-      for (size_t i = 0; i < units.size(); ++i) {
-        auto got = session == plain.get()
-                       ? AggregateRouteUnit(session, units[i])
-                       : AggregateRouteUnitSharded(session, units[i]);
-        ASSERT_TRUE(got.ok());
-        if (session == stitched.get()) {
-          stitched_costs.push_back(got->total_edge_cost);
-        } else {
-          EXPECT_EQ(got->total_edge_cost, stitched_costs[i]);
+    auto session = file->OpenSession();
+    const ShardRouter& router = file->router();
+    uint64_t crossed = 0;
+    for (const Route& route : OracleRoutes(net, 200, 1995 + shards)) {
+      std::set<uint32_t> owners;
+      uint64_t changes = 0;
+      for (size_t i = 0; i < route.nodes.size(); ++i) {
+        owners.insert(router.ShardOf(route.nodes[i]));
+        if (i > 0 && router.ShardOf(route.nodes[i]) !=
+                         router.ShardOf(route.nodes[i - 1])) {
+          ++changes;
         }
       }
+      auto got = EvaluateRouteSharded(session.get(), route);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->fanout, owners.size());
+      EXPECT_EQ(got->cut_crossings, changes);
+      crossed += changes;
+
+      const RouteUnit unit = UnitOf(route);
+      std::set<uint32_t> unit_owners;
+      for (const auto& [u, v] : unit.edges) {
+        unit_owners.insert(router.ShardOf(u));
+        unit_owners.insert(router.ShardOf(v));
+      }
+      size_t fanout = 0;
+      ASSERT_TRUE(AggregateRouteUnitSharded(session.get(), unit, &fanout).ok());
+      EXPECT_EQ(fanout, unit_owners.size());
     }
-    EXPECT_EQ(shard_reads(plain.get()), shard_reads(stitched.get()));
+    EXPECT_GT(crossed, 0u);
+    EXPECT_EQ(session->CutCrossings(), crossed);
   }
+}
+
+// The request context attaches to the facade alone, and its read prologue
+// is the one check: an expired deadline or a cancelled token stops every
+// operator with the typed status, and a live deadline changes no answer.
+TEST(ShardRequestContextTest, FacadeChecksTheContextOnEveryOperator) {
+  const Network& net = PaperNet();
+  auto baseline = MakeBaseline(net);
+  auto oracle = baseline->OpenSession();
+  auto file = MakeSharded(net, 4);
+  auto session = file->OpenSession();
+  const std::vector<Route> routes = OracleRoutes(net, 20, 77);
+  const auto pairs = RandomPairs(net, 6, 78);
+
+  auto run_all = [&](AccessMethod* am) {
+    std::vector<Status> statuses;
+    for (const Route& route : routes) {
+      statuses.push_back(EvaluateRoute(am, route).status());
+      statuses.push_back(AggregateRouteUnit(am, UnitOf(route)).status());
+    }
+    for (const auto& [from, to] : pairs) {
+      statuses.push_back(ShortestPathAStar(am, from, to).status());
+    }
+    return statuses;
+  };
+
+  RequestContext expired(RequestContext::NowMicros() - 10);
+  session->SetRequestContext(&expired);
+  for (const Status& st : run_all(session.get())) {
+    EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+  }
+  RequestContext cancelled;
+  cancelled.Cancel();
+  session->SetRequestContext(&cancelled);
+  for (const Status& st : run_all(session.get())) {
+    EXPECT_TRUE(st.IsCancelled()) << st.ToString();
+  }
+
+  RequestContext live(RequestContext::NowMicros() + 3600LL * 1000 * 1000);
+  session->SetRequestContext(&live);
+  for (const Route& route : routes) {
+    auto want = EvaluateRoute(oracle.get(), route);
+    auto got = EvaluateRoute(session.get(), route);
+    ASSERT_TRUE(want.ok() && got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->total_cost, want->total_cost);
+    EXPECT_EQ(got->num_edges, want->num_edges);
+    auto want_agg = AggregateRouteUnit(oracle.get(), UnitOf(route));
+    auto got_agg = AggregateRouteUnit(session.get(), UnitOf(route));
+    ASSERT_TRUE(want_agg.ok() && got_agg.ok()) << got_agg.status().ToString();
+    EXPECT_EQ(got_agg->total_edge_cost, want_agg->total_edge_cost);
+  }
+  for (const auto& [from, to] : pairs) {
+    auto want = ShortestPathAStar(oracle.get(), from, to);
+    auto got = ShortestPathAStar(session.get(), from, to);
+    ASSERT_TRUE(want.ok() && got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->path, want->path);
+    EXPECT_EQ(got->cost, want->cost);
+  }
+  session->SetRequestContext(nullptr);
 }
 
 // --- Concurrency (run under TSan via scripts/check_tsan.sh) ---------------
@@ -651,10 +702,9 @@ TEST(ShardConcurrencyTest, EightReaderHammerConservesAndAgrees) {
     workers.emplace_back([&, t] {
       auto session = sharded->OpenSession();
       for (size_t i = t; i < routes.size(); i += 2) {
-        auto got = EvaluateRouteSharded(session.get(), routes[i]);
-        if (!got.ok() ||
-            got->eval.total_cost != expected[i].total_cost ||
-            got->eval.num_edges != expected[i].num_edges) {
+        auto got = EvaluateRoute(session.get(), routes[i]);
+        if (!got.ok() || got->total_cost != expected[i].total_cost ||
+            got->num_edges != expected[i].num_edges) {
           ++mismatches[t];
         }
       }

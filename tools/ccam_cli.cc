@@ -39,12 +39,13 @@
 #include "src/core/file_stats.h"
 #include "src/graph/generator.h"
 #include "src/graph/graph_io.h"
+#include "src/query/route_eval.h"
 #include "src/query/search.h"
 #include "src/query/spatial.h"
 #include "src/query/trace.h"
 #include "src/serve/loadgen.h"
 #include "src/serve/query_service.h"
-#include "src/shard/shard_query.h"
+#include "src/shard/sharded_network_file.h"
 
 namespace ccam {
 namespace cli {
@@ -361,16 +362,14 @@ int CmdShard(const Args& args) {
   auto oracle = baseline.OpenSession();
   size_t mismatches = 0;
   size_t multi = 0;
-  uint64_t crossings = 0;
   for (const Route& route : routes) {
-    auto got = EvaluateRouteSharded(session.get(), route);
+    auto got = EvaluateRoute(session.get(), route);
     auto want = EvaluateRoute(oracle.get(), route);
     Die(got.status(), "sharded route");
     Die(want.status(), "baseline route");
-    if (got->fanout > 1) ++multi;
-    crossings += got->cut_crossings;
-    if (got->eval.total_cost != want->total_cost ||
-        got->eval.num_edges != want->num_edges) {
+    if (sharded.router().PlanFor(route.nodes).shards.size() > 1) ++multi;
+    if (got->total_cost != want->total_cost ||
+        got->num_edges != want->num_edges) {
       ++mismatches;
     }
   }
@@ -389,7 +388,8 @@ int CmdShard(const Args& args) {
   }
   std::printf("%d routes evaluated (%zu cross-shard), %llu cut crossings, "
               "%zu mismatches vs unsharded\n",
-              count, multi, static_cast<unsigned long long>(crossings),
+              count, multi,
+              static_cast<unsigned long long>(session->CutCrossings()),
               mismatches);
   if (mismatches != 0) {
     std::fprintf(stderr,
