@@ -9,7 +9,13 @@
 #                  attached; every instrumented family must collect
 #                  nonzero data)
 #   3. perf      — scripts/check_perf.sh --smoke: bench JSON artifacts
-#                  round-trip through the regression gate
+#                  round-trip through the regression gate; then the
+#                  repository benchmark's own checks: `perfbench/run.py
+#                  --self-test` (its helper unit tests and BENCHMARK.json's
+#                  shape) and a build of the `perfbench` program, both in
+#                  a CI build directory (CARGO_TARGET_DIR), so a library
+#                  change that breaks the benchmark fails here rather
+#                  than in a benchmark run
 #   4. serve     — serve_test and chaos_serve_test repeated until-fail:10
 #                  (a timing-dependent NoSpace or ticket failure fails CI
 #                  instead of passing as a flake); serve_test holds the
@@ -58,13 +64,15 @@
 #
 # Usage: scripts/ci.sh [build-dir] [tsan-build-dir] [debug-build-dir]
 #                      [asan-build-dir]
-#        (defaults: build, build-tsan, build-debug, build-asan)
+#        (defaults: build, build-tsan, build-debug, build-asan; the
+#        benchmark builds in <build-dir>-perfbench)
 set -uo pipefail
 
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
 DEBUG_BUILD="${3:-build-debug}"
 ASAN_BUILD="${4:-build-asan}"
+PERF_BUILD="${BUILD}-perfbench"  # the benchmark's own CMake project
 cd "$(dirname "$0")/.."
 
 declare -a STAGE_NAMES=() STAGE_RESULTS=()
@@ -87,6 +95,14 @@ tier1() {
   cmake -B "$BUILD" -S . &&
   cmake --build "$BUILD" -j "$(nproc)" &&
   ctest --test-dir "$BUILD" --output-on-failure
+}
+
+perf_stage() {
+  scripts/check_perf.sh --smoke "$BUILD" || return 1
+  local bench_dir="${PERF_BUILD}/perfbench-release"
+  CARGO_TARGET_DIR="$PERF_BUILD" python3 perfbench/run.py --self-test ||
+    return 1
+  cmake --build "$bench_dir" --target perfbench -j "$(nproc)"
 }
 
 metrics() {
@@ -145,7 +161,7 @@ asan_stage() {
 
 run_stage "tier-1 (ctest)" tier1
 run_stage "metrics (tools/stats)" metrics
-run_stage "perf (check_perf.sh --smoke)" scripts/check_perf.sh --smoke "$BUILD"
+run_stage "perf (smoke + perfbench)" perf_stage
 run_stage "serve (repeat)" serve_repeat
 run_stage "swap (hammer + mid-swap crashsim)" swap_stage
 run_stage "shard (oracle + hammer + bench)" shard_stage

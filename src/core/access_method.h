@@ -211,29 +211,27 @@ class AccessMethod {
 /// window once the reads have passed the end of the last one.
 class ReadAheadCursor {
  public:
-  /// `chained`: the operator reads nodes[0] with Find and every later node
-  /// as a Get-A-successor of the one before it (route and tour
-  /// evaluation). Otherwise every read is a Find (route-unit aggregates).
-  ReadAheadCursor(AccessMethod* am, const std::vector<NodeId>& nodes,
-                  bool chained)
-      : am_(am) {
-    hints_.reserve(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      hints_.push_back(
-          {chained && i > 0 ? nodes[i - 1] : kInvalidNodeId, nodes[i]});
-    }
-  }
+  /// `hints` lists the operator's reads in order (each operator's
+  /// Append*Hints helper builds it); the cursor keeps a reference.
+  ReadAheadCursor(AccessMethod* am, const std::vector<ReadHint>& hints)
+      : am_(am), hints_(hints) {}
 
   void Before(size_t i) {
     if (i >= end_) {
+      const uint64_t reads = am_->DataIoStats().reads;
       end_ = i + am_->ReadAhead(hints_.data() + i, hints_.size() - i);
+      loads_ += am_->DataIoStats().reads - reads;
     }
   }
 
+  /// Pages this cursor's hints loaded (IoStats::DemandAccesses).
+  uint64_t loads() const { return loads_; }
+
  private:
   AccessMethod* am_;
-  std::vector<ReadHint> hints_;
+  const std::vector<ReadHint>& hints_;
   size_t end_ = 0;  // first entry not covered by a hint yet
+  uint64_t loads_ = 0;
 };
 
 }  // namespace ccam

@@ -1,6 +1,7 @@
 #include "src/query/aggregate.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <unordered_map>
 
@@ -19,22 +20,17 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
   // Retrieve each distinct member node once; edge costs come from the
   // source node's successor-list. Buffered pages make co-clustered
   // route-units cheap.
-  std::vector<NodeId> nodes;
-  for (const auto& [u, v] : unit.edges) {
-    nodes.push_back(u);
-    nodes.push_back(v);
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  ReadAheadCursor ahead(am, nodes, /*chained=*/false);
+  std::vector<ReadHint> nodes;
+  AppendRouteUnitHints(unit, &nodes);
+  ReadAheadCursor ahead(am, nodes);
   std::unordered_map<NodeId, NodeRecord> records;
   RequestContext* ctx = am->request_context();
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (ctx != nullptr) CCAM_RETURN_NOT_OK(ctx->Check());
     ahead.Before(i);
     NodeRecord rec;
-    CCAM_ASSIGN_OR_RETURN(rec, am->Find(nodes[i]));
-    records.emplace(nodes[i], std::move(rec));
+    CCAM_ASSIGN_OR_RETURN(rec, am->Find(nodes[i].node));
+    records.emplace(nodes[i].node, std::move(rec));
   }
   agg.num_nodes = nodes.size();
   agg.min_edge_cost = std::numeric_limits<double>::infinity();
@@ -53,8 +49,26 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
   }
 
   IoStats after = am->DataIoStats();
-  agg.page_accesses = (after - before).Accesses();
+  agg.page_accesses = (after - before).DemandAccesses(ahead.loads());
   return agg;
+}
+
+void AppendRouteUnitHints(const RouteUnit& unit,
+                          std::vector<ReadHint>* hints) {
+  const auto first = static_cast<std::ptrdiff_t>(hints->size());
+  for (const auto& [u, v] : unit.edges) {
+    hints->push_back({kInvalidNodeId, u});
+    hints->push_back({kInvalidNodeId, v});
+  }
+  auto less = [](const ReadHint& a, const ReadHint& b) {
+    return a.node < b.node;
+  };
+  auto same = [](const ReadHint& a, const ReadHint& b) {
+    return a.node == b.node;
+  };
+  std::sort(hints->begin() + first, hints->end(), less);
+  hints->erase(std::unique(hints->begin() + first, hints->end(), same),
+               hints->end());
 }
 
 Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {

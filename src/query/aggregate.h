@@ -36,6 +36,12 @@ struct RouteUnitAggregate {
 Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
                                               const RouteUnit& unit);
 
+/// Appends the Finds AggregateRouteUnit issues for `unit` to `hints`, in
+/// order: one per distinct member node, ascending. The operator and the
+/// serving layer's admission prefetch both read ahead from this list.
+void AppendRouteUnitHints(const RouteUnit& unit,
+                          std::vector<ReadHint>* hints);
+
 /// Tour evaluation (paper future work): evaluates a closed route (the last
 /// node must equal the first, or the closing edge must exist). Returns the
 /// route-evaluation aggregate of the closed tour: EvaluateRoute on the

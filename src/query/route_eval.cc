@@ -13,7 +13,9 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route) {
   IoStats before = am->DataIoStats();
   // The whole page sequence is known up front: read it ahead window by
   // window so the misses of each window overlap.
-  ReadAheadCursor ahead(am, route.nodes, /*chained=*/true);
+  std::vector<ReadHint> hints;
+  AppendRouteHints(route, &hints);
+  ReadAheadCursor ahead(am, hints);
   ahead.Before(0);
   NodeRecord current;
   CCAM_ASSIGN_OR_RETURN(current, am->Find(route.nodes[0]));
@@ -33,8 +35,15 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route) {
     ++result.num_edges;
   }
   IoStats after = am->DataIoStats();
-  result.page_accesses = (after - before).Accesses();
+  result.page_accesses = (after - before).DemandAccesses(ahead.loads());
   return result;
+}
+
+void AppendRouteHints(const Route& route, std::vector<ReadHint>* hints) {
+  for (size_t i = 0; i < route.nodes.size(); ++i) {
+    hints->push_back(
+        {i > 0 ? route.nodes[i - 1] : kInvalidNodeId, route.nodes[i]});
+  }
 }
 
 Result<double> MeanRouteEvalAccesses(AccessMethod* am,

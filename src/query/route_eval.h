@@ -26,6 +26,12 @@ struct RouteEvalResult {
 /// edge.
 Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route);
 
+/// Appends the reads EvaluateRoute issues for `route` to `hints`, in
+/// order: a Find of the first node, then each hop as a Get-A-successor
+/// from the node before it. The operator and the serving layer's
+/// admission prefetch both read ahead from this list.
+void AppendRouteHints(const Route& route, std::vector<ReadHint>* hints);
+
 /// Evaluates a batch of routes and returns the mean page accesses per
 /// route — the quantity plotted in the paper's Figure 6.
 Result<double> MeanRouteEvalAccesses(AccessMethod* am,

@@ -226,8 +226,11 @@ struct SearchCounters {
 /// its PageMap() page with an earlier node of the run: a harvest after
 /// that earlier read may read it first, from another copy. So the pool
 /// sees demand order's window, and page accesses equal demand order's.
-/// The harvest counts misses in demand order too: a read whose page a
-/// hint loaded counts that load as its miss (IoStats::ahead_misses).
+/// The harvest and the returned count both count misses in demand order:
+/// a read whose page any hint loaded (the search's own, or another
+/// session's such as the serving layer's admission prefetch) counts that
+/// load as its miss (IoStats::ahead_misses), and the search's own loads
+/// are not counted again (IoStats::DemandAccesses).
 template <typename OnSettle>
 Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
                            NodeId target, double heuristic_weight,
@@ -339,10 +342,9 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
     }
   };
 
-  std::vector<NodeId> finds;  // the target first, then the sources
-  if (target != kInvalidNodeId) finds.push_back(target);
-  finds.insert(finds.end(), sources.begin(), sources.end());
-  auto find_at = [&](size_t j) { return finds[j]; };
+  std::vector<ReadHint> finds;  // the target first, then the sources
+  AppendSearchEndpointHints(target, sources, &finds);
+  auto find_at = [&](size_t j) { return finds[j].node; };
   size_t ahead = 0;  // first entry of `finds` no hint covers
   if (target != kInvalidNodeId) {
     ahead = read_ahead(kInvalidNodeId, 0, finds.size(), find_at);
@@ -355,7 +357,7 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
     after_read(s);
   }
   for (size_t j = finds.size() - sources.size(); j < finds.size(); ++j) {
-    NodeId src = finds[j];
+    NodeId src = finds[j].node;
     uint32_t s = core->Intern(src);
     if (s == h.size()) {
       if (j >= ahead) {
@@ -411,10 +413,16 @@ Result<uint64_t> BestFirst(AccessMethod* am, const std::vector<NodeId>& sources,
     }
   }
 
-  return (am->DataIoStats() - before).Accesses();
+  return (am->DataIoStats() - before).DemandAccesses(loads);
 }
 
 }  // namespace
+
+void AppendSearchEndpointHints(NodeId target, std::span<const NodeId> sources,
+                               std::vector<ReadHint>* hints) {
+  if (target != kInvalidNodeId) hints->push_back({kInvalidNodeId, target});
+  for (NodeId src : sources) hints->push_back({kInvalidNodeId, src});
+}
 
 Result<SearchResult> ShortestPathDijkstra(AccessMethod* am, NodeId src,
                                           NodeId dst) {

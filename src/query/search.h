@@ -1,6 +1,7 @@
 #ifndef CCAM_QUERY_SEARCH_H_
 #define CCAM_QUERY_SEARCH_H_
 
+#include <span>
 #include <vector>
 
 #include "src/common/result.h"
@@ -36,6 +37,13 @@ Result<SearchResult> ShortestPathDijkstra(AccessMethod* am, NodeId src,
 Result<SearchResult> ShortestPathAStar(AccessMethod* am, NodeId src,
                                        NodeId dst,
                                        double heuristic_weight = 0.7);
+
+/// Appends the Finds a best-first search issues before its first settle
+/// to `hints`, in order: the target (unless kInvalidNodeId), then each
+/// source. The search and the serving layer's admission prefetch both
+/// read ahead from this list.
+void AppendSearchEndpointHints(NodeId target, std::span<const NodeId> sources,
+                               std::vector<ReadHint>* hints);
 
 /// Multi-source Dijkstra: shortest distance from any of `sources` to every
 /// reachable node. Returns (node, distance) pairs and charges the I/O to

@@ -26,6 +26,31 @@ const char* ServeOpName(ServeOp op) {
   return "unknown";
 }
 
+namespace {
+
+/// The reads `request`'s operator issues first, from the operator's own
+/// hint helper; CH reads only the overlay and hints nothing. The request
+/// has an origin, so an A* request has its OD pair.
+void AppendRequestHints(const ServeRequest& request,
+                        std::vector<ReadHint>* hints) {
+  const std::vector<NodeId>& od = request.route.nodes;
+  switch (request.op) {
+    case ServeOp::kRouteEval:
+      AppendRouteHints(request.route, hints);
+      break;
+    case ServeOp::kAStar:
+      AppendSearchEndpointHints(od.back(), {&od.front(), 1}, hints);
+      break;
+    case ServeOp::kHierarchy:
+      break;
+    case ServeOp::kAggregate:
+      AppendRouteUnitHints(request.unit, hints);
+      break;
+  }
+}
+
+}  // namespace
+
 uint64_t QueryService::NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -77,18 +102,21 @@ void QueryService::StartWorkers(int n) {
   for (int i = 0; i < n; ++i) {
     auto w = std::make_unique<Worker>();
     w->rng = Random(options_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    if (file_ != nullptr) {
-      w->session = file_->OpenSession();
-    } else {
-      w->session = manager_->OpenSession();
-    }
+    w->session = OpenReadSession();
     workers_.push_back(std::move(w));
   }
-  pool_ = std::make_unique<ThreadPool>(n);
+  prefetch_session_ = OpenReadSession();
+  pool_ = std::make_unique<ThreadPool>(n + 1);
   for (auto& w : workers_) {
     Worker* wp = w.get();
     pool_->Submit([this, wp] { WorkerLoop(wp); });
   }
+  pool_->Submit([this] { PrefetchLoop(); });
+}
+
+std::unique_ptr<ReadSession> QueryService::OpenReadSession() {
+  if (file_ != nullptr) return file_->OpenSession();
+  return manager_->OpenSession();
 }
 
 QueryService::~QueryService() { Shutdown(/*drain=*/true); }
@@ -180,6 +208,11 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
       return reject(std::move(allow), m_shed_breaker_);
     }
   }
+  // Built before the request moves into the queue; handed to the prefetch
+  // thread only if the request waits there.
+  std::vector<ReadHint> hints;
+  AppendRequestHints(request, &hints);
+  bool waits = false;  // queued behind busy workers
   {
     // One critical section covers the admission decision and the queue
     // enqueue (lock order: admission_mu_ -> queue_mu_, same as Shutdown),
@@ -221,12 +254,25 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
     item.enqueue_us = now;
     {
       std::lock_guard<std::mutex> qlock(queue_mu_);
+      // An idle worker takes the request at once and issues its reads
+      // itself; only a request that waits has reads worth starting early.
+      waits = scheduler_.depth() >= idle_workers_;
       scheduler_.Enqueue(std::move(item));
     }
   }
   n_admitted_.fetch_add(1, std::memory_order_relaxed);
   if (m_admitted_ != nullptr) m_admitted_->Inc();
   queue_cv_.notify_one();
+  if (waits && !hints.empty()) {
+    {
+      std::lock_guard<std::mutex> lock(prefetch_mu_);
+      if (prefetch_stop_) return ticket;
+      prefetch_hints_.insert(prefetch_hints_.end(), hints.begin(),
+                             hints.end());
+    }
+    n_prefetched_.fetch_add(1, std::memory_order_relaxed);
+    prefetch_cv_.notify_one();
+  }
   return ticket;
 }
 
@@ -239,9 +285,11 @@ void QueryService::WorkerLoop(Worker* worker) {
   for (;;) {
     // Every enqueue notifies one waiter and a worker re-checks the queue
     // before every wait, so no worker sleeps while a request is queued.
+    ++idle_workers_;
     queue_cv_.wait(lock, [&] {
       return stop_.load(std::memory_order_acquire) || !scheduler_.empty();
     });
+    --idle_workers_;
     batch.clear();
     // An empty queue here means stop_ is set: the backlog is done.
     if (scheduler_.PopBatch(options_.max_batch, &batch) == 0) return;
@@ -252,6 +300,27 @@ void QueryService::WorkerLoop(Worker* worker) {
     // drains off a retired version one batch after a swap publishes.
     worker->session->Refresh();
     ExecuteBatch(worker, &batch);
+    lock.lock();
+  }
+}
+
+void QueryService::PrefetchLoop() {
+  prefetch_session_->RebindToCurrentThread();
+  std::vector<ReadHint> round;
+  std::unique_lock<std::mutex> lock(prefetch_mu_);
+  for (;;) {
+    prefetch_cv_.wait(lock, [&] {
+      return prefetch_stop_ || !prefetch_hints_.empty();
+    });
+    if (prefetch_stop_) return;
+    round.swap(prefetch_hints_);
+    lock.unlock();
+    // One call per round: the queued requests' misses, oldest first, share
+    // one device wait up to the pool's window, and the rest are dropped.
+    // A snapshot session first moves to the version the workers will read.
+    prefetch_session_->Refresh();
+    prefetch_session_->ReadAhead(round.data(), round.size());
+    round.clear();
     lock.lock();
   }
 }
@@ -482,6 +551,12 @@ void QueryService::Shutdown(bool drain) {
     shut_down_ = true;
     accepting_ = false;
   }
+  {
+    std::lock_guard<std::mutex> lock(prefetch_mu_);
+    prefetch_stop_ = true;
+    prefetch_hints_ = {};
+  }
+  prefetch_cv_.notify_all();
   std::vector<QueuedRequest> cancelled;
   {
     // stop_ is stored and notified under queue_mu_: a worker that has just
@@ -494,25 +569,40 @@ void QueryService::Shutdown(bool drain) {
   }
   CancelBatch(&cancelled, "cancelled: service shutting down");
   // Workers exit once the queue is empty (immediately after a cancelling
-  // drain; after executing the backlog otherwise); destroying the pool
-  // joins them.
+  // drain; after executing the backlog otherwise) and the prefetch thread
+  // after its round in flight; destroying the pool joins them all.
   pool_.reset();
+  // Close every session, which releases a snapshot session's version pin;
+  // its counters stay in the totals.
+  auto retire = [this](std::unique_ptr<ReadSession>* session) {
+    retired_io_ = SumStats(retired_io_, (*session)->DataIoStats());
+    retired_hier_io_ =
+        SumStats(retired_hier_io_, (*session)->HierarchyIoStats());
+    session->reset();
+  };
+  for (auto& w : workers_) retire(&w->session);
+  retire(&prefetch_session_);
+}
+
+IoStats QueryService::SumSessions(IoStats (AccessMethod::*stat)() const,
+                                  IoStats total) const {
+  for (const auto& w : workers_) {
+    if (w->session != nullptr) {
+      total = SumStats(total, (w->session.get()->*stat)());
+    }
+  }
+  if (prefetch_session_ != nullptr) {
+    total = SumStats(total, (prefetch_session_.get()->*stat)());
+  }
+  return total;
 }
 
 IoStats QueryService::TotalSessionIoStats() const {
-  IoStats total;
-  for (const auto& w : workers_) {
-    total = SumStats(total, w->session->DataIoStats());
-  }
-  return total;
+  return SumSessions(&AccessMethod::DataIoStats, retired_io_);
 }
 
 IoStats QueryService::TotalSessionHierarchyIoStats() const {
-  IoStats total;
-  for (const auto& w : workers_) {
-    total = SumStats(total, w->session->HierarchyIoStats());
-  }
-  return total;
+  return SumSessions(&AccessMethod::HierarchyIoStats, retired_hier_io_);
 }
 
 QueryService::Stats QueryService::GetStats() const {
@@ -526,6 +616,7 @@ QueryService::Stats QueryService::GetStats() const {
   stats.shed_deadline = n_shed_deadline_.load(std::memory_order_relaxed);
   stats.shed_breaker = n_shed_breaker_.load(std::memory_order_relaxed);
   stats.retries = n_retries_.load(std::memory_order_relaxed);
+  stats.prefetched = n_prefetched_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -82,10 +82,24 @@ struct QueryServiceOptions {
 /// buffer hit for the rest. The queue is work-conserving: no worker
 /// sleeps while a request is queued.
 ///
-/// Accounting: all reads go through the workers' sessions, so the
-/// paper's conservation invariant extends to the whole service — the sum
-/// of the workers' per-session IoStats equals the file's global disk
-/// reads (TotalSessionIoStats; verified by tests/serve_test.cc).
+/// Admission prefetch: a request that Submit admits behind busy workers
+/// (more requests queued than workers idle) has its operator's leading
+/// known reads queued as read-ahead hints: a route's chained hops, an
+/// aggregate's distinct unit nodes, an A* search's target and source (CH
+/// reads only the overlay and hints nothing). The service's one prefetch
+/// thread, with its own read session, takes every pending hint oldest
+/// first and issues them as one ReadAhead per round, so the misses of
+/// several queued requests share one device wait and the worker that pops
+/// a request finds its pages resident or landing. The pool's window
+/// bounds a round; hints past it are dropped. The prefetch never changes
+/// an answer or an operator's demand-order page count (see
+/// IoStats::DemandAccesses).
+///
+/// Accounting: all reads go through the service's sessions — the
+/// workers' and the prefetch session — so the paper's conservation
+/// invariant extends to the whole service: the sum of their per-session
+/// IoStats equals the file's global disk reads (TotalSessionIoStats;
+/// verified by tests/serve_test.cc).
 ///
 /// Thread safety: Submit is safe from any number of client threads.
 /// Construction, SetMetrics, Shutdown and the stats accessors follow the
@@ -99,7 +113,8 @@ class QueryService {
   /// SnapshotSession pinned to one published version, refreshed only at
   /// batch boundaries — an in-flight batch keeps its version across a
   /// concurrent swap, which is exactly the session-drain contract the
-  /// reorganizer's retirement waits on. Regions are stamped via
+  /// reorganizer's retirement waits on. The prefetch session refreshes
+  /// before each round. Regions are stamped via
   /// SnapshotManager::RegionOf against the version current at submit
   /// time; a request executed after a swap may carry a page id from the
   /// older layout, which degrades only batching, never results.
@@ -121,9 +136,12 @@ class QueryService {
   /// Stops the service. `drain` = true executes everything already
   /// queued before returning; false cancels queued-but-unstarted requests
   /// (their tickets complete with Overloaded("cancelled: ...")). Either
-  /// way no new request is accepted once Shutdown begins, in-flight
-  /// batches run to completion, and every ever-issued ticket is complete
-  /// when Shutdown returns. Idempotent; the destructor drains.
+  /// way no new request or prefetch hint is accepted once Shutdown
+  /// begins, pending hints are dropped, in-flight batches run to
+  /// completion, and every ever-issued ticket is complete when Shutdown
+  /// returns. Every thread is joined and every session closed (releasing
+  /// its snapshot version pin); the session totals stay readable.
+  /// Idempotent; the destructor drains.
   void Shutdown(bool drain = true);
 
   /// Attaches the "serve.*" metric family (null detaches). Call while
@@ -131,9 +149,12 @@ class QueryService {
   /// cached so a detached service pays one null test per event.
   void SetMetrics(MetricsRegistry* metrics);
 
-  /// Sum of the worker sessions' data-page IoStats. With every read going
-  /// through the sessions, this equals the file's global disk-read delta
-  /// over the service's lifetime. Call while quiescent.
+  /// Sum of the data-page IoStats of every session the service owns: the
+  /// workers' and the prefetch session's, whose read-ahead loads it is
+  /// charged (a worker's first fetch of such a page counts as its
+  /// ahead_misses). With every read going through the sessions, `reads`
+  /// equals the file's global disk-read delta over the service's
+  /// lifetime. Call while quiescent (after Shutdown, for instance).
   IoStats TotalSessionIoStats() const;
   /// Same for hierarchy-overlay reads.
   IoStats TotalSessionHierarchyIoStats() const;
@@ -151,6 +172,8 @@ class QueryService {
     uint64_t shed_deadline = 0;     // of rejected: expired before execution
     uint64_t shed_breaker = 0;      // of rejected: circuit breaker open
     uint64_t retries = 0;           // re-execution attempts performed
+    uint64_t prefetched = 0;  // of admitted: queued behind busy workers,
+                              // their reads hinted to the prefetch thread
   };
   Stats GetStats() const;
 
@@ -172,7 +195,11 @@ class QueryService {
   };
 
   void StartWorkers(int n);
+  /// A QuerySession against the file, a SnapshotSession against the store.
+  std::unique_ptr<ReadSession> OpenReadSession();
   void WorkerLoop(Worker* worker);
+  /// The prefetch thread: one ReadAhead of every pending hint per round.
+  void PrefetchLoop();
   void ExecuteBatch(Worker* worker, std::vector<QueuedRequest>* batch);
   /// Executes the requests at `indices` of `batch` one by one through
   /// their single-query operators, grouped by ServeOp in enum order and in
@@ -183,6 +210,9 @@ class QueryService {
                          const std::vector<size_t>& indices,
                          std::vector<ServeResponse>* responses);
   void CancelBatch(std::vector<QueuedRequest>* batch, const char* why);
+  /// `total` plus `stat` of every open session.
+  IoStats SumSessions(IoStats (AccessMethod::*stat)() const,
+                      IoStats total) const;
 
   /// Microseconds on the steady clock (the service's common time base).
   static uint64_t NowMicros();
@@ -206,11 +236,24 @@ class QueryService {
   std::condition_variable queue_cv_;
   DrrScheduler scheduler_;
   std::atomic<bool> stop_{false};
+  size_t idle_workers_ = 0;  // workers waiting for a request (queue_mu_)
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// The worker pool; one long-lived WorkerLoop task per worker.
+  /// The prefetch thread's session and its pending hints, oldest first
+  /// (prefetch_mu_, a leaf lock). A round takes all of them, so they hold
+  /// at most the requests admitted since the last round began.
+  std::unique_ptr<ReadSession> prefetch_session_;
+  std::mutex prefetch_mu_;
+  std::condition_variable prefetch_cv_;
+  std::vector<ReadHint> prefetch_hints_;
+  bool prefetch_stop_ = false;
+  /// The worker pool: one long-lived WorkerLoop task per worker plus the
+  /// PrefetchLoop task.
   std::unique_ptr<ThreadPool> pool_;
   bool shut_down_ = false;
+  /// Counters of the sessions Shutdown closed.
+  IoStats retired_io_;
+  IoStats retired_hier_io_;
 
   std::atomic<uint64_t> n_submitted_{0};
   std::atomic<uint64_t> n_admitted_{0};
@@ -221,6 +264,7 @@ class QueryService {
   std::atomic<uint64_t> n_shed_deadline_{0};
   std::atomic<uint64_t> n_shed_breaker_{0};
   std::atomic<uint64_t> n_retries_{0};
+  std::atomic<uint64_t> n_prefetched_{0};
 
   /// Cached "serve.*" metric handles (null = metrics detached).
   MetricCounter* m_submitted_ = nullptr;

@@ -133,6 +133,7 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
                                     bool* was_ahead) {
   Shard& shard = ShardFor(id);
   std::unique_lock<std::mutex> lock(shard.mu);
+  Frame* miss = nullptr;  // the pinned frame this fetch reads into
   for (;;) {
     auto it = shard.frames.find(id);
     if (it != shard.frames.end()) {
@@ -141,6 +142,14 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
       ++frame.pin_count;
       if (frame.io_pending) {
         shard.io_cv.wait(lock, [&frame] { return !frame.io_pending; });
+      }
+      if (frame.reread) {
+        // The read-ahead load this fetch waited for failed: read the page
+        // as this fetch's own miss, through the retry and quarantine path.
+        frame.reread = false;
+        frame.io_pending = true;
+        miss = &frame;
+        break;
       }
       if (frame.io_failed) {
         if (--frame.pin_count == 0) shard.frames.erase(id);
@@ -175,13 +184,16 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
     if (shard.ahead_loads == 0) return evicted;
     shard.io_cv.wait(lock);
   }
-  Frame& frame = shard.frames[id];
-  frame.id = id;
-  frame.data = std::make_unique<char[]>(disk_->page_size());
-  frame.pin_count = 1;
-  frame.ref_bit = true;
-  frame.io_pending = true;
-  ListPushBack(&shard, &frame);
+  if (miss == nullptr) {
+    miss = &shard.frames[id];
+    miss->id = id;
+    miss->data = std::make_unique<char[]>(disk_->page_size());
+    miss->pin_count = 1;
+    miss->ref_bit = true;
+    miss->io_pending = true;
+    ListPushBack(&shard, miss);
+  }
+  Frame& frame = *miss;
   // Read outside the latch: misses in flight overlap (the simulated disk
   // may model latency), and hits on other pages of the shard proceed.
   // The pin keeps the frame alive; followers of the same page wait on the
@@ -289,6 +301,11 @@ void BufferPool::ReadAhead(const ReadAheadWindow& window, IoStats* io) {
         ++shard.misses;
         if (m_miss_ != nullptr) m_miss_->Inc();
         if (io != nullptr) ++io->reads;
+      } else if (frame.pin_count > 1) {
+        // Fetches already wait for this page: the first of them re-reads
+        // it (see FetchPage), so a failed batch read never fails a fetch.
+        frame.reread = true;
+        --frame.pin_count;
       } else {
         frame.io_failed = true;
         ListRemove(&shard, &frame);

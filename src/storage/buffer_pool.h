@@ -122,9 +122,10 @@ class BufferPool {
   /// in one disk batch. Each load counts as a miss, charged to `io` when
   /// given; the first fetch of a loaded page then scores neither a hit nor
   /// a miss (FetchPage reports it in `was_ahead`). A page whose batch read
-  /// fails is dropped and charged to nobody, so its fetch re-reads it
-  /// through the usual retry and quarantine path; quarantined pages are
-  /// skipped.
+  /// fails is charged to nobody, and its fetch re-reads it through the
+  /// usual retry and quarantine path: the page is dropped, or, when
+  /// fetches from other threads already wait for it, the first of them
+  /// reads it as its own miss. Quarantined pages are skipped.
   ///
   /// LRU only: with at most a shard's capacity of distinct pages per
   /// window, every demand miss would have evicted an untouched resident
@@ -219,6 +220,7 @@ class BufferPool {
     bool io_pending = false;  // the miss read is still in flight
     bool io_failed = false;   // the miss read failed; frame is unusable
     bool read_ahead = false;  // loaded ahead, not fetched since (counted)
+    bool reread = false;  // its read-ahead load failed with fetches waiting
     Frame* prev = nullptr;
     Frame* next = nullptr;
   };

@@ -19,6 +19,17 @@ struct IoStats {
 
   uint64_t Accesses() const { return reads + writes; }
 
+  /// Accesses in demand order, for a reader whose own read-ahead hints
+  /// loaded `own_loads` of these `reads`: every first fetch of a page a
+  /// read-ahead loaded (its own or another session's) is the miss demand
+  /// order would have had there, and its own loads are not misses of their
+  /// own. Equals Accesses() when every own load is fetched by this reader
+  /// and no other session's load is.
+  uint64_t DemandAccesses(uint64_t own_loads) const {
+    const uint64_t misses = reads + ahead_misses;
+    return (misses > own_loads ? misses - own_loads : 0) + writes;
+  }
+
   /// Delta between two snapshots, per-field *saturating* at zero. A
   /// "before" snapshot can legitimately exceed "after" when the counters
   /// were reset in between — a session outliving a pool Reset(), a bench

@@ -639,7 +639,7 @@ void SnapshotManager::Release(const std::shared_ptr<SnapshotVersion>& version) {
 }
 
 uint64_t SnapshotManager::CurrentVersionId() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(current_mu_);
   return current_->id();
 }
 
@@ -654,7 +654,9 @@ uint64_t SnapshotManager::NextLsn() const {
 }
 
 Result<PageId> SnapshotManager::RegionOf(NodeId id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  // The published version's page map is immutable and its overlay has
+  // its own lock, so neither a writer nor a swap holding mu_ delays this.
+  std::shared_lock<std::shared_mutex> lock(current_mu_);
   const NodePageMap& base = current_->file()->PageMap();
   std::optional<NodeRecord> overlay;
   if (current_->OverlayLookup(id, &overlay)) {
@@ -829,7 +831,10 @@ Status SnapshotManager::PublishAndRetireLocked(std::unique_ptr<Ccam> file,
   next->overlay_ = std::move(pending_overlay_);  // the post-cut tail
   pending_overlay_.clear();
   std::shared_ptr<SnapshotVersion> old = current_;
-  current_ = next;
+  {
+    std::unique_lock<std::shared_mutex> publish(current_mu_);
+    current_ = next;
+  }
   versions_.push_back(std::move(next));
   ++next_version_id_;
   folded_lsn_ = cut_lsn;

@@ -217,6 +217,8 @@ class SnapshotManager {
   /// base-image page, or the image's first page for nodes that exist only
   /// in the overlay (a placement hint for the serving layer's batching —
   /// never a correctness input). NotFound for absent or deleted nodes.
+  /// Like CurrentVersionId, it does not take the manager lock, so the
+  /// serving layer's Submit never waits behind a write or a swap.
   Result<PageId> RegionOf(NodeId id);
 
   /// The authoritative logical network (the differential oracle's
@@ -255,6 +257,7 @@ class SnapshotManager {
 
  private:
   friend class SnapshotSession;
+  friend class SnapshotManagerTestPeer;  // holds mu_ in tests
 
   explicit SnapshotManager(const SnapshotOptions& options);
 
@@ -302,6 +305,10 @@ class SnapshotManager {
   mutable std::mutex mu_;
   Network net_;
   std::vector<std::shared_ptr<SnapshotVersion>> versions_;
+  /// The published version. A swap replaces it holding both mu_ and
+  /// current_mu_; CurrentVersionId and RegionOf read it under current_mu_
+  /// alone, so they never wait behind a delta-log append or a publish.
+  mutable std::shared_mutex current_mu_;
   std::shared_ptr<SnapshotVersion> current_;
   uint64_t next_version_id_ = 1;
   uint64_t next_lsn_ = 1;

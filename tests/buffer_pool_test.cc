@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "src/common/fault_injector.h"
@@ -429,6 +430,42 @@ TEST(BufferPoolReadAheadTest, FailedBatchReadIsDroppedAndChargedToNobody) {
   ASSERT_TRUE(pool.UnpinPage(a, false).ok());
   EXPECT_EQ(disk.stats().reads, 2u);
   EXPECT_EQ(pool.PinCount(b), 0);
+}
+
+// A fetch that arrives while another thread's batch read of its page is in
+// flight waits for it. When that read fails, the waiting fetch reads the
+// page itself instead of failing: the batch reader may be a prefetch for
+// some other request, whose failures must stay invisible.
+TEST(BufferPoolReadAheadTest, FailedBatchReadIsReReadByAWaitingFetch) {
+  FaultInjector faults(1);
+  ASSERT_TRUE(faults.Configure("disk.read=short:8@1").ok());
+  DiskManager disk(64);
+  const PageId a = *disk.AllocatePage();
+  const PageId c = *disk.AllocatePage();
+  std::vector<char> bytes(64, 'x');
+  ASSERT_TRUE(disk.WritePage(a, bytes.data()).ok());
+  disk.SetFaultInjector(&faults);
+  disk.SetSimulatedReadLatencyMicros(40000);
+  BufferPool pool(&disk, 4, ReplacementPolicy::kLru, 1);
+
+  // a's read fails; c's succeeds, so the batch sleeps the latency.
+  IoStats io;
+  std::thread batch([&] { ReadAhead(&pool, {a, c}, &io); });
+  // Both frames are reserved once the reads are counted.
+  while (faults.HitCount("disk.read") < 2) std::this_thread::yield();
+  bool was_miss = false;
+  bool was_ahead = true;
+  auto res = pool.FetchPage(a, &was_miss, &was_ahead);
+  batch.join();
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(std::memcmp(*res, bytes.data(), bytes.size()), 0);
+  EXPECT_TRUE(was_miss);  // its own read, charged to the fetch
+  EXPECT_FALSE(was_ahead);
+  ASSERT_TRUE(pool.UnpinPage(a, false).ok());
+  EXPECT_EQ(io.reads, 1u);  // c only: the failed load is charged to nobody
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(pool.PinCount(a), 0);
+  EXPECT_EQ(faults.FiringLog().size(), 1u);
 }
 
 }  // namespace

@@ -1,18 +1,23 @@
 // Query-serving layer tests: DRR scheduler semantics, token-bucket
 // admission, the batched-vs-unbatched equivalence oracle (with exact
-// per-session I/O conservation), anti-starvation under a flooding
-// tenant, work conservation of the shared run queue, idle shutdown
-// cycles, and the overload + shutdown-cancellation hammer that
-// scripts/check_tsan.sh runs under ThreadSanitizer.
+// per-session I/O conservation), admission prefetch (oracle answers and
+// conservation across pool and page sizes, a short read inside a
+// prefetch batch, a cancelling shutdown with hints pending),
+// anti-starvation under a flooding tenant, work conservation of the
+// shared run queue, idle shutdown cycles, and the overload +
+// shutdown-cancellation hammer that scripts/check_tsan.sh runs under
+// ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/common/fault_injector.h"
 #include "src/core/ccam.h"
 #include "src/core/query_session.h"
 #include "src/graph/generator.h"
@@ -365,6 +370,216 @@ TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
               (file->DataIoStats() - disk_before).reads);
     EXPECT_EQ(service.TotalSessionHierarchyIoStats().reads,
               (file->HierarchyIoStats() - hier_before).reads);
+  }
+}
+
+// --- Admission prefetch ---------------------------------------------------
+
+// Submits `pool` from two threads at once and returns the tickets in pool
+// order.
+std::vector<ServeTicketPtr> SubmitAll(QueryService* service,
+                                      const std::vector<ServeRequest>& pool) {
+  std::vector<ServeTicketPtr> tickets(pool.size());
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < 2; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = t; i < pool.size(); i += 2) {
+        tickets[i] = service->Submit(pool[i]);
+      }
+    });
+  }
+  for (auto& thread : submitters) thread.join();
+  return tickets;
+}
+
+size_t CountMismatches(const std::vector<ServeTicketPtr>& tickets,
+                       const std::vector<ServeResponse>& expected) {
+  size_t mismatches = 0;
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const ServeResponse& got = tickets[i]->Wait();
+    const ServeResponse& want = expected[i];
+    if (got.status.code() != want.status.code() || got.cost != want.cost ||
+        got.num_edges != want.num_edges || got.path != want.path) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(QueryServicePrefetchTest, MatchesSerialOracleAcrossPoolsAndPageSizes) {
+  Network net = TestNetwork();
+  for (size_t page_size : {512u, 1024u}) {
+    for (size_t pool_pages : {1u, 2u, 8u, 64u}) {
+      SCOPED_TRACE("page_size=" + std::to_string(page_size) +
+                   " pool_pages=" + std::to_string(pool_pages));
+      auto file = MakeFile(net, page_size, pool_pages, /*overlay=*/false);
+      LoadgenOptions gen;
+      gen.tenants = 4;
+      gen.pool_size = 400;
+      gen.seed = 11 + page_size + pool_pages;
+      std::vector<ServeRequest> pool =
+          serve::BuildRequestPool(file.get(), gen);
+      std::vector<ServeResponse> expected;
+      {
+        auto session = file->OpenSession();
+        for (const ServeRequest& request : pool) {
+          expected.push_back(Oracle(session.get(), request));
+        }
+      }
+      // Reads take long enough that requests queue behind 8 busy workers.
+      file->disk()->SetSimulatedReadLatencyMicros(50);
+      const IoStats disk_before = file->DataIoStats();
+
+      // 8 workers, except where the pool's sizing rule allows fewer
+      // (capacity / shards >= workers, docs/INTERNALS.md "Shard count"):
+      // past it demand fetches fail with NoSpace, prefetch or not.
+      QueryServiceOptions options;
+      options.num_workers = static_cast<int>(std::min<size_t>(
+          8, pool_pages / file->buffer_pool()->num_shards()));
+      options.max_queue_depth = 100000;
+      options.max_tenant_depth = 100000;
+      QueryService service(file.get(), options);
+      std::vector<ServeTicketPtr> tickets = SubmitAll(&service, pool);
+      EXPECT_EQ(CountMismatches(tickets, expected), 0u);
+      service.Shutdown(/*drain=*/true);
+
+      QueryService::Stats stats = service.GetStats();
+      EXPECT_EQ(stats.completed, pool.size());
+      EXPECT_GT(stats.prefetched, 0u);
+      // The prefetch session's loads are in the totals: session reads
+      // still sum to the disk's.
+      EXPECT_EQ(service.TotalSessionIoStats().reads,
+                (file->DataIoStats() - disk_before).reads);
+      for (const auto& [node, page] : file->PageMap()) {
+        ASSERT_EQ(file->buffer_pool()->PinCount(page), 0) << "page " << page;
+      }
+    }
+  }
+}
+
+// A request whose reads a prefetch batch started waits for that batch. A
+// short read inside the batch must leave the waiting worker to read the
+// page again itself, never fail the request.
+TEST(QueryServicePrefetchTest, ShortReadInAPrefetchBatchLeavesAnswersExact) {
+  Network net = TestNetwork();
+  auto file = MakeFile(net, 1024, /*pool_pages=*/64, /*overlay=*/true);
+  ASSERT_TRUE(file->HasHierarchy());
+
+  // The blocker: a CH request, which reads only the overlay disk and so
+  // hints nothing. The rest: route evaluations, whose first reads are
+  // their routes' pages.
+  LoadgenOptions gen;
+  gen.tenants = 1;
+  gen.pool_size = 64;
+  gen.seed = 5;
+  std::vector<ServeRequest> all = serve::BuildRequestPool(file.get(), gen);
+  ServeRequest blocker;
+  std::vector<ServeRequest> routes;
+  for (const ServeRequest& request : all) {
+    if (request.op == ServeOp::kHierarchy && blocker.route.nodes.empty()) {
+      blocker = request;
+    } else if (request.op == ServeOp::kRouteEval && routes.size() < 8) {
+      routes.push_back(request);
+    }
+  }
+  ASSERT_FALSE(blocker.route.nodes.empty());
+  ASSERT_EQ(routes.size(), 8u);
+  std::vector<ServeResponse> expected;
+  ServeResponse blocker_expected;
+  {
+    auto session = file->OpenSession();
+    blocker_expected = Oracle(session.get(), blocker);
+    for (const ServeRequest& request : routes) {
+      expected.push_back(Oracle(session.get(), request));
+    }
+  }
+  ASSERT_TRUE(file->buffer_pool()->Reset().ok());
+  ASSERT_TRUE(file->hierarchy()->pool()->Reset().ok());
+
+  FaultInjector faults(1);
+  file->disk()->SetFaultInjector(&faults);
+  file->disk()->SetSimulatedReadLatencyMicros(20000);
+  file->hierarchy()->disk()->SetSimulatedReadLatencyMicros(20000);
+  const IoStats disk_before = file->DataIoStats();
+
+  QueryServiceOptions options;
+  options.num_workers = 1;
+  QueryService service(file.get(), options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The one worker sleeps in the blocker's overlay reads, 20 ms each, so
+  // the routes queue and the prefetch thread is the data disk's only
+  // reader: the first data read after arming is in its batch.
+  ServeTicketPtr first = service.Submit(blocker);
+  while (file->hierarchy()->disk()->stats().reads == 0) {
+    std::this_thread::yield();
+  }
+  faults.Arm("disk.read", FaultAction{FaultAction::Kind::kShort,
+                                      Status::Code::kIOError, 16},
+             FaultTrigger::Once(1));
+  std::vector<ServeTicketPtr> tickets;
+  for (const ServeRequest& request : routes) {
+    tickets.push_back(service.Submit(request));
+  }
+  // The faulted read happens while the worker is still inside the
+  // blocker: the prefetch thread made it.
+  while (faults.HitCount("disk.read") == 0) std::this_thread::yield();
+  EXPECT_FALSE(first->done());
+  const ServeResponse& b = first->Wait();
+  EXPECT_EQ(b.status.code(), blocker_expected.status.code());
+  EXPECT_EQ(b.cost, blocker_expected.cost);
+  EXPECT_EQ(CountMismatches(tickets, expected), 0u);
+  service.Shutdown(/*drain=*/true);
+  file->disk()->SetFaultInjector(nullptr);
+
+  EXPECT_EQ(faults.FiringLog().size(), 1u);  // the fault did land
+  EXPECT_EQ(service.GetStats().prefetched, routes.size());
+  EXPECT_EQ(service.TotalSessionIoStats().reads,
+            (file->DataIoStats() - disk_before).reads);
+}
+
+TEST(QueryServicePrefetchTest, CancellingShutdownWithHintsPendingNeverHangs) {
+  Network net = TestNetwork();
+  auto file = MakeFile(net, 1024, /*pool_pages=*/8, /*overlay=*/false);
+  file->disk()->SetSimulatedReadLatencyMicros(2000);
+  LoadgenOptions gen;
+  gen.tenants = 2;
+  gen.pool_size = 256;
+  gen.seed = 17;
+  std::vector<ServeRequest> pool = serve::BuildRequestPool(file.get(), gen);
+  const IoStats disk_before = file->DataIoStats();
+
+  QueryServiceOptions options;
+  options.num_workers = 2;
+  options.max_queue_depth = 100000;
+  options.max_tenant_depth = 100000;
+  QueryService service(file.get(), options);
+  std::vector<ServeTicketPtr> tickets = SubmitAll(&service, pool);
+  // 2 ms reads: most requests still queue, their hints still pending.
+  service.Shutdown(/*drain=*/false);
+
+  uint64_t ok = 0, cancelled = 0;
+  for (const ServeTicketPtr& ticket : tickets) {
+    const ServeResponse& r = ticket->Wait();
+    if (r.status.ok()) {
+      ++ok;
+    } else {
+      EXPECT_TRUE(r.status.IsOverloaded()) << r.status.ToString();
+      ++cancelled;
+    }
+  }
+  EXPECT_EQ(ok + cancelled, pool.size());
+  EXPECT_GT(cancelled, 0u);
+  QueryService::Stats stats = service.GetStats();
+  EXPECT_GT(stats.prefetched, 0u);
+  EXPECT_EQ(stats.completed + stats.rejected, pool.size());
+  // The prefetch thread is joined: nothing reads after Shutdown returns,
+  // and every read, prefetch loads included, is charged to a session.
+  const uint64_t reads = (file->DataIoStats() - disk_before).reads;
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ((file->DataIoStats() - disk_before).reads, reads);
+  EXPECT_EQ(service.TotalSessionIoStats().reads, reads);
+  for (const auto& [node, page] : file->PageMap()) {
+    ASSERT_EQ(file->buffer_pool()->PinCount(page), 0) << "page " << page;
   }
 }
 

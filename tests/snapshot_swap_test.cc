@@ -20,6 +20,11 @@
 // reorganizations every answer stays exact and every load is charged to
 // exactly one session.
 //
+// SnapshotServeTest serves a store through QueryService: with admission
+// prefetch beside a writer and reorganizations every answer stays exact,
+// the service's sessions account for every read and Shutdown releases
+// every version pin; and Submit never waits for the manager lock.
+//
 // Registered in scripts/check_tsan.sh: the hammer runs under TSan to
 // catch ordering bugs the assertions cannot.
 
@@ -29,8 +34,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,9 +48,21 @@
 #include "src/graph/generator.h"
 #include "src/query/aggregate.h"
 #include "src/query/route_eval.h"
+#include "src/query/search.h"
+#include "src/serve/query_service.h"
 #include "tests/demand_order.h"
 
 namespace ccam {
+
+/// Holds the manager lock the way a writer's delta-log append or a
+/// publishing swap does.
+class SnapshotManagerTestPeer {
+ public:
+  static std::unique_lock<std::mutex> Lock(SnapshotManager* manager) {
+    return std::unique_lock<std::mutex>(manager->mu_);
+  }
+};
+
 namespace {
 
 SnapshotOptions OptionsFor(const std::string& leaf) {
@@ -710,6 +729,190 @@ TEST(SnapshotReadAheadTest, WriterAndReorgsKeepAnswersAndConserveReads) {
   EXPECT_EQ(store->TotalAcquires(), store->TotalReleases());
   EXPECT_EQ(store->LiveVersionCount(), 1u);
   ASSERT_TRUE(store->CheckConsistency().ok());
+}
+
+// --- The serving layer over a store ----------------------------------------
+
+/// Routes, aggregates and A* searches as serve requests, with their
+/// answers on a quiesced session.
+struct ServeWorkload {
+  std::vector<serve::ServeRequest> requests;
+  std::vector<double> costs;
+};
+
+ServeWorkload BuildServeWorkload(SnapshotManager* store, const Network& net) {
+  ServeWorkload w;
+  const auto routes = GenerateRandomWalkRoutes(net, 24, 40, 61);
+  const auto units = WalkUnits(net, 24, 20, 62);
+  const auto pairs = RandomPairs(net, 24, 63);
+  auto session = store->OpenSession();
+  for (size_t i = 0; i < routes.size(); ++i) {
+    serve::ServeRequest route;
+    route.op = serve::ServeOp::kRouteEval;
+    route.route = routes[i];
+    w.requests.push_back(route);
+    w.costs.push_back(EvaluateRoute(session.get(), routes[i])->total_cost);
+
+    serve::ServeRequest agg;
+    agg.op = serve::ServeOp::kAggregate;
+    agg.unit = units[i];
+    w.requests.push_back(agg);
+    w.costs.push_back(
+        AggregateRouteUnit(session.get(), units[i])->total_edge_cost);
+
+    serve::ServeRequest astar;
+    astar.op = serve::ServeOp::kAStar;
+    astar.route.nodes = {pairs[i].first, pairs[i].second};
+    w.requests.push_back(astar);
+    w.costs.push_back(
+        ShortestPathAStar(session.get(), pairs[i].first, pairs[i].second)
+            ->cost);
+  }
+  return w;
+}
+
+// A served store under a writer that shadows route nodes and background
+// reorganizations: queued requests are prefetched by the service's own
+// session, which refreshes to each new version. Every answer equals the
+// quiesced one, the service's sessions (prefetch included) account for
+// every disk read of every version, and once Shutdown returns the
+// service holds no version pin.
+TEST(SnapshotServeTest, PrefetchKeepsAnswersUnderWriterAndReorgs) {
+  constexpr int kReorgs = 4;
+  SnapshotOptions sopt = OptionsFor("ccam_serve_prefetch_store");
+  sopt.am.buffer_pool_pages = 16;
+  sopt.am.buffer_pool_shards = 2;
+  const Network net = ReadAheadMap();
+  auto mgr = SnapshotManager::Create(sopt, net);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  SnapshotManager* store = mgr->get();
+  const ServeWorkload w = BuildServeWorkload(store, net);
+
+  // Keepers pin every published version to the end so its disk counters
+  // can be summed; each opens while its version is still current.
+  std::vector<std::unique_ptr<SnapshotSession>> keepers;
+  keepers.push_back(store->OpenSession());
+  keepers.back()->version()->file()->ResetIoStats();
+  keepers.back()->version()->file()->disk()->SetSimulatedReadLatencyMicros(
+      20);
+
+  serve::QueryServiceOptions options;
+  options.num_workers = 4;
+  options.max_queue_depth = 100000;
+  options.max_tenant_depth = 100000;
+  serve::QueryService service(store, options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::thread client([&] {
+    std::vector<serve::ServeTicketPtr> tickets;
+    do {
+      tickets.clear();
+      for (const serve::ServeRequest& request : w.requests) {
+        tickets.push_back(service.Submit(request));
+      }
+      for (size_t i = 0; i < tickets.size(); ++i) {
+        const serve::ServeResponse& r = tickets[i]->Wait();
+        if (!r.status.ok() || r.cost != w.costs[i]) ++wrong;
+      }
+    } while (!stop.load(std::memory_order_acquire));
+  });
+
+  std::vector<NodeId> anchors;
+  for (const serve::ServeRequest& request : w.requests) {
+    if (request.op != serve::ServeOp::kRouteEval) continue;
+    anchors.insert(anchors.end(), request.route.nodes.begin(),
+                   request.route.nodes.end());
+  }
+  std::sort(anchors.begin(), anchors.end());
+  anchors.erase(std::unique(anchors.begin(), anchors.end()), anchors.end());
+  // Each write joins a new pendant to a route node, shadowing it, the
+  // route nodes in turn and paced, so no record outgrows its page. A
+  // pendant is a dead end, so no answer changes, and it is never deleted:
+  // a search that reached it before a deletion would fail with NotFound.
+  NodeId pendant_id = net.NodeIds().back();
+  size_t next = 0;
+  Status status;
+  auto shadow_next = [&] {
+    const NodeRecord pendant =
+        PendantBeside(net, anchors[next++ % anchors.size()], ++pendant_id);
+    if (status.ok()) status = store->InsertNode(pendant);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  };
+  for (int r = 0; r < kReorgs && status.ok(); ++r) {
+    for (int k = 0; k < 100; ++k) shadow_next();
+    if (status.ok()) status = store->StartBackgroundReorg();
+    while (status.ok() && store->ReorgActive()) shadow_next();
+    Status reorg = store->WaitForReorg();
+    if (status.ok()) status = reorg;
+    keepers.push_back(store->OpenSession());
+  }
+  for (int k = 0; k < 100; ++k) shadow_next();
+  stop.store(true, std::memory_order_release);
+  client.join();
+  service.Shutdown(/*drain=*/true);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(service.GetStats().prefetched, 0u);
+
+  uint64_t disk_reads = 0;
+  for (const auto& keeper : keepers) {
+    disk_reads += keeper->version()->file()->DataIoStats().reads;
+  }
+  EXPECT_EQ(service.TotalSessionIoStats().reads, disk_reads);
+  // Only the keepers still pin versions: the workers' and the prefetch
+  // session's pins went with Shutdown.
+  EXPECT_EQ(store->TotalAcquires() - store->TotalReleases(), keepers.size());
+  keepers.clear();
+  EXPECT_EQ(store->TotalAcquires(), store->TotalReleases());
+  EXPECT_EQ(store->LiveVersionCount(), 1u);
+  ASSERT_TRUE(store->CheckConsistency().ok());
+}
+
+// Submit stamps a request's region and every session refresh checks the
+// version without the manager lock, which a writer holds across its
+// delta-log append and a swap across its publish: a request submitted
+// while the lock is held elsewhere is admitted and served.
+TEST(SnapshotServeTest, SubmitNeverWaitsForTheManagerLock) {
+  SnapshotOptions sopt = OptionsFor("ccam_serve_lock_store");
+  const Network net = ReadAheadMap();
+  auto mgr = SnapshotManager::Create(sopt, net);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  SnapshotManager* store = mgr->get();
+  const ServeWorkload w = BuildServeWorkload(store, net);
+
+  serve::QueryServiceOptions options;
+  options.num_workers = 2;
+  serve::QueryService service(store, options);
+  std::vector<serve::ServeTicketPtr> tickets;
+  bool submitted = false;
+  bool served = false;
+  {
+    std::unique_lock<std::mutex> held = SnapshotManagerTestPeer::Lock(store);
+    auto submit = std::async(std::launch::async, [&] {
+      for (const serve::ServeRequest& request : w.requests) {
+        tickets.push_back(service.Submit(request));
+      }
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    submitted = submit.wait_until(deadline) == std::future_status::ready;
+    while (submitted && !served &&
+           std::chrono::steady_clock::now() < deadline) {
+      served = true;
+      for (const auto& ticket : tickets) served = served && ticket->done();
+      if (!served) std::this_thread::yield();
+    }
+    held.unlock();
+  }  // a blocked Submit finishes here, so the test fails instead of hanging
+  EXPECT_TRUE(submitted);
+  EXPECT_TRUE(served);
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const serve::ServeResponse& r = tickets[i]->Wait();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.cost, w.costs[i]);
+  }
+  service.Shutdown(/*drain=*/true);
 }
 
 }  // namespace
