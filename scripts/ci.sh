@@ -16,12 +16,16 @@
 #                  a CI build directory (CARGO_TARGET_DIR), so a library
 #                  change that breaks the benchmark fails here rather
 #                  than in a benchmark run
-#   4. serve     — serve_test and chaos_serve_test repeated until-fail:10
-#                  (a timing-dependent NoSpace or ticket failure fails CI
-#                  instead of passing as a flake); serve_test holds the
-#                  batched-vs-serial equivalence oracle and the IoStats
-#                  conservation check (the serving layer's wall-clock
-#                  numbers are gated by perfbench's serve_hotspot bounds)
+#   4. serve     — serve_test and chaos_serve_test repeated until-fail:10,
+#                  then snapshot_swap_test's SnapshotServeTest cases 10
+#                  times, since a snapshot store is served through the
+#                  same Submit / queue-lock path (a timing-dependent
+#                  NoSpace or ticket failure fails CI instead of passing
+#                  as a flake); serve_test holds the batched-vs-serial
+#                  equivalence oracle and the IoStats conservation check
+#                  over a file and a snapshot store (the serving layer's
+#                  wall-clock numbers are gated by perfbench's
+#                  serve_hotspot and snapshot_rw bounds)
 #   5. swap      — snapshot store: the 8-reader swap hammer (no reader
 #                  error, one reorganization per swap) and a quick
 #                  mid-swap crashsim sweep over every snapshot.* failpoint
@@ -112,9 +116,11 @@ metrics() {
 
 serve_repeat() {
   cmake --build "$BUILD" --target serve_test chaos_serve_test \
-    -j "$(nproc)" &&
+    snapshot_swap_test -j "$(nproc)" &&
   ctest --test-dir "$BUILD" -R 'serve_test|chaos_serve_test' \
-    --repeat until-fail:10 --output-on-failure
+    --repeat until-fail:10 --output-on-failure &&
+  "$BUILD/tests/snapshot_swap_test" --gtest_filter='SnapshotServeTest.*' \
+    --gtest_repeat=10 --gtest_break_on_failure
 }
 
 shard_stage() {

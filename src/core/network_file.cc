@@ -6,7 +6,6 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "src/core/query_session.h"
 #include "src/partition/recursive_bisection.h"
 
 namespace ccam {
@@ -754,6 +753,19 @@ size_t NetworkFile::SharedReadAhead(
 
 std::unique_ptr<QuerySession> NetworkFile::OpenSession() {
   return std::make_unique<QuerySession>(this);
+}
+
+std::unique_ptr<ReadSession> NetworkFile::OpenReadSession() {
+  return OpenSession();
+}
+
+Result<PageId> NetworkFile::RegionOf(NodeId id) {
+  auto it = page_of_.find(id);
+  if (it == page_of_.end()) {
+    return Status::NotFound("node " + std::to_string(id) +
+                            " is not stored in the file");
+  }
+  return it->second;
 }
 
 Result<HierarchyNodeRecord> NetworkFile::SharedHierarchyNode(NodeId id,

@@ -10,6 +10,7 @@
 
 #include "src/core/access_method.h"
 #include "src/core/hierarchy_overlay.h"
+#include "src/core/read_session.h"
 #include "src/index/bptree.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"
@@ -30,7 +31,7 @@ class QuerySession;
 /// Subclasses define the *placement policy*: how Create() assigns nodes to
 /// pages, which page receives an inserted node, how an overflowing page is
 /// split, and what reorganization (if any) maintenance operations perform.
-class NetworkFile : public AccessMethod {
+class NetworkFile : public AccessMethod, public ReadStore {
  public:
   explicit NetworkFile(const AccessMethodOptions& options);
   ~NetworkFile() override = default;
@@ -241,6 +242,10 @@ class NetworkFile : public AccessMethod {
   /// share this file's buffer pool.
   std::unique_ptr<QuerySession> OpenSession();
 
+  /// ReadStore: a QuerySession, and the page holding `id`.
+  std::unique_ptr<ReadSession> OpenReadSession() override;
+  Result<PageId> RegionOf(NodeId id) override;
+
   /// The simulated data disk (throughput experiments configure its
   /// simulated read latency).
   DiskManager* disk() { return &disk_; }
@@ -421,5 +426,8 @@ class NetworkFile : public AccessMethod {
 };
 
 }  // namespace ccam
+
+// OpenSession() hands out QuerySessions: every caller gets the full type.
+#include "src/core/query_session.h"
 
 #endif  // CCAM_CORE_NETWORK_FILE_H_

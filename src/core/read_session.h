@@ -2,6 +2,7 @@
 #define CCAM_CORE_READ_SESSION_H_
 
 #include <cassert>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -139,6 +140,23 @@ class ReadSession : public AccessMethod {
   /// Thread of the first read (default id = not yet bound).
   std::thread::id bound_thread_{};
 #endif
+};
+
+/// A store that hands out read sessions: what the serving layer needs of a
+/// NetworkFile or a SnapshotManager, and nothing more. Callers borrow the
+/// store; none deletes it through this interface.
+class ReadStore {
+ public:
+  /// Opens a read session over the store's current state. One session per
+  /// thread; sessions of one store share its buffer pool.
+  virtual std::unique_ptr<ReadSession> OpenReadSession() = 0;
+
+  /// The data page anchoring `id`'s region: the serving layer's batching
+  /// key, never a correctness input. NotFound for an absent node.
+  virtual Result<PageId> RegionOf(NodeId id) = 0;
+
+ protected:
+  ~ReadStore() = default;
 };
 
 }  // namespace ccam

@@ -15,20 +15,19 @@ AdmissionController::AdmissionController(const Options& options)
 }
 
 Status AdmissionController::Admit(uint32_t tenant, uint64_t now_us,
+                                  size_t queued, size_t tenant_queued,
                                   RejectGate* gate) {
   if (gate != nullptr) *gate = RejectGate::kNone;
-  if (queue_depth_ >= options_.max_queue_depth) {
+  if (queued >= options_.max_queue_depth) {
     if (gate != nullptr) *gate = RejectGate::kQueueFull;
     return Status::Overloaded("request queue full (" +
-                              std::to_string(queue_depth_) + " queued)");
+                              std::to_string(queued) + " queued)");
   }
-  auto depth = tenant_depth_.find(tenant);
-  if (depth != tenant_depth_.end() &&
-      depth->second >= options_.max_tenant_depth) {
+  if (tenant_queued >= options_.max_tenant_depth) {
     if (gate != nullptr) *gate = RejectGate::kTenantDepth;
     return Status::Overloaded("tenant " + std::to_string(tenant) +
                               " queue allowance exhausted (" +
-                              std::to_string(depth->second) + " queued)");
+                              std::to_string(tenant_queued) + " queued)");
   }
   if (options_.tenant_rate > 0.0) {
     auto [bucket, inserted] = buckets_.try_emplace(
@@ -41,22 +40,6 @@ Status AdmissionController::Admit(uint32_t tenant, uint64_t now_us,
     }
   }
   return Status::OK();
-}
-
-void AdmissionController::OnEnqueue(uint32_t tenant) {
-  ++queue_depth_;
-  ++tenant_depth_[tenant];
-}
-
-void AdmissionController::OnDequeue(uint32_t tenant) {
-  --queue_depth_;
-  auto it = tenant_depth_.find(tenant);
-  if (it != tenant_depth_.end() && it->second > 0) --it->second;
-}
-
-size_t AdmissionController::TenantDepth(uint32_t tenant) const {
-  auto it = tenant_depth_.find(tenant);
-  return it == tenant_depth_.end() ? 0 : it->second;
 }
 
 }  // namespace serve

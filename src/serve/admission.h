@@ -92,7 +92,8 @@ class TokenBucket {
 ///  * per-tenant rate      — a token bucket smoothing each tenant to its
 ///                           contracted request rate with bounded burst.
 ///
-/// Not thread-safe: the service calls Admit under its submit lock.
+/// Keeps no count of its own: the run queue is the one ledger of queued
+/// requests. Not thread-safe: the service calls Admit under its queue lock.
 class AdmissionController {
  public:
   struct Options {
@@ -114,24 +115,16 @@ class AdmissionController {
 
   explicit AdmissionController(const Options& options);
 
-  /// Decides one arrival from `tenant` at monotonic time `now_us`. OK
-  /// admits (the caller must then Enqueue/Dequeue-account below);
+  /// Decides one arrival from `tenant` at monotonic time `now_us`, with
+  /// `queued` requests in the run queue, `tenant_queued` of them the
+  /// tenant's (the caller reads both under its queue lock). OK admits;
   /// otherwise a typed Overloaded status names the exhausted gate (and
   /// `gate`, when given, identifies it programmatically).
-  Status Admit(uint32_t tenant, uint64_t now_us, RejectGate* gate = nullptr);
-
-  /// Queue-depth accounting hooks, called when an admitted request enters
-  /// the scheduler and when it leaves for execution.
-  void OnEnqueue(uint32_t tenant);
-  void OnDequeue(uint32_t tenant);
-
-  size_t queue_depth() const { return queue_depth_; }
-  size_t TenantDepth(uint32_t tenant) const;
+  Status Admit(uint32_t tenant, uint64_t now_us, size_t queued,
+               size_t tenant_queued, RejectGate* gate = nullptr);
 
  private:
   Options options_;
-  size_t queue_depth_ = 0;
-  std::unordered_map<uint32_t, size_t> tenant_depth_;
   std::unordered_map<uint32_t, TokenBucket> buckets_;
 };
 

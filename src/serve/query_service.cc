@@ -1,5 +1,6 @@
 #include "src/serve/query_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -58,65 +59,41 @@ uint64_t QueryService::NowMicros() {
           .count());
 }
 
-QueryService::QueryService(NetworkFile* file,
+QueryService::QueryService(ReadStore* store,
                            const QueryServiceOptions& options)
-    : file_(file),
+    : store_(store),
       options_(options),
       admission_(AdmissionController::Options{
           options.max_queue_depth, options.max_tenant_depth,
           options.tenant_rate, options.tenant_burst}) {
-  int n = options_.num_workers;
-  if (n <= 0) n = static_cast<int>(file_->buffer_pool()->num_shards());
-  StartWorkers(n);
-}
-
-QueryService::QueryService(SnapshotManager* manager,
-                           const QueryServiceOptions& options)
-    : file_(nullptr),
-      manager_(manager),
-      options_(options),
-      admission_(AdmissionController::Options{
-          options.max_queue_depth, options.max_tenant_depth,
-          options.tenant_rate, options.tenant_burst}) {
-  int n = options_.num_workers;
-  if (n <= 0) {
-    // Same default as file mode: one worker per data-pool shard of the
-    // (current) version. A throwaway probe session reads the count —
-    // it lives and dies on this constructor thread.
-    auto probe = manager_->OpenSession();
-    n = static_cast<int>(probe->buffer_pool()->num_shards());
-  }
-  StartWorkers(n);
-}
-
-void QueryService::StartWorkers(int n) {
-  if (n < 1) n = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.retry_max_attempts < 1) options_.retry_max_attempts = 1;
   if (options_.breaker_trip_threshold > 0) {
     breaker_ = std::make_unique<CircuitBreaker>(CircuitBreaker::Options{
         options_.breaker_trip_threshold, options_.breaker_cooldown_us});
   }
-  scheduler_ = DrrScheduler(options_.drr_quantum);
+  // The first worker's pool sizes the rest: one worker per shard by
+  // default, and never more than a shard has frames.
+  std::unique_ptr<ReadSession> first = store_->OpenReadSession();
+  const BufferPool* data_pool = first->buffer_pool();
+  const size_t shards = data_pool->num_shards();
+  const int n = static_cast<int>(std::min<size_t>(
+      options_.num_workers > 0 ? options_.num_workers : shards,
+      std::max<size_t>(1, data_pool->capacity() / shards)));
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto w = std::make_unique<Worker>();
     w->rng = Random(options_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    w->session = OpenReadSession();
+    w->session = i == 0 ? std::move(first) : store_->OpenReadSession();
     workers_.push_back(std::move(w));
   }
-  prefetch_session_ = OpenReadSession();
+  prefetch_session_ = store_->OpenReadSession();
   pool_ = std::make_unique<ThreadPool>(n + 1);
   for (auto& w : workers_) {
     Worker* wp = w.get();
     pool_->Submit([this, wp] { WorkerLoop(wp); });
   }
   pool_->Submit([this] { PrefetchLoop(); });
-}
-
-std::unique_ptr<ReadSession> QueryService::OpenReadSession() {
-  if (file_ != nullptr) return file_->OpenSession();
-  return manager_->OpenSession();
 }
 
 QueryService::~QueryService() { Shutdown(/*drain=*/true); }
@@ -171,26 +148,8 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
     return reject(Status::InvalidArgument("request has no origin node"),
                   nullptr);
   }
-  PageId region = kInvalidPageId;
-  if (manager_ != nullptr) {
-    auto r = manager_->RegionOf(origin);
-    if (!r.ok()) {
-      return reject(
-          Status::NotFound("origin node " + std::to_string(origin) +
-                           " is not stored in the snapshot store"),
-          nullptr);
-    }
-    region = *r;
-  } else {
-    auto it = file_->PageMap().find(origin);
-    if (it == file_->PageMap().end()) {
-      return reject(
-          Status::NotFound("origin node " + std::to_string(origin) +
-                           " is not stored in the file"),
-          nullptr);
-    }
-    region = it->second;
-  }
+  Result<PageId> region = store_->RegionOf(origin);
+  if (!region.ok()) return reject(region.status(), nullptr);
 
   const uint64_t now = NowMicros();
   // Shed already-expired requests before they cost a queue slot: the
@@ -213,52 +172,50 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
   std::vector<ReadHint> hints;
   AppendRequestHints(request, &hints);
   bool waits = false;  // queued behind busy workers
+  Status admit;
+  AdmissionController::RejectGate gate = AdmissionController::RejectGate::kNone;
   {
-    // One critical section covers the admission decision and the queue
-    // enqueue (lock order: admission_mu_ -> queue_mu_, same as Shutdown),
-    // so a cancelling Shutdown can never slip between "admitted" and
-    // "queued" and leave a ticket nobody will fulfill.
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    if (!accepting_) {
-      return reject(Status::Overloaded("service shutting down"),
-                    m_rejected_shutdown_);
+    // One critical section covers the admission decision and the enqueue,
+    // so the depths admission reads are the queue's own, and a cancelling
+    // Shutdown can never slip between "admitted" and "queued" and leave a
+    // ticket nobody will fulfill.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (stop_.load(std::memory_order_relaxed)) {
+      admit = Status::Overloaded("service shutting down");
+    } else {
+      admit = admission_.Admit(request.tenant, now, scheduler_.depth(),
+                               scheduler_.TenantDepth(request.tenant), &gate);
     }
-    AdmissionController::RejectGate gate;
-    Status admit = admission_.Admit(request.tenant, now, &gate);
-    if (!admit.ok()) {
-      MetricCounter* counter = nullptr;
-      switch (gate) {
-        case AdmissionController::RejectGate::kQueueFull:
-          counter = m_rejected_queue_;
-          break;
-        case AdmissionController::RejectGate::kTenantDepth:
-          counter = m_rejected_tenant_;
-          break;
-        case AdmissionController::RejectGate::kRateLimit:
-          counter = m_rejected_rate_;
-          break;
-        case AdmissionController::RejectGate::kNone:
-          break;
-      }
-      return reject(std::move(admit), counter);
-    }
-    admission_.OnEnqueue(request.tenant);
-    if (g_queue_depth_ != nullptr) {
-      g_queue_depth_->Set(static_cast<int64_t>(admission_.queue_depth()));
-    }
-
-    QueuedRequest item;
-    item.request = std::move(request);
-    item.ticket = ticket;
-    item.region = region;
-    item.enqueue_us = now;
-    {
-      std::lock_guard<std::mutex> qlock(queue_mu_);
+    if (admit.ok()) {
+      QueuedRequest item;
+      item.request = std::move(request);
+      item.ticket = ticket;
+      item.region = *region;
+      item.enqueue_us = now;
       // An idle worker takes the request at once and issues its reads
       // itself; only a request that waits has reads worth starting early.
       waits = scheduler_.depth() >= idle_workers_;
       scheduler_.Enqueue(std::move(item));
+      PublishQueueDepth();
     }
+  }
+  if (!admit.ok()) {
+    MetricCounter* counter = nullptr;
+    switch (gate) {
+      case AdmissionController::RejectGate::kQueueFull:
+        counter = m_rejected_queue_;
+        break;
+      case AdmissionController::RejectGate::kTenantDepth:
+        counter = m_rejected_tenant_;
+        break;
+      case AdmissionController::RejectGate::kRateLimit:
+        counter = m_rejected_rate_;
+        break;
+      case AdmissionController::RejectGate::kNone:  // shutting down
+        counter = m_rejected_shutdown_;
+        break;
+    }
+    return reject(std::move(admit), counter);
   }
   n_admitted_.fetch_add(1, std::memory_order_relaxed);
   if (m_admitted_ != nullptr) m_admitted_->Inc();
@@ -293,6 +250,7 @@ void QueryService::WorkerLoop(Worker* worker) {
     batch.clear();
     // An empty queue here means stop_ is set: the backlog is done.
     if (scheduler_.PopBatch(options_.max_batch, &batch) == 0) return;
+    PublishQueueDepth();
     lock.unlock();
     // Batch boundary: re-acquire the current snapshot version before
     // executing. In-flight batches never migrate versions — the refresh
@@ -381,15 +339,6 @@ void QueryService::ExecuteOps(AccessMethod* am,
 void QueryService::ExecuteBatch(Worker* worker,
                                 std::vector<QueuedRequest>* batch) {
   const uint64_t start_us = NowMicros();
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    for (const QueuedRequest& item : *batch) {
-      admission_.OnDequeue(item.request.tenant);
-    }
-    if (g_queue_depth_ != nullptr) {
-      g_queue_depth_->Set(static_cast<int64_t>(admission_.queue_depth()));
-    }
-  }
 
   // Shed members whose deadline expired while they sat in the queue: they
   // count as rejected (shed without execution), keeping
@@ -522,15 +471,6 @@ void QueryService::ExecuteBatch(Worker* worker,
 void QueryService::CancelBatch(std::vector<QueuedRequest>* batch,
                                const char* why) {
   if (batch->empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    for (const QueuedRequest& item : *batch) {
-      admission_.OnDequeue(item.request.tenant);
-    }
-    if (g_queue_depth_ != nullptr) {
-      g_queue_depth_->Set(static_cast<int64_t>(admission_.queue_depth()));
-    }
-  }
   const uint64_t now = NowMicros();
   for (QueuedRequest& item : *batch) {
     ServeResponse response;
@@ -544,12 +484,27 @@ void QueryService::CancelBatch(std::vector<QueuedRequest>* batch,
   }
 }
 
+void QueryService::PublishQueueDepth() {
+  if (g_queue_depth_ != nullptr) {
+    g_queue_depth_->Set(static_cast<int64_t>(scheduler_.depth()));
+  }
+}
+
 void QueryService::Shutdown(bool drain) {
+  std::vector<QueuedRequest> cancelled;
   {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-    accepting_ = false;
+    // stop_ is stored and notified under queue_mu_: Submit admits nothing
+    // after it, and a worker that has just found the predicate false is
+    // either not yet past its check (and will see stop_) or already
+    // blocked (and gets the notify).
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    if (!drain) {
+      scheduler_.DrainAll(&cancelled);
+      PublishQueueDepth();
+    }
+    stop_.store(true, std::memory_order_release);
+    queue_cv_.notify_all();
   }
   {
     std::lock_guard<std::mutex> lock(prefetch_mu_);
@@ -557,16 +512,6 @@ void QueryService::Shutdown(bool drain) {
     prefetch_hints_ = {};
   }
   prefetch_cv_.notify_all();
-  std::vector<QueuedRequest> cancelled;
-  {
-    // stop_ is stored and notified under queue_mu_: a worker that has just
-    // found the predicate false is either not yet past its check (and will
-    // see stop_) or already blocked (and gets the notify).
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!drain) scheduler_.DrainAll(&cancelled);
-    stop_.store(true, std::memory_order_release);
-    queue_cv_.notify_all();
-  }
   CancelBatch(&cancelled, "cancelled: service shutting down");
   // Workers exit once the queue is empty (immediately after a cancelling
   // drain; after executing the backlog otherwise) and the prefetch thread
@@ -621,8 +566,8 @@ QueryService::Stats QueryService::GetStats() const {
 }
 
 size_t QueryService::queue_depth() {
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  return admission_.queue_depth();
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  return scheduler_.depth();
 }
 
 }  // namespace serve

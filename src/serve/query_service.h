@@ -12,10 +12,7 @@
 #include "src/common/random.h"
 #include "src/common/request_context.h"
 #include "src/common/thread_pool.h"
-#include "src/core/network_file.h"
-#include "src/core/query_session.h"
 #include "src/core/read_session.h"
-#include "src/storage/snapshot_manager.h"
 #include "src/serve/admission.h"
 #include "src/serve/circuit_breaker.h"
 #include "src/serve/request.h"
@@ -27,16 +24,15 @@ namespace serve {
 /// Tuning knobs of the query service.
 struct QueryServiceOptions {
   /// Worker threads, each owning one read session and all popping from
-  /// the service's one run queue. 0 = the data buffer pool's shard count,
-  /// floored at 1.
+  /// the service's one run queue. 0 = the data buffer pool's shard count.
+  /// Clamped to [1, pool capacity / shard count], the pool's sizing rule:
+  /// past it demand fetches fail with NoSpace.
   int num_workers = 0;
   /// Admission control (see AdmissionController::Options).
   size_t max_queue_depth = 1024;
   size_t max_tenant_depth = 0;
   double tenant_rate = 0.0;
   double tenant_burst = 0.0;
-  /// DRR quantum: requests one tenant may start per scheduling turn.
-  uint32_t drr_quantum = 8;
   /// Region batching: the largest number of same-region requests one
   /// worker pops and executes back to back. Batching is opportunistic:
   /// only requests already queued join a batch, so low loads pay no added
@@ -64,14 +60,15 @@ struct QueryServiceOptions {
   uint64_t seed = 42;
 };
 
-/// Multi-tenant serving front end over one read-only NetworkFile — the
+/// Multi-tenant serving front end over one ReadStore — the
 /// scaling step after the concurrent read path: where QuerySession made
 /// many threads *correct*, the service makes many *clients* efficient by
 /// exploiting CCAM's clustering across concurrent queries, so one hot
 /// page fetch serves many requests.
 ///
-/// Pipeline: Submit() stamps the request's region (the data page of its
-/// origin node, i.e. its connectivity cluster), passes per-tenant
+/// Pipeline: Submit() stamps the request's region (the data page that
+/// the store's RegionOf gives its origin node, i.e. its connectivity
+/// cluster), passes per-tenant
 /// admission control (token-bucket rate limit, bounded global and
 /// per-tenant queue depth — rejections are typed Overloaded), and enqueues
 /// it on the service's one run queue, a deficit-round-robin scheduler.
@@ -98,7 +95,7 @@ struct QueryServiceOptions {
 /// Accounting: all reads go through the service's sessions — the
 /// workers' and the prefetch session — so the paper's conservation
 /// invariant extends to the whole service: the sum of their per-session
-/// IoStats equals the file's global disk reads (TotalSessionIoStats;
+/// IoStats equals the store's global disk reads (TotalSessionIoStats;
 /// verified by tests/serve_test.cc).
 ///
 /// Thread safety: Submit is safe from any number of client threads.
@@ -107,20 +104,18 @@ struct QueryServiceOptions {
 /// Shutdown or from the owning thread).
 class QueryService {
  public:
-  QueryService(NetworkFile* file, const QueryServiceOptions& options);
-
-  /// Serves a snapshot store instead of a single file: each worker owns a
-  /// SnapshotSession pinned to one published version, refreshed only at
-  /// batch boundaries — an in-flight batch keeps its version across a
-  /// concurrent swap, which is exactly the session-drain contract the
-  /// reorganizer's retirement waits on. The prefetch session refreshes
-  /// before each round. Regions are stamped via
-  /// SnapshotManager::RegionOf against the version current at submit
-  /// time; a request executed after a swap may carry a page id from the
-  /// older layout, which degrades only batching, never results.
-  /// Mutations and background reorganizations may run concurrently with
-  /// serving.
-  QueryService(SnapshotManager* manager, const QueryServiceOptions& options);
+  /// Serves `store`: every worker and the prefetch thread own one of its
+  /// read sessions. Over a NetworkFile they are QuerySessions. Over a
+  /// SnapshotManager they are SnapshotSessions, each pinned to one
+  /// published version and refreshed only between batches (the prefetch
+  /// session before each round): an in-flight batch keeps its version
+  /// across a concurrent swap, which is the session-drain contract the
+  /// reorganizer's retirement waits on. Regions are stamped against the
+  /// version current at submit time; a request executed after a swap may
+  /// carry a page id of the older layout, which degrades only batching,
+  /// never results. Mutations and background reorganizations may run
+  /// concurrently with serving.
+  QueryService(ReadStore* store, const QueryServiceOptions& options);
 
   ~QueryService();
 
@@ -130,7 +125,8 @@ class QueryService {
   /// Submits one request; never blocks on execution. The returned ticket
   /// completes with the query's response — or immediately with a typed
   /// Overloaded status when admission control refuses it (queue full,
-  /// tenant over rate/depth allowance, or service shutting down).
+  /// tenant over rate/depth allowance, or service shutting down), or with
+  /// the store's NotFound when the origin node is not stored.
   ServeTicketPtr Submit(ServeRequest request);
 
   /// Stops the service. `drain` = true executes everything already
@@ -179,13 +175,11 @@ class QueryService {
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Current queued-but-unexecuted requests (sampled under the lock).
+  /// Requests in the run queue (sampled under the queue lock).
   size_t queue_depth();
 
  private:
   struct Worker {
-    /// A QuerySession against a NetworkFile, a SnapshotSession against a
-    /// SnapshotManager.
     std::unique_ptr<ReadSession> session;
     /// Lifecycle context re-stamped per batch (deadlined subsets execute
     /// under the tightest member deadline) and jitter stream for retry
@@ -194,9 +188,6 @@ class QueryService {
     Random rng;
   };
 
-  void StartWorkers(int n);
-  /// A QuerySession against the file, a SnapshotSession against the store.
-  std::unique_ptr<ReadSession> OpenReadSession();
   void WorkerLoop(Worker* worker);
   /// The prefetch thread: one ReadAhead of every pending hint per round.
   void PrefetchLoop();
@@ -210,6 +201,9 @@ class QueryService {
                          const std::vector<size_t>& indices,
                          std::vector<ServeResponse>* responses);
   void CancelBatch(std::vector<QueuedRequest>* batch, const char* why);
+  /// Sets the serve.queue_depth gauge to the run queue's depth (queue_mu_
+  /// held).
+  void PublishQueueDepth();
   /// `total` plus `stat` of every open session.
   IoStats SumSessions(IoStats (AccessMethod::*stat)() const,
                       IoStats total) const;
@@ -217,23 +211,20 @@ class QueryService {
   /// Microseconds on the steady clock (the service's common time base).
   static uint64_t NowMicros();
 
-  NetworkFile* file_;                   // null in snapshot mode
-  SnapshotManager* manager_ = nullptr;  // null in file mode
+  ReadStore* store_;
   QueryServiceOptions options_;
-
-  std::mutex admission_mu_;
-  AdmissionController admission_;
-  bool accepting_ = true;
 
   /// Per-failure-class load shedding; non-null iff breaker_trip_threshold
   /// > 0. Leaf-level lock, consulted at admission and fed by executions.
   std::unique_ptr<CircuitBreaker> breaker_;
 
-  /// The run queue shared by every worker (lock order: admission_mu_ ->
-  /// queue_mu_). stop_ is stored under queue_mu_ (see Shutdown); the
-  /// retry loop also reads it lock-free.
+  /// The run queue shared by every worker, the one count of queued
+  /// requests: admission reads its depths under the same queue_mu_ it
+  /// enqueues under. stop_ (set once Shutdown begins) is stored under
+  /// queue_mu_; the retry loop also reads it lock-free.
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
+  AdmissionController admission_;
   DrrScheduler scheduler_;
   std::atomic<bool> stop_{false};
   size_t idle_workers_ = 0;  // workers waiting for a request (queue_mu_)
@@ -250,7 +241,6 @@ class QueryService {
   /// The worker pool: one long-lived WorkerLoop task per worker plus the
   /// PrefetchLoop task.
   std::unique_ptr<ThreadPool> pool_;
-  bool shut_down_ = false;
   /// Counters of the sessions Shutdown closed.
   IoStats retired_io_;
   IoStats retired_hier_io_;

@@ -58,7 +58,7 @@ class DrrScheduler {
   size_t depth() const { return depth_; }
   bool empty() const { return depth_ == 0; }
 
-  /// Queued requests of one tenant (tests).
+  /// Queued requests of one tenant (admission's per-tenant gate).
   size_t TenantDepth(uint32_t tenant) const;
 
  private:

@@ -614,6 +614,10 @@ std::unique_ptr<SnapshotSession> SnapshotManager::OpenSession() {
   return std::make_unique<SnapshotSession>(this);
 }
 
+std::unique_ptr<ReadSession> SnapshotManager::OpenReadSession() {
+  return OpenSession();
+}
+
 std::shared_ptr<SnapshotVersion> SnapshotManager::Acquire() {
   std::lock_guard<std::mutex> lock(mu_);
   current_->refs_.fetch_add(1, std::memory_order_acq_rel);

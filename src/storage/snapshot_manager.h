@@ -138,7 +138,7 @@ struct SnapshotOptions {
 /// and log compaction). A kCrash action leaves the torn on-disk shape of
 /// that instant and halts the store; tools/crashsim sweeps every site and
 /// proves recovery lands on exactly the old or exactly the new version.
-class SnapshotManager {
+class SnapshotManager : public ReadStore {
  public:
   ~SnapshotManager();
 
@@ -173,6 +173,8 @@ class SnapshotManager {
   /// thread, like QuerySession; any number of sessions run concurrently
   /// with mutations and reorganizations.
   std::unique_ptr<SnapshotSession> OpenSession();
+  /// ReadStore: the same session, and RegionOf below.
+  std::unique_ptr<ReadSession> OpenReadSession() override;
 
   /// --- Reorganization ----------------------------------------------------
   /// Builds and publishes a fully reclustered next version synchronously.
@@ -219,7 +221,7 @@ class SnapshotManager {
   /// never a correctness input). NotFound for absent or deleted nodes.
   /// Like CurrentVersionId, it does not take the manager lock, so the
   /// serving layer's Submit never waits behind a write or a swap.
-  Result<PageId> RegionOf(NodeId id);
+  Result<PageId> RegionOf(NodeId id) override;
 
   /// The authoritative logical network (the differential oracle's
   /// reference). Call while no mutation is in flight.

@@ -1,6 +1,7 @@
 // Query-serving layer tests: DRR scheduler semantics, token-bucket
 // admission, the batched-vs-unbatched equivalence oracle (with exact
-// per-session I/O conservation), admission prefetch (oracle answers and
+// per-session I/O conservation) over a file and a snapshot store, typed
+// rejection of an unstored origin, admission prefetch (oracle answers and
 // conservation across pool and page sizes, a short read inside a
 // prefetch batch, a cancelling shutdown with hints pending),
 // anti-starvation under a flooding tenant, work conservation of the
@@ -13,7 +14,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +34,7 @@
 #include "src/serve/loadgen.h"
 #include "src/serve/query_service.h"
 #include "src/serve/scheduler.h"
+#include "src/storage/snapshot_manager.h"
 
 namespace ccam {
 namespace {
@@ -192,10 +198,10 @@ TEST(AdmissionControllerTest, SubQpsTenantIsAdmittedAtItsConfiguredRate) {
   AdmissionController::RejectGate gate;
   uint64_t admitted = 0;
   for (int i = 0; i <= 1200; ++i) {  // 120 s in 100 ms ticks
-    if (admission.Admit(7, static_cast<uint64_t>(i) * 100000, &gate).ok()) {
+    // Each admitted request has left the queue before the next tick.
+    if (admission.Admit(7, static_cast<uint64_t>(i) * 100000, 0, 0, &gate)
+            .ok()) {
       ++admitted;
-      admission.OnEnqueue(7);
-      admission.OnDequeue(7);
     }
   }
   EXPECT_EQ(admitted, 31u);  // 1 (floored burst) + 0.25/s * 120 s
@@ -209,37 +215,43 @@ TEST(AdmissionControllerTest, ThreeGatesRejectTyped) {
   options.tenant_burst = 100.0;
   AdmissionController admission(options);
 
+  // The caller's run queue is the one ledger: `queued` and the per-tenant
+  // counts stand in for it, updated as each admitted request enqueues.
+  size_t queued = 0;
+  std::map<uint32_t, size_t> tenant_queued;
+  auto admit = [&](uint32_t tenant, AdmissionController::RejectGate* gate) {
+    Status s = admission.Admit(tenant, 0, queued, tenant_queued[tenant], gate);
+    if (s.ok()) {
+      ++queued;
+      ++tenant_queued[tenant];
+    }
+    return s;
+  };
   AdmissionController::RejectGate gate;
-  EXPECT_TRUE(admission.Admit(1, 0, &gate).ok());
-  admission.OnEnqueue(1);
-  EXPECT_TRUE(admission.Admit(1, 0, &gate).ok());
-  admission.OnEnqueue(1);
-  Status s = admission.Admit(1, 0, &gate);  // tenant depth gate
+  EXPECT_TRUE(admit(1, &gate).ok());
+  EXPECT_TRUE(admit(1, &gate).ok());
+  Status s = admit(1, &gate);  // tenant depth gate
   EXPECT_TRUE(s.IsOverloaded());
   EXPECT_EQ(gate, AdmissionController::RejectGate::kTenantDepth);
 
-  EXPECT_TRUE(admission.Admit(2, 0, &gate).ok());
-  admission.OnEnqueue(2);
-  EXPECT_TRUE(admission.Admit(3, 0, &gate).ok());
-  admission.OnEnqueue(3);
-  s = admission.Admit(4, 0, &gate);  // global depth gate
+  EXPECT_TRUE(admit(2, &gate).ok());
+  EXPECT_TRUE(admit(3, &gate).ok());
+  s = admit(4, &gate);  // global depth gate
   EXPECT_TRUE(s.IsOverloaded());
   EXPECT_EQ(gate, AdmissionController::RejectGate::kQueueFull);
 
-  admission.OnDequeue(1);
-  admission.OnDequeue(1);
-  admission.OnDequeue(2);
-  admission.OnDequeue(3);
+  queued = 0;  // the queue drains
+  tenant_queued.clear();
   // Tenant 1 already consumed tokens above; drain the rest of the burst.
   int admitted = 0;
-  while (admission.Admit(1, 0, &gate).ok()) ++admitted;
+  while (admission.Admit(1, 0, 0, 0, &gate).ok()) ++admitted;
   EXPECT_EQ(gate, AdmissionController::RejectGate::kRateLimit);
   EXPECT_GT(admitted, 0);
 }
 
 // --- Batched vs unbatched equivalence oracle -----------------------------
 
-serve::ServeResponse Oracle(QuerySession* session,
+serve::ServeResponse Oracle(AccessMethod* session,
                             const ServeRequest& request) {
   ServeResponse response;
   switch (request.op) {
@@ -293,83 +305,154 @@ serve::ServeResponse Oracle(QuerySession* session,
   return response;
 }
 
+// One store behind QueryService's one constructor, with the file whose
+// disk counters the service's session reads must sum to.
+struct ServedStore {
+  std::string name;
+  std::unique_ptr<Ccam> file;
+  std::unique_ptr<SnapshotManager> manager;
+  std::unique_ptr<SnapshotSession> pin;  // holds the store's one version
+  ReadStore* store = nullptr;
+  NetworkFile* disk = nullptr;  // the file, or the pinned version's file
+};
+
+// A static CCAM file (with the CH overlay when `overlay`) and a quiesced
+// snapshot store (which keeps no overlay) over the same network, page
+// size and pool size.
+std::vector<ServedStore> BothStores(const Network& net, size_t page_size,
+                                    size_t pool_pages, bool overlay) {
+  std::vector<ServedStore> stores(2);
+  stores[0].name = "file";
+  stores[0].file = MakeFile(net, page_size, pool_pages, overlay);
+  stores[0].store = stores[0].disk = stores[0].file.get();
+
+  SnapshotOptions sopt;
+  sopt.am.page_size = page_size;
+  sopt.am.buffer_pool_pages = pool_pages;
+  sopt.am.num_threads = 1;
+  const char* tmp = std::getenv("TMPDIR");
+  sopt.dir = std::string(tmp != nullptr ? tmp : "/tmp") +
+             "/ccam_serve_test_store_" + std::to_string(page_size);
+  std::error_code ec;
+  std::filesystem::remove_all(sopt.dir, ec);
+  auto manager = SnapshotManager::Create(sopt, net);
+  EXPECT_TRUE(manager.ok()) << manager.status().ToString();
+  if (!manager.ok()) return {};
+  stores[1].name = "snapshot";
+  stores[1].manager = std::move(*manager);
+  stores[1].pin = stores[1].manager->OpenSession();
+  stores[1].store = stores[1].manager.get();
+  stores[1].disk = stores[1].pin->version()->file();
+  return stores;
+}
+
 TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
   Network net = TestNetwork();
   for (size_t page_size : {512u, 2048u}) {
-    SCOPED_TRACE("page_size=" + std::to_string(page_size));
-    auto file = MakeFile(net, page_size, /*pool_pages=*/16, /*overlay=*/true);
-    ASSERT_TRUE(file->HasHierarchy());
+    for (ServedStore& row :
+         BothStores(net, page_size, /*pool_pages=*/16, /*overlay=*/true)) {
+      SCOPED_TRACE(row.name + " page_size=" + std::to_string(page_size));
+      ASSERT_EQ(row.disk->HasHierarchy(), row.name == "file");
 
-    LoadgenOptions gen;
-    gen.tenants = 6;
-    gen.pool_size = 600;  // 500+ mixed requests, all four operations
-    gen.zipf_theta = 0.8;
-    gen.seed = 7 + page_size;
-    std::vector<ServeRequest> pool =
-        serve::BuildRequestPool(file.get(), gen);
-    ASSERT_EQ(pool.size(), 600u);
+      LoadgenOptions gen;
+      gen.tenants = 6;
+      gen.pool_size = 600;  // 500+ mixed requests, every operation served
+      gen.zipf_theta = 0.8;
+      gen.seed = 7 + page_size;
+      std::vector<ServeRequest> pool = serve::BuildRequestPool(row.disk, gen);
+      ASSERT_EQ(pool.size(), 600u);
 
-    // Serial oracle on a plain session, before the service exists.
-    std::vector<ServeResponse> expected;
-    {
-      auto session = file->OpenSession();
-      for (const ServeRequest& request : pool) {
-        expected.push_back(Oracle(session.get(), request));
-      }
-    }
-
-    const IoStats disk_before = file->DataIoStats();
-    const IoStats hier_before = file->HierarchyIoStats();
-
-    QueryServiceOptions options;
-    options.num_workers = 8;
-    options.max_queue_depth = 100000;  // nothing may be shed in this test
-    options.max_tenant_depth = 100000;
-    QueryService service(file.get(), options);
-
-    // Concurrent submitters, so batches genuinely mix tenants/threads.
-    constexpr int kSubmitters = 4;
-    std::vector<std::vector<ServeTicketPtr>> tickets(kSubmitters);
-    {
-      std::vector<std::thread> submitters;
-      for (int t = 0; t < kSubmitters; ++t) {
-        submitters.emplace_back([&, t] {
-          for (size_t i = t; i < pool.size(); i += kSubmitters) {
-            tickets[t].push_back(service.Submit(pool[i]));
-          }
-        });
-      }
-      for (auto& thread : submitters) thread.join();
-    }
-    size_t mismatches = 0;
-    for (int t = 0; t < kSubmitters; ++t) {
-      size_t k = 0;
-      for (size_t i = t; i < pool.size(); i += kSubmitters, ++k) {
-        const ServeResponse& got = tickets[t][k]->Wait();
-        const ServeResponse& want = expected[i];
-        if (got.status.code() != want.status.code() ||
-            got.cost != want.cost || got.num_edges != want.num_edges ||
-            got.path != want.path) {
-          ++mismatches;
+      // Serial oracle on a plain session, before the service exists.
+      std::vector<ServeResponse> expected;
+      {
+        auto session = row.store->OpenReadSession();
+        for (const ServeRequest& request : pool) {
+          expected.push_back(Oracle(session.get(), request));
         }
-        EXPECT_GE(got.batch_size, 1u);
       }
-    }
-    EXPECT_EQ(mismatches, 0u);
 
+      const IoStats disk_before = row.disk->DataIoStats();
+      const IoStats hier_before = row.disk->HierarchyIoStats();
+
+      QueryServiceOptions options;
+      options.num_workers = 8;
+      options.max_queue_depth = 100000;  // nothing may be shed in this test
+      options.max_tenant_depth = 100000;
+      QueryService service(row.store, options);
+
+      // Concurrent submitters, so batches genuinely mix tenants/threads.
+      constexpr int kSubmitters = 4;
+      std::vector<std::vector<ServeTicketPtr>> tickets(kSubmitters);
+      {
+        std::vector<std::thread> submitters;
+        for (int t = 0; t < kSubmitters; ++t) {
+          submitters.emplace_back([&, t] {
+            for (size_t i = t; i < pool.size(); i += kSubmitters) {
+              tickets[t].push_back(service.Submit(pool[i]));
+            }
+          });
+        }
+        for (auto& thread : submitters) thread.join();
+      }
+      size_t mismatches = 0;
+      for (int t = 0; t < kSubmitters; ++t) {
+        size_t k = 0;
+        for (size_t i = t; i < pool.size(); i += kSubmitters, ++k) {
+          const ServeResponse& got = tickets[t][k]->Wait();
+          const ServeResponse& want = expected[i];
+          if (got.status.code() != want.status.code() ||
+              got.cost != want.cost || got.num_edges != want.num_edges ||
+              got.path != want.path) {
+            ++mismatches;
+          }
+          EXPECT_GE(got.batch_size, 1u);
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+
+      service.Shutdown(/*drain=*/true);
+      QueryService::Stats stats = service.GetStats();
+      EXPECT_EQ(stats.submitted, pool.size());
+      EXPECT_EQ(stats.completed, pool.size());
+      EXPECT_EQ(stats.rejected, 0u);
+      EXPECT_GT(stats.batched_requests, 0u);  // batching actually happened
+
+      // Conservation: the service's per-session counters sum exactly to
+      // the store's global disk-read deltas, data and overlay alike.
+      EXPECT_EQ(service.TotalSessionIoStats().reads,
+                (row.disk->DataIoStats() - disk_before).reads);
+      EXPECT_EQ(service.TotalSessionHierarchyIoStats().reads,
+                (row.disk->HierarchyIoStats() - hier_before).reads);
+    }
+  }
+}
+
+// A request whose origin the store does not hold completes at once with
+// the store's typed NotFound: rejected, and never queued or executed.
+TEST(QueryServiceTest, UnknownOriginIsRejectedNotFoundOnBothStores) {
+  Network net = TestNetwork();
+  NodeId unstored = 0;
+  for (NodeId id : net.NodeIds()) unstored = std::max(unstored, id + 1);
+  for (ServedStore& row :
+       BothStores(net, 1024, /*pool_pages=*/16, /*overlay=*/false)) {
+    SCOPED_TRACE(row.name);
+    QueryService service(row.store, QueryServiceOptions{});
+    ServeRequest request;
+    request.op = ServeOp::kRouteEval;
+    request.route.nodes = {unstored, unstored + 1};
+    ServeTicketPtr ticket = service.Submit(request);
+    const ServeResponse& response = ticket->Wait();
+    EXPECT_TRUE(response.status.IsNotFound()) << response.status.ToString();
+    EXPECT_EQ(response.batch_size, 0u);
+    EXPECT_EQ(service.queue_depth(), 0u);
     service.Shutdown(/*drain=*/true);
     QueryService::Stats stats = service.GetStats();
-    EXPECT_EQ(stats.submitted, pool.size());
-    EXPECT_EQ(stats.completed, pool.size());
-    EXPECT_EQ(stats.rejected, 0u);
-    EXPECT_GT(stats.batched_requests, 0u);  // batching actually happened
-
-    // Conservation: the workers' per-session counters sum exactly to the
-    // file's global disk-read deltas, data and overlay alike.
-    EXPECT_EQ(service.TotalSessionIoStats().reads,
-              (file->DataIoStats() - disk_before).reads);
-    EXPECT_EQ(service.TotalSessionHierarchyIoStats().reads,
-              (file->HierarchyIoStats() - hier_before).reads);
+    EXPECT_EQ(stats.submitted, 1u);
+    EXPECT_EQ(stats.rejected, 1u);
+    EXPECT_EQ(stats.admitted, 0u);
+    EXPECT_EQ(stats.completed, 0u);
+    EXPECT_EQ(stats.batches, 0u);
+    EXPECT_EQ(service.TotalSessionIoStats().reads, 0u);
   }
 }
 
@@ -430,15 +513,20 @@ TEST(QueryServicePrefetchTest, MatchesSerialOracleAcrossPoolsAndPageSizes) {
       file->disk()->SetSimulatedReadLatencyMicros(50);
       const IoStats disk_before = file->DataIoStats();
 
-      // 8 workers, except where the pool's sizing rule allows fewer
-      // (capacity / shards >= workers, docs/INTERNALS.md "Shard count"):
-      // past it demand fetches fail with NoSpace, prefetch or not.
+      // 8 workers asked for at every pool size; the service clamps them
+      // to the pool's sizing rule (capacity / shards >= workers,
+      // docs/INTERNALS.md "Shard count"): past it demand fetches would
+      // fail with NoSpace, prefetch or not.
       QueryServiceOptions options;
-      options.num_workers = static_cast<int>(std::min<size_t>(
-          8, pool_pages / file->buffer_pool()->num_shards()));
+      options.num_workers = 8;
       options.max_queue_depth = 100000;
       options.max_tenant_depth = 100000;
       QueryService service(file.get(), options);
+      EXPECT_EQ(service.num_workers(),
+                static_cast<int>(std::min<size_t>(
+                    8, std::max<size_t>(1, pool_pages /
+                                               file->buffer_pool()
+                                                   ->num_shards()))));
       std::vector<ServeTicketPtr> tickets = SubmitAll(&service, pool);
       EXPECT_EQ(CountMismatches(tickets, expected), 0u);
       service.Shutdown(/*drain=*/true);
