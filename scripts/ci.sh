@@ -21,11 +21,11 @@
 #                  times, since a snapshot store is served through the
 #                  same Submit / queue-lock path (a timing-dependent
 #                  NoSpace or ticket failure fails CI instead of passing
-#                  as a flake); serve_test holds the batched-vs-serial
+#                  as a flake); serve_test holds the served-vs-serial
 #                  equivalence oracle and the IoStats conservation check
-#                  over a file and a snapshot store (the serving layer's
-#                  wall-clock numbers are gated by perfbench's
-#                  serve_hotspot and snapshot_rw bounds)
+#                  over a file, a snapshot store and a sharded file (the
+#                  serving layer's wall-clock numbers are gated by
+#                  perfbench's serve_hotspot and snapshot_rw bounds)
 #   5. swap      — snapshot store: the 8-reader swap hammer (no reader
 #                  error, one reorganization per swap) and a quick
 #                  mid-swap crashsim sweep over every snapshot.* failpoint
@@ -44,12 +44,14 @@
 #   8. faults    — scripts/check_faults.sh: fault-injection + crash
 #                  consistency sweeps, differential oracle, lossless-ack
 #                  snapshot-store crashsim with JSON gating
-#   9. debug     — serve_test, query_test, shard_test and
-#                  snapshot_swap_test in a separate Debug build directory,
-#                  so the `#ifndef NDEBUG` contract checks (the
+#   9. debug     — serve_test, chaos_serve_test, query_test, shard_test
+#                  and snapshot_swap_test in a separate Debug build
+#                  directory, so the `#ifndef NDEBUG` contract checks (the
 #                  read-session thread assert and its death test, run by
-#                  every session read and read-ahead hint) run somewhere:
-#                  tier-1 (RelWithDebInfo) and TSan both define NDEBUG
+#                  every session read and read-ahead hint, also on the
+#                  retry and deadline paths that attach a context per
+#                  request) run somewhere: tier-1 (RelWithDebInfo) and
+#                  TSan both define NDEBUG
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
 #  11. asan      — every target built, the whole tier-1 ctest suite,
@@ -149,9 +151,10 @@ swap_stage() {
 
 debug_asserts() {
   cmake -B "$DEBUG_BUILD" -S . -DCMAKE_BUILD_TYPE=Debug &&
-  cmake --build "$DEBUG_BUILD" --target serve_test query_test shard_test \
-    snapshot_swap_test -j "$(nproc)" &&
+  cmake --build "$DEBUG_BUILD" --target serve_test chaos_serve_test \
+    query_test shard_test snapshot_swap_test -j "$(nproc)" &&
   "$DEBUG_BUILD/tests/serve_test" &&
+  "$DEBUG_BUILD/tests/chaos_serve_test" &&
   "$DEBUG_BUILD/tests/query_test" &&
   "$DEBUG_BUILD/tests/shard_test" &&
   "$DEBUG_BUILD/tests/snapshot_swap_test"

@@ -80,7 +80,7 @@ class RequestContext {
   }
 
   /// Rearms the context for reuse (serve workers keep one per worker and
-  /// re-stamp it per batch instead of allocating).
+  /// re-stamp it per request instead of allocating).
   void Reset(int64_t deadline_us = 0) {
     deadline_us_ = deadline_us;
     cancelled_.store(false, std::memory_order_relaxed);

@@ -759,15 +759,6 @@ std::unique_ptr<ReadSession> NetworkFile::OpenReadSession() {
   return OpenSession();
 }
 
-Result<PageId> NetworkFile::RegionOf(NodeId id) {
-  auto it = page_of_.find(id);
-  if (it == page_of_.end()) {
-    return Status::NotFound("node " + std::to_string(id) +
-                            " is not stored in the file");
-  }
-  return it->second;
-}
-
 Result<HierarchyNodeRecord> NetworkFile::SharedHierarchyNode(NodeId id,
                                                              IoStats* io) {
   if (!HasHierarchy()) {

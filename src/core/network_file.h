@@ -242,9 +242,9 @@ class NetworkFile : public AccessMethod, public ReadStore {
   /// share this file's buffer pool.
   std::unique_ptr<QuerySession> OpenSession();
 
-  /// ReadStore: a QuerySession, and the page holding `id`.
+  /// ReadStore: a QuerySession, and whether the page map holds `id`.
   std::unique_ptr<ReadSession> OpenReadSession() override;
-  Result<PageId> RegionOf(NodeId id) override;
+  bool Contains(NodeId id) override { return page_of_.count(id) > 0; }
 
   /// The simulated data disk (throughput experiments configure its
   /// simulated read latency).

@@ -143,17 +143,18 @@ class ReadSession : public AccessMethod {
 };
 
 /// A store that hands out read sessions: what the serving layer needs of a
-/// NetworkFile or a SnapshotManager, and nothing more. Callers borrow the
-/// store; none deletes it through this interface.
+/// NetworkFile, a SnapshotManager or a ShardedNetworkFile, and nothing
+/// more. Callers borrow the store; none deletes it through this interface.
 class ReadStore {
  public:
   /// Opens a read session over the store's current state. One session per
-  /// thread; sessions of one store share its buffer pool.
+  /// thread; sessions of one store share its buffer pools.
   virtual std::unique_ptr<ReadSession> OpenReadSession() = 0;
 
-  /// The data page anchoring `id`'s region: the serving layer's batching
-  /// key, never a correctness input. NotFound for an absent node.
-  virtual Result<PageId> RegionOf(NodeId id) = 0;
+  /// True when the store's current state holds node `id`. Reads no page,
+  /// so the serving layer rejects an unstored origin at admission without
+  /// charging any session.
+  virtual bool Contains(NodeId id) = 0;
 
  protected:
   ~ReadStore() = default;

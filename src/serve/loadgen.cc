@@ -197,7 +197,6 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
   // latency instead of hiding it (coordinated omission).
   std::vector<uint64_t> latencies;
   latencies.reserve(issued.size());
-  double occupancy_sum = 0.0;
   uint64_t last_done_us = start_us;
   for (const Issued& entry : issued) {
     const ServeResponse& response = entry.ticket->Wait();
@@ -212,7 +211,6 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
     ++report.completed;
     latencies.push_back(
         response.done_us > entry.due_us ? response.done_us - entry.due_us : 0);
-    occupancy_sum += response.batch_size;
     if (response.done_us > last_done_us) last_done_us = response.done_us;
   }
 
@@ -235,8 +233,6 @@ LoadReport RunLoad(QueryService* service, NetworkFile* file,
     report.p50_us = pct(0.50);
     report.p95_us = pct(0.95);
     report.p99_us = pct(0.99);
-    report.mean_batch_occupancy =
-        occupancy_sum / static_cast<double>(report.completed);
   }
 
   const IoStats disk_after = file->DataIoStats();

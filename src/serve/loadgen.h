@@ -56,8 +56,6 @@ struct LoadReport {
   uint64_t p50_us = 0;
   uint64_t p95_us = 0;
   uint64_t p99_us = 0;
-  /// Mean region-batch occupancy over completed requests.
-  double mean_batch_occupancy = 0.0;
   /// Accounting over the run: data-page reads charged to the workers'
   /// sessions, the file's global disk-read delta, and whether they agree
   /// (the paper's conservation invariant, extended to the service).

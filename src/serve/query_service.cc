@@ -66,7 +66,6 @@ QueryService::QueryService(ReadStore* store,
       admission_(AdmissionController::Options{
           options.max_queue_depth, options.max_tenant_depth,
           options.tenant_rate, options.tenant_burst}) {
-  if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.retry_max_attempts < 1) options_.retry_max_attempts = 1;
   if (options_.breaker_trip_threshold > 0) {
     breaker_ = std::make_unique<CircuitBreaker>(CircuitBreaker::Options{
@@ -101,12 +100,10 @@ QueryService::~QueryService() { Shutdown(/*drain=*/true); }
 void QueryService::SetMetrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     m_submitted_ = m_admitted_ = m_rejected_queue_ = m_rejected_tenant_ =
-        m_rejected_rate_ = m_rejected_shutdown_ = m_completed_ = m_batches_ =
-            m_batched_requests_ = m_shed_deadline_ = m_shed_breaker_ =
-                m_retries_ = nullptr;
+        m_rejected_rate_ = m_rejected_shutdown_ = m_completed_ =
+            m_shed_deadline_ = m_shed_breaker_ = m_retries_ = nullptr;
     g_queue_depth_ = nullptr;
-    h_queue_wait_us_ = h_exec_us_ = h_latency_us_ = h_batch_occupancy_ =
-        nullptr;
+    h_queue_wait_us_ = h_exec_us_ = h_latency_us_ = nullptr;
     return;
   }
   m_submitted_ = metrics->GetCounter("serve.submitted");
@@ -116,16 +113,13 @@ void QueryService::SetMetrics(MetricsRegistry* metrics) {
   m_rejected_rate_ = metrics->GetCounter("serve.rejected_rate_limited");
   m_rejected_shutdown_ = metrics->GetCounter("serve.rejected_shutdown");
   m_completed_ = metrics->GetCounter("serve.completed");
-  m_batches_ = metrics->GetCounter("serve.batches");
-  m_batched_requests_ = metrics->GetCounter("serve.batched_requests");
   m_shed_deadline_ = metrics->GetCounter("serve.shed_deadline");
   m_shed_breaker_ = metrics->GetCounter("serve.shed_breaker");
   m_retries_ = metrics->GetCounter("serve.retries");
   g_queue_depth_ = metrics->GetGauge("serve.queue_depth");
   h_queue_wait_us_ = metrics->GetHistogram("serve.queue_wait_us");
-  h_exec_us_ = metrics->GetHistogram("serve.batch_exec_us");
+  h_exec_us_ = metrics->GetHistogram("serve.exec_us");
   h_latency_us_ = metrics->GetHistogram("serve.latency_us");
-  h_batch_occupancy_ = metrics->GetHistogram("serve.batch_occupancy");
 }
 
 ServeTicketPtr QueryService::Submit(ServeRequest request) {
@@ -148,8 +142,11 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
     return reject(Status::InvalidArgument("request has no origin node"),
                   nullptr);
   }
-  Result<PageId> region = store_->RegionOf(origin);
-  if (!region.ok()) return reject(region.status(), nullptr);
+  if (!store_->Contains(origin)) {
+    return reject(Status::NotFound("node " + std::to_string(origin) +
+                                   " is not stored"),
+                  nullptr);
+  }
 
   const uint64_t now = NowMicros();
   // Shed already-expired requests before they cost a queue slot: the
@@ -190,7 +187,6 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
       QueuedRequest item;
       item.request = std::move(request);
       item.ticket = ticket;
-      item.region = *region;
       item.enqueue_us = now;
       // An idle worker takes the request at once and issues its reads
       // itself; only a request that waits has reads worth starting early.
@@ -237,7 +233,6 @@ void QueryService::WorkerLoop(Worker* worker) {
   // The service constructed this session on its own thread; the worker
   // adopts it here, at the single-threaded handoff.
   worker->session->RebindToCurrentThread();
-  std::vector<QueuedRequest> batch;
   std::unique_lock<std::mutex> lock(queue_mu_);
   for (;;) {
     // Every enqueue notifies one waiter and a worker re-checks the queue
@@ -247,17 +242,18 @@ void QueryService::WorkerLoop(Worker* worker) {
       return stop_.load(std::memory_order_acquire) || !scheduler_.empty();
     });
     --idle_workers_;
-    batch.clear();
     // An empty queue here means stop_ is set: the backlog is done.
-    if (scheduler_.PopBatch(options_.max_batch, &batch) == 0) return;
+    QueuedRequest item;
+    if (!scheduler_.Pop(&item)) return;
     PublishQueueDepth();
     lock.unlock();
-    // Batch boundary: re-acquire the current snapshot version before
-    // executing. In-flight batches never migrate versions — the refresh
-    // happens strictly between batches, with no pins held — so a reader
-    // drains off a retired version one batch after a swap publishes.
+    // Request boundary: re-acquire the current snapshot version before
+    // executing. An in-flight request never migrates versions — the
+    // refresh happens strictly between requests, with no pins held — so a
+    // reader drains off a retired version one request after a swap
+    // publishes.
     worker->session->Refresh();
-    ExecuteBatch(worker, &batch);
+    Execute(worker, &item);
     lock.lock();
   }
 }
@@ -283,204 +279,133 @@ void QueryService::PrefetchLoop() {
   }
 }
 
-void QueryService::ExecuteOps(AccessMethod* am,
-                              const std::vector<QueuedRequest>& batch,
-                              const std::vector<size_t>& indices,
-                              std::vector<ServeResponse>* responses) {
-  auto fill_search = [](Result<SearchResult> result, ServeResponse* r) {
+ServeResponse QueryService::Run(Worker* worker, const ServeRequest& request) {
+  ReadSession* session = worker->session.get();
+  // A deadline-free request runs with no context attached: exactly the
+  // pre-lifecycle read path.
+  if (request.deadline_us != 0) {
+    worker->ctx.Reset(request.deadline_us);
+    session->SetRequestContext(&worker->ctx);
+  }
+  ServeResponse r;
+  auto fill_search = [&r](Result<SearchResult> result) {
     if (!result.ok()) {
-      r->status = result.status();
+      r.status = result.status();
       return;
     }
-    r->cost = result->cost;
-    r->num_edges = result->path.empty() ? 0 : result->path.size() - 1;
-    r->path = std::move(result->path);
+    r.cost = result->cost;
+    r.num_edges = result->path.empty() ? 0 : result->path.size() - 1;
+    r.path = std::move(result->path);
   };
-  for (ServeOp op : {ServeOp::kRouteEval, ServeOp::kAStar,
-                     ServeOp::kHierarchy, ServeOp::kAggregate}) {
-    for (size_t i : indices) {
-      const ServeRequest& request = batch[i].request;
-      if (request.op != op) continue;
-      ServeResponse* r = &(*responses)[i];
-      // Submit admitted only requests with an origin, so OD pairs exist.
-      const std::vector<NodeId>& od = request.route.nodes;
-      switch (op) {
-        case ServeOp::kRouteEval: {
-          auto result = EvaluateRoute(am, request.route);
-          if (result.ok()) {
-            r->cost = result->total_cost;
-            r->num_edges = result->num_edges;
-          } else {
-            r->status = result.status();
-          }
-          break;
-        }
-        case ServeOp::kAStar:
-          fill_search(ShortestPathAStar(am, od.front(), od.back()), r);
-          break;
-        case ServeOp::kHierarchy:
-          fill_search(ShortestPathCH(am, od.front(), od.back()), r);
-          break;
-        case ServeOp::kAggregate: {
-          auto result = AggregateRouteUnit(am, request.unit);
-          if (result.ok()) {
-            r->cost = result->total_edge_cost;
-            r->num_edges = result->num_edges;
-          } else {
-            r->status = result.status();
-          }
-          break;
-        }
+  // Submit admitted only requests with an origin, so OD pairs exist.
+  const std::vector<NodeId>& od = request.route.nodes;
+  switch (request.op) {
+    case ServeOp::kRouteEval: {
+      auto result = EvaluateRoute(session, request.route);
+      if (result.ok()) {
+        r.cost = result->total_cost;
+        r.num_edges = result->num_edges;
+      } else {
+        r.status = result.status();
       }
+      break;
+    }
+    case ServeOp::kAStar:
+      fill_search(ShortestPathAStar(session, od.front(), od.back()));
+      break;
+    case ServeOp::kHierarchy:
+      fill_search(ShortestPathCH(session, od.front(), od.back()));
+      break;
+    case ServeOp::kAggregate: {
+      auto result = AggregateRouteUnit(session, request.unit);
+      if (result.ok()) {
+        r.cost = result->total_edge_cost;
+        r.num_edges = result->num_edges;
+      } else {
+        r.status = result.status();
+      }
+      break;
     }
   }
+  session->SetRequestContext(nullptr);
+  return r;
 }
 
-void QueryService::ExecuteBatch(Worker* worker,
-                                std::vector<QueuedRequest>* batch) {
+void QueryService::Execute(Worker* worker, QueuedRequest* item) {
   const uint64_t start_us = NowMicros();
+  const int64_t deadline = item->request.deadline_us;
 
-  // Shed members whose deadline expired while they sat in the queue: they
-  // count as rejected (shed without execution), keeping
+  // Shed a request whose deadline expired while it sat in the queue: it
+  // counts as rejected (shed without execution), keeping
   // completed + rejected == submitted exact.
-  {
-    size_t kept = 0;
-    uint64_t shed = 0;
-    for (size_t i = 0; i < batch->size(); ++i) {
-      QueuedRequest& item = (*batch)[i];
-      if (item.request.deadline_us != 0 &&
-          static_cast<int64_t>(start_us) >= item.request.deadline_us) {
-        ServeResponse response;
-        response.status = Status::DeadlineExceeded("expired in queue");
-        response.done_us = start_us;
-        item.ticket->Fulfill(std::move(response));
-        ++shed;
-        continue;
-      }
-      if (kept != i) (*batch)[kept] = std::move(item);
-      ++kept;
-    }
-    if (shed > 0) {
-      batch->resize(kept);
-      n_rejected_.fetch_add(shed, std::memory_order_relaxed);
-      n_shed_deadline_.fetch_add(shed, std::memory_order_relaxed);
-      if (m_shed_deadline_ != nullptr) m_shed_deadline_->Inc(shed);
-    }
-    if (batch->empty()) return;
+  if (deadline != 0 && static_cast<int64_t>(start_us) >= deadline) {
+    ServeResponse response;
+    response.status = Status::DeadlineExceeded("expired in queue");
+    response.done_us = start_us;
+    item->ticket->Fulfill(std::move(response));
+    n_rejected_.fetch_add(1, std::memory_order_relaxed);
+    n_shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+    if (m_shed_deadline_ != nullptr) m_shed_deadline_->Inc();
+    return;
   }
 
-  // No page pin is held across the batch: the requests all start in the
-  // region page, which the first one reads and the rest find in the pool.
-  ReadSession* session = worker->session.get();
-  const size_t n = batch->size();
-  std::vector<ServeResponse> responses(n);
+  ServeResponse r = Run(worker, item->request);
 
-  // Deadline-free requests execute with no context attached — exactly the
-  // pre-lifecycle code path, so healthy traffic keeps serial-oracle
-  // results even when deadlined requests share its batch. The deadlined
-  // subset runs under the tightest member deadline (the batch shares page
-  // fetches, so the strictest budget governs the shared work).
-  std::vector<size_t> free_idx;
-  std::vector<size_t> dl_idx;
-  int64_t tightest = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t d = (*batch)[i].request.deadline_us;
-    if (d == 0) {
-      free_idx.push_back(i);
-    } else {
-      dl_idx.push_back(i);
-      if (tightest == 0 || d < tightest) tightest = d;
+  // Retry retryable failures (transient transport faults) with jittered
+  // backoff. Deterministic failures and lifecycle statuses never
+  // re-execute, and a retry is skipped once the request's deadline passed
+  // or the service is stopping. Without faults no status is retryable and
+  // this costs one branch per request.
+  for (int attempt = 1; attempt < options_.retry_max_attempts &&
+                        r.status.IsRetryable();
+       ++attempt) {
+    if (stop_.load(std::memory_order_acquire)) break;
+    if (deadline != 0 && RequestContext::NowMicros() >= deadline) break;
+    if (options_.retry_backoff_us > 0) {
+      const uint32_t cap =
+          options_.retry_backoff_us * static_cast<uint32_t>(attempt);
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(worker->rng.Uniform(cap) + 1));
     }
-  }
-  if (!free_idx.empty()) ExecuteOps(session, *batch, free_idx, &responses);
-  if (!dl_idx.empty()) {
-    worker->ctx.Reset(tightest);
-    session->SetRequestContext(&worker->ctx);
-    ExecuteOps(session, *batch, dl_idx, &responses);
-    session->SetRequestContext(nullptr);
-  }
-
-  // Retry retryable failures (transient transport faults) individually
-  // with jittered backoff. Deterministic failures and lifecycle statuses
-  // never re-execute, and a retry is skipped once the request's own
-  // deadline passed or the service is stopping. Without faults no status
-  // is retryable and this costs one branch per batch.
-  if (options_.retry_max_attempts > 1) {
-    std::vector<size_t> one(1);
-    for (size_t i = 0; i < n; ++i) {
-      for (int attempt = 1; attempt < options_.retry_max_attempts &&
-                            responses[i].status.IsRetryable();
-           ++attempt) {
-        if (stop_.load(std::memory_order_acquire)) break;
-        const int64_t deadline = (*batch)[i].request.deadline_us;
-        if (deadline != 0 && RequestContext::NowMicros() >= deadline) break;
-        if (options_.retry_backoff_us > 0) {
-          const uint32_t cap =
-              options_.retry_backoff_us * static_cast<uint32_t>(attempt);
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(worker->rng.Uniform(cap) + 1));
-        }
-        n_retries_.fetch_add(1, std::memory_order_relaxed);
-        if (m_retries_ != nullptr) m_retries_->Inc();
-        responses[i] = ServeResponse();
-        one[0] = i;
-        if (deadline != 0) {
-          worker->ctx.Reset(deadline);
-          session->SetRequestContext(&worker->ctx);
-        }
-        ExecuteOps(session, *batch, one, &responses);
-        if (deadline != 0) session->SetRequestContext(nullptr);
-      }
-    }
+    n_retries_.fetch_add(1, std::memory_order_relaxed);
+    if (m_retries_ != nullptr) m_retries_->Inc();
+    r = Run(worker, item->request);
   }
 
   // Executed outcomes feed the per-class breaker: streaks of I/O,
   // corruption, or deadline failures trip admission into shedding.
   if (breaker_ != nullptr) {
-    const int64_t now = RequestContext::NowMicros();
-    for (size_t i = 0; i < n; ++i) {
-      breaker_->OnResult(responses[i].status, now);
-    }
+    breaker_->OnResult(r.status, RequestContext::NowMicros());
   }
 
   const uint64_t end_us = NowMicros();
-  for (size_t i = 0; i < n; ++i) {
-    QueuedRequest& item = (*batch)[i];
-    ServeResponse& r = responses[i];
-    r.queue_us = start_us > item.enqueue_us ? start_us - item.enqueue_us : 0;
-    r.batch_size = static_cast<uint32_t>(n);
-    r.done_us = end_us;
-    if (h_queue_wait_us_ != nullptr) h_queue_wait_us_->Record(r.queue_us);
-    if (h_latency_us_ != nullptr) {
-      h_latency_us_->Record(end_us > item.enqueue_us
-                                ? end_us - item.enqueue_us
-                                : 0);
-    }
-    item.ticket->Fulfill(std::move(r));
+  r.queue_us = start_us > item->enqueue_us ? start_us - item->enqueue_us : 0;
+  r.batch_size = 1;
+  r.done_us = end_us;
+  if (h_queue_wait_us_ != nullptr) h_queue_wait_us_->Record(r.queue_us);
+  if (h_latency_us_ != nullptr) {
+    h_latency_us_->Record(
+        end_us > item->enqueue_us ? end_us - item->enqueue_us : 0);
   }
-  n_completed_.fetch_add(n, std::memory_order_relaxed);
-  n_batches_.fetch_add(1, std::memory_order_relaxed);
-  if (n > 1) n_batched_requests_.fetch_add(n, std::memory_order_relaxed);
-  if (m_completed_ != nullptr) m_completed_->Inc(n);
-  if (m_batches_ != nullptr) m_batches_->Inc();
-  if (n > 1 && m_batched_requests_ != nullptr) m_batched_requests_->Inc(n);
   if (h_exec_us_ != nullptr) h_exec_us_->Record(end_us - start_us);
-  if (h_batch_occupancy_ != nullptr) h_batch_occupancy_->Record(n);
+  item->ticket->Fulfill(std::move(r));
+  n_completed_.fetch_add(1, std::memory_order_relaxed);
+  if (m_completed_ != nullptr) m_completed_->Inc();
 }
 
-void QueryService::CancelBatch(std::vector<QueuedRequest>* batch,
-                               const char* why) {
-  if (batch->empty()) return;
+void QueryService::CancelAll(std::vector<QueuedRequest>* items,
+                             const char* why) {
+  if (items->empty()) return;
   const uint64_t now = NowMicros();
-  for (QueuedRequest& item : *batch) {
+  for (QueuedRequest& item : *items) {
     ServeResponse response;
     response.status = Status::Overloaded(why);
     response.done_us = now;
     item.ticket->Fulfill(std::move(response));
   }
-  n_rejected_.fetch_add(batch->size(), std::memory_order_relaxed);
+  n_rejected_.fetch_add(items->size(), std::memory_order_relaxed);
   if (m_rejected_shutdown_ != nullptr) {
-    m_rejected_shutdown_->Inc(batch->size());
+    m_rejected_shutdown_->Inc(items->size());
   }
 }
 
@@ -512,7 +437,7 @@ void QueryService::Shutdown(bool drain) {
     prefetch_hints_ = {};
   }
   prefetch_cv_.notify_all();
-  CancelBatch(&cancelled, "cancelled: service shutting down");
+  CancelAll(&cancelled, "cancelled: service shutting down");
   // Workers exit once the queue is empty (immediately after a cancelling
   // drain; after executing the backlog otherwise) and the prefetch thread
   // after its round in flight; destroying the pool joins them all.
@@ -556,8 +481,6 @@ QueryService::Stats QueryService::GetStats() const {
   stats.admitted = n_admitted_.load(std::memory_order_relaxed);
   stats.rejected = n_rejected_.load(std::memory_order_relaxed);
   stats.completed = n_completed_.load(std::memory_order_relaxed);
-  stats.batches = n_batches_.load(std::memory_order_relaxed);
-  stats.batched_requests = n_batched_requests_.load(std::memory_order_relaxed);
   stats.shed_deadline = n_shed_deadline_.load(std::memory_order_relaxed);
   stats.shed_breaker = n_shed_breaker_.load(std::memory_order_relaxed);
   stats.retries = n_retries_.load(std::memory_order_relaxed);

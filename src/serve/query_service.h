@@ -33,11 +33,7 @@ struct QueryServiceOptions {
   size_t max_tenant_depth = 0;
   double tenant_rate = 0.0;
   double tenant_burst = 0.0;
-  /// Region batching: the largest number of same-region requests one
-  /// worker pops and executes back to back. Batching is opportunistic:
-  /// only requests already queued join a batch, so low loads pay no added
-  /// latency. 1 executes every request alone (`ccam_cli serve
-  /// --no-batching`).
+  /// Ignored; kept only so perfbench compiles; ROADMAP item 1 deletes it.
   size_t max_batch = 16;
   /// Total execution attempts per request for retryable failures (IOError
   /// / ShortRead — transient transport faults). 1 (the default) disables
@@ -63,21 +59,19 @@ struct QueryServiceOptions {
 /// Multi-tenant serving front end over one ReadStore — the
 /// scaling step after the concurrent read path: where QuerySession made
 /// many threads *correct*, the service makes many *clients* efficient by
-/// exploiting CCAM's clustering across concurrent queries, so one hot
-/// page fetch serves many requests.
+/// exploiting CCAM's clustering across concurrent queries: the workers
+/// share the store's buffer pool, so one hot page fetch serves many
+/// requests.
 ///
-/// Pipeline: Submit() stamps the request's region (the data page that
-/// the store's RegionOf gives its origin node, i.e. its connectivity
-/// cluster), passes per-tenant
+/// Pipeline: Submit() checks that the store Contains the request's origin
+/// node (an unstored origin is rejected NotFound), passes per-tenant
 /// admission control (token-bucket rate limit, bounded global and
 /// per-tenant queue depth — rejections are typed Overloaded), and enqueues
 /// it on the service's one run queue, a deficit-round-robin scheduler.
-/// Every idle worker pops from that queue: the next tenant's request plus
-/// every queued request touching the same region (up to max_batch), and
-/// runs each request through its ordinary single-query operator back to
-/// back — so the region-page fetch that the first request pays is a
-/// buffer hit for the rest. The queue is work-conserving: no worker
-/// sleeps while a request is queued.
+/// Every idle worker pops the next tenant's request from that queue and
+/// runs it alone through its ordinary single-query operator, under the
+/// request's own deadline. The queue is work-conserving: no worker sleeps
+/// while a request is queued.
 ///
 /// Admission prefetch: a request that Submit admits behind busy workers
 /// (more requests queued than workers idle) has its operator's leading
@@ -105,16 +99,14 @@ struct QueryServiceOptions {
 class QueryService {
  public:
   /// Serves `store`: every worker and the prefetch thread own one of its
-  /// read sessions. Over a NetworkFile they are QuerySessions. Over a
-  /// SnapshotManager they are SnapshotSessions, each pinned to one
-  /// published version and refreshed only between batches (the prefetch
-  /// session before each round): an in-flight batch keeps its version
-  /// across a concurrent swap, which is the session-drain contract the
-  /// reorganizer's retirement waits on. Regions are stamped against the
-  /// version current at submit time; a request executed after a swap may
-  /// carry a page id of the older layout, which degrades only batching,
-  /// never results. Mutations and background reorganizations may run
-  /// concurrently with serving.
+  /// read sessions. Over a NetworkFile they are QuerySessions, over a
+  /// ShardedNetworkFile ShardedQuerySessions. Over a SnapshotManager they
+  /// are SnapshotSessions, each pinned to one published version and
+  /// refreshed only between requests (the prefetch session before each
+  /// round): an in-flight request keeps its version across a concurrent
+  /// swap, which is the session-drain contract the reorganizer's
+  /// retirement waits on. Mutations and background reorganizations may
+  /// run concurrently with serving.
   QueryService(ReadStore* store, const QueryServiceOptions& options);
 
   ~QueryService();
@@ -126,14 +118,14 @@ class QueryService {
   /// completes with the query's response — or immediately with a typed
   /// Overloaded status when admission control refuses it (queue full,
   /// tenant over rate/depth allowance, or service shutting down), or with
-  /// the store's NotFound when the origin node is not stored.
+  /// NotFound when the store does not contain the origin node.
   ServeTicketPtr Submit(ServeRequest request);
 
   /// Stops the service. `drain` = true executes everything already
   /// queued before returning; false cancels queued-but-unstarted requests
   /// (their tickets complete with Overloaded("cancelled: ...")). Either
   /// way no new request or prefetch hint is accepted once Shutdown
-  /// begins, pending hints are dropped, in-flight batches run to
+  /// begins, pending hints are dropped, in-flight requests run to
   /// completion, and every ever-issued ticket is complete when Shutdown
   /// returns. Every thread is joined and every session closed (releasing
   /// its snapshot version pin); the session totals stay readable.
@@ -163,8 +155,8 @@ class QueryService {
                              // rejections, invalid requests, cancellations,
                              // deadline/breaker shedding
     uint64_t completed = 0;  // executed requests (any typed outcome)
-    uint64_t batches = 0;    // batches executed (incl. singletons)
-    uint64_t batched_requests = 0;  // requests that shared a batch (size>1)
+    /// Always 0; kept only so perfbench compiles; ROADMAP item 1 deletes it.
+    uint64_t batched_requests = 0;
     uint64_t shed_deadline = 0;     // of rejected: expired before execution
     uint64_t shed_breaker = 0;      // of rejected: circuit breaker open
     uint64_t retries = 0;           // re-execution attempts performed
@@ -181,9 +173,8 @@ class QueryService {
  private:
   struct Worker {
     std::unique_ptr<ReadSession> session;
-    /// Lifecycle context re-stamped per batch (deadlined subsets execute
-    /// under the tightest member deadline) and jitter stream for retry
-    /// backoff. Worker-thread-only.
+    /// Lifecycle context re-stamped per attempt of a deadlined request,
+    /// and jitter stream for retry backoff. Worker-thread-only.
     RequestContext ctx;
     Random rng;
   };
@@ -191,16 +182,13 @@ class QueryService {
   void WorkerLoop(Worker* worker);
   /// The prefetch thread: one ReadAhead of every pending hint per round.
   void PrefetchLoop();
-  void ExecuteBatch(Worker* worker, std::vector<QueuedRequest>* batch);
-  /// Executes the requests at `indices` of `batch` one by one through
-  /// their single-query operators, grouped by ServeOp in enum order and in
-  /// arrival order within an op, writing each result into `responses`.
-  /// The lifecycle context (if any) is already attached to the session.
-  static void ExecuteOps(AccessMethod* am,
-                         const std::vector<QueuedRequest>& batch,
-                         const std::vector<size_t>& indices,
-                         std::vector<ServeResponse>* responses);
-  void CancelBatch(std::vector<QueuedRequest>* batch, const char* why);
+  /// Executes one popped request (shedding it if its deadline passed in
+  /// the queue, retrying retryable failures) and fulfills its ticket.
+  void Execute(Worker* worker, QueuedRequest* item);
+  /// One attempt of `request` through its single-query operator on the
+  /// worker's session, under the request's deadline if it has one.
+  static ServeResponse Run(Worker* worker, const ServeRequest& request);
+  void CancelAll(std::vector<QueuedRequest>* items, const char* why);
   /// Sets the serve.queue_depth gauge to the run queue's depth (queue_mu_
   /// held).
   void PublishQueueDepth();
@@ -249,8 +237,6 @@ class QueryService {
   std::atomic<uint64_t> n_admitted_{0};
   std::atomic<uint64_t> n_rejected_{0};
   std::atomic<uint64_t> n_completed_{0};
-  std::atomic<uint64_t> n_batches_{0};
-  std::atomic<uint64_t> n_batched_requests_{0};
   std::atomic<uint64_t> n_shed_deadline_{0};
   std::atomic<uint64_t> n_shed_breaker_{0};
   std::atomic<uint64_t> n_retries_{0};
@@ -264,8 +250,6 @@ class QueryService {
   MetricCounter* m_rejected_rate_ = nullptr;
   MetricCounter* m_rejected_shutdown_ = nullptr;
   MetricCounter* m_completed_ = nullptr;
-  MetricCounter* m_batches_ = nullptr;
-  MetricCounter* m_batched_requests_ = nullptr;
   MetricCounter* m_shed_deadline_ = nullptr;
   MetricCounter* m_shed_breaker_ = nullptr;
   MetricCounter* m_retries_ = nullptr;
@@ -273,7 +257,6 @@ class QueryService {
   MetricHistogram* h_queue_wait_us_ = nullptr;
   MetricHistogram* h_exec_us_ = nullptr;
   MetricHistogram* h_latency_us_ = nullptr;
-  MetricHistogram* h_batch_occupancy_ = nullptr;
 };
 
 }  // namespace serve

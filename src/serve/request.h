@@ -33,9 +33,7 @@ enum class ServeOp : uint8_t {
 
 const char* ServeOpName(ServeOp op);
 
-/// One client request. The origin node anchors the request to a region
-/// (the data page that stores the origin): the scheduler uses it for
-/// same-region batching.
+/// One client request.
 struct ServeRequest {
   ServeOp op = ServeOp::kRouteEval;
   /// Paying tenant (admission control and fair scheduling are per-tenant).
@@ -53,11 +51,12 @@ struct ServeRequest {
   /// (RequestContext::NowMicros scale); 0 = no deadline. An expired
   /// request is shed at admission or dequeue with a typed
   /// DeadlineExceeded rejection; one that expires mid-execution unwinds
-  /// cooperatively with the same status (the batch runs under the
-  /// tightest deadline of its deadlined members).
+  /// cooperatively with the same status. Each request runs under its own
+  /// deadline alone.
   int64_t deadline_us = 0;
 
-  /// The node whose data page defines the request's region.
+  /// The node the request's first read starts from: admission rejects a
+  /// request whose store does not contain it.
   NodeId Origin() const {
     if (op == ServeOp::kAggregate) {
       return unit.edges.empty() ? kInvalidNodeId : unit.edges.front().first;
@@ -68,17 +67,17 @@ struct ServeRequest {
 
 /// Completion record of one request. The semantic payload (`cost`,
 /// `num_edges`, `path`) is whatever the underlying driver produced, flattened
-/// so the equivalence oracle can compare batched and unbatched runs
-/// field by field.
+/// so the equivalence oracle can compare served and serial runs field by
+/// field.
 struct ServeResponse {
   Status status;
   double cost = 0.0;        // total route / path / aggregate edge cost
   uint64_t num_edges = 0;   // edges traversed / aggregated
   std::vector<NodeId> path;  // kAStar / kHierarchy only
-  /// Accounting: microseconds queued before execution started, and the
-  /// occupancy of the region batch this request executed in (1 = ran
-  /// alone; rejected requests report 0).
+  /// Accounting: microseconds queued before execution started.
   uint64_t queue_us = 0;
+  /// 1 when executed, 0 when rejected.
+  /// Kept only so perfbench compiles; ROADMAP item 1 deletes it.
   uint32_t batch_size = 0;
   /// Completion time on the service's steady-microsecond clock
   /// (QueryService::NowMicros scale). A client that timestamps Submit on

@@ -6,129 +6,46 @@ namespace ccam {
 namespace serve {
 
 void DrrScheduler::Enqueue(QueuedRequest item) {
-  TenantQueue& q = tenants_[item.request.tenant];
-  if (!q.in_ring) {
-    q.in_ring = true;
-    ring_.push_back(item.request.tenant);
-  }
-  q.items.push_back(std::move(item));
+  std::deque<QueuedRequest>& q = tenants_[item.request.tenant];
+  if (q.empty()) ring_.push_back(item.request.tenant);
+  q.push_back(std::move(item));
   ++depth_;
 }
 
-DrrScheduler::TenantQueue* DrrScheduler::NextEligibleTenant() {
-  while (depth_ > 0 && !ring_.empty()) {
-    if (cursor_ >= ring_.size()) cursor_ = 0;
-    TenantQueue& q = tenants_[ring_[cursor_]];
-    if (q.items.empty()) {
-      // Drained between turns: leaves the ring, deficit resets (the
-      // classic DRR rule — an idle tenant banks no credit).
-      q.in_ring = false;
-      q.deficit = 0;
-      ring_.erase(ring_.begin() + cursor_);
-      turn_started_ = false;
-      continue;
-    }
-    if (!turn_started_) {
-      q.deficit += quantum_;
-      turn_started_ = true;
-    }
-    if (q.deficit >= 1) return &q;
-    // Still paying off a cross-tenant batching debt: skip this round,
-    // carrying the deficit; quantum accrues again on the next visit.
-    ++cursor_;
-    turn_started_ = false;
-  }
-  return nullptr;
-}
-
-size_t DrrScheduler::PopBatch(size_t max_batch,
-                              std::vector<QueuedRequest>* out) {
-  TenantQueue* q = NextEligibleTenant();
-  if (q == nullptr) return 0;
-  QueuedRequest head = std::move(q->items.front());
-  q->items.pop_front();
+bool DrrScheduler::Pop(QueuedRequest* out) {
+  if (ring_.empty()) return false;
+  if (cursor_ >= ring_.size()) cursor_ = 0;
+  if (turn_left_ == 0) turn_left_ = quantum_;  // the tenant's turn starts
+  std::deque<QueuedRequest>& q = tenants_[ring_[cursor_]];
+  *out = std::move(q.front());
+  q.pop_front();
   --depth_;
-  q->deficit -= 1;
-  PageId region = head.region;
-  out->push_back(std::move(head));
-  size_t popped = 1;
-  if (max_batch > 1) {
-    popped += PopSameRegion(region, max_batch - 1, out);
-  }
-  // The turn ends when the tenant's allowance or queue is exhausted;
-  // otherwise the next PopBatch continues it without re-adding quantum.
-  // (PopSameRegion may already have drained and unlinked the tenant, in
-  // which case the cursor has moved on and must not advance again.)
-  if (q->in_ring && (q->items.empty() || q->deficit < 1)) {
+  --turn_left_;
+  if (q.empty()) {
+    // Drained: the tenant leaves the ring and banks nothing; the cursor
+    // now names the next tenant.
+    ring_.erase(ring_.begin() + cursor_);
+    turn_left_ = 0;
+  } else if (turn_left_ == 0) {
     ++cursor_;
-    turn_started_ = false;
   }
-  CompactRing();
-  return popped;
-}
-
-size_t DrrScheduler::PopSameRegion(PageId region, size_t max,
-                                   std::vector<QueuedRequest>* out) {
-  if (max == 0 || depth_ == 0 || ring_.empty()) return 0;
-  size_t popped = 0;
-  const size_t n = ring_.size();
-  const size_t start = cursor_ < n ? cursor_ : 0;
-  for (size_t i = 0; i < n && popped < max; ++i) {
-    TenantQueue& q = tenants_[ring_[(start + i) % n]];
-    for (auto it = q.items.begin(); it != q.items.end() && popped < max;) {
-      if (it->region == region) {
-        out->push_back(std::move(*it));
-        it = q.items.erase(it);
-        --depth_;
-        q.deficit -= 1;  // batching ahead of turn is charged, not free
-        ++popped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  CompactRing();
-  return popped;
+  return true;
 }
 
 void DrrScheduler::DrainAll(std::vector<QueuedRequest>* out) {
-  for (auto& [tenant, q] : tenants_) {
-    (void)tenant;
-    while (!q.items.empty()) {
-      out->push_back(std::move(q.items.front()));
-      q.items.pop_front();
-      --depth_;
-    }
-    q.in_ring = false;
-    q.deficit = 0;
+  for (uint32_t tenant : ring_) {
+    for (QueuedRequest& item : tenants_[tenant]) out->push_back(std::move(item));
+    tenants_[tenant].clear();
   }
   ring_.clear();
   cursor_ = 0;
-  turn_started_ = false;
+  turn_left_ = 0;
+  depth_ = 0;
 }
 
 size_t DrrScheduler::TenantDepth(uint32_t tenant) const {
   auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.items.size();
-}
-
-void DrrScheduler::CompactRing() {
-  for (size_t i = 0; i < ring_.size();) {
-    TenantQueue& q = tenants_[ring_[i]];
-    if (!q.items.empty()) {
-      ++i;
-      continue;
-    }
-    q.in_ring = false;
-    q.deficit = 0;
-    if (i < cursor_) {
-      --cursor_;
-    } else if (i == cursor_) {
-      turn_started_ = false;
-    }
-    ring_.erase(ring_.begin() + i);
-  }
-  if (cursor_ >= ring_.size()) cursor_ = 0;
+  return it == tenants_.end() ? 0 : it->second.size();
 }
 
 }  // namespace serve

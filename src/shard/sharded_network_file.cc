@@ -313,6 +313,10 @@ std::unique_ptr<ShardedQuerySession> ShardedNetworkFile::OpenSession() {
   return std::make_unique<ShardedQuerySession>(this);
 }
 
+std::unique_ptr<ReadSession> ShardedNetworkFile::OpenReadSession() {
+  return OpenSession();
+}
+
 void ShardedNetworkFile::SetMetrics(MetricsRegistry* metrics) {
   metrics_ = metrics;
   for (const auto& shard : shards_) shard->SetMetrics(metrics);

@@ -87,7 +87,10 @@ struct ShardedOptions {
 /// input, same seed, same page ids, same disk layout — the differential
 /// oracle compares results and IoStats bit-for-bit against the unsharded
 /// baseline.
-class ShardedNetworkFile {
+///
+/// As a ReadStore it is served like any other store: a QueryService over
+/// it runs every request through facade sessions.
+class ShardedNetworkFile : public ReadStore {
  public:
   explicit ShardedNetworkFile(const ShardedOptions& options);
   ~ShardedNetworkFile();
@@ -138,6 +141,12 @@ class ShardedNetworkFile {
   /// per-file session. One session per thread; any number of sessions may
   /// run concurrently.
   std::unique_ptr<ShardedQuerySession> OpenSession();
+
+  /// ReadStore: the same session, and whether some shard owns `id`.
+  std::unique_ptr<ReadSession> OpenReadSession() override;
+  bool Contains(NodeId id) override {
+    return router_.ShardOf(id) != ShardRouter::kInvalidShard;
+  }
 
   /// Attaches `metrics` to every shard file (their disk./buffer_pool.*
   /// series aggregate across shards), the router ("shard.router.*"), and

@@ -40,11 +40,7 @@ Status RenameFile(const std::string& from, const std::string& to) {
 // --- SnapshotVersion --------------------------------------------------------
 
 SnapshotVersion::SnapshotVersion(uint64_t id, std::unique_ptr<Ccam> file)
-    : id_(id), file_(std::move(file)) {
-  for (const auto& kv : file_->PageMap()) {
-    lowest_page_ = std::min(lowest_page_, kv.second);
-  }
-}
+    : id_(id), file_(std::move(file)) {}
 
 std::vector<NodeId> SnapshotVersion::LiveNodeIds() const {
   const NodePageMap& base = file_->PageMap();
@@ -657,29 +653,13 @@ uint64_t SnapshotManager::NextLsn() const {
   return next_lsn_;
 }
 
-Result<PageId> SnapshotManager::RegionOf(NodeId id) {
+bool SnapshotManager::Contains(NodeId id) {
   // The published version's page map is immutable and its overlay has
   // its own lock, so neither a writer nor a swap holding mu_ delays this.
   std::shared_lock<std::shared_mutex> lock(current_mu_);
-  const NodePageMap& base = current_->file()->PageMap();
   std::optional<NodeRecord> overlay;
-  if (current_->OverlayLookup(id, &overlay)) {
-    if (!overlay.has_value()) {
-      return Status::NotFound("node " + std::to_string(id));
-    }
-    auto it = base.find(id);
-    if (it != base.end()) return it->second;
-    // Overlay-only node (inserted since this version published). Any
-    // allocated page works as a region hint — batching, never
-    // correctness — so use the lowest for determinism.
-    if (current_->lowest_page() == kInvalidPageId) {
-      return Status::NotFound("snapshot store has no data pages");
-    }
-    return current_->lowest_page();
-  }
-  auto it = base.find(id);
-  if (it == base.end()) return Status::NotFound("node " + std::to_string(id));
-  return it->second;
+  if (current_->OverlayLookup(id, &overlay)) return overlay.has_value();
+  return current_->file()->PageMap().count(id) > 0;
 }
 
 // --- SnapshotManager: reorganization ---------------------------------------

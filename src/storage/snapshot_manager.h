@@ -45,10 +45,6 @@ class SnapshotVersion {
   uint64_t id() const { return id_; }
   Ccam* file() const { return file_.get(); }
 
-  /// Lowest data page of the base image (kInvalidPageId if it has none):
-  /// the region hint for overlay-only nodes, computed once at construction.
-  PageId lowest_page() const { return lowest_page_; }
-
   /// True when the overlay has an entry for `id` (then `*out` is the
   /// overlay record, nullopt for a tombstone).
   bool OverlayLookup(NodeId id, std::optional<NodeRecord>* out) const {
@@ -87,7 +83,6 @@ class SnapshotVersion {
 
   uint64_t id_;
   std::unique_ptr<Ccam> file_;
-  PageId lowest_page_ = kInvalidPageId;
   mutable std::shared_mutex overlay_mu_;
   std::unordered_map<NodeId, std::optional<NodeRecord>> overlay_;
   std::atomic<uint64_t> refs_{0};
@@ -173,7 +168,7 @@ class SnapshotManager : public ReadStore {
   /// thread, like QuerySession; any number of sessions run concurrently
   /// with mutations and reorganizations.
   std::unique_ptr<SnapshotSession> OpenSession();
-  /// ReadStore: the same session, and RegionOf below.
+  /// ReadStore: the same session, and Contains below.
   std::unique_ptr<ReadSession> OpenReadSession() override;
 
   /// --- Reorganization ----------------------------------------------------
@@ -215,13 +210,11 @@ class SnapshotManager : public ReadStore {
   /// Next log sequence number (1 + the last acknowledged mutation's lsn).
   uint64_t NextLsn() const;
 
-  /// The data page anchoring `id`'s region in the current version: its
-  /// base-image page, or the image's first page for nodes that exist only
-  /// in the overlay (a placement hint for the serving layer's batching —
-  /// never a correctness input). NotFound for absent or deleted nodes.
+  /// True when the current version holds `id`: the overlay's entry if it
+  /// has one (a tombstone is absent), else the base image's page map.
   /// Like CurrentVersionId, it does not take the manager lock, so the
   /// serving layer's Submit never waits behind a write or a swap.
-  Result<PageId> RegionOf(NodeId id) override;
+  bool Contains(NodeId id) override;
 
   /// The authoritative logical network (the differential oracle's
   /// reference). Call while no mutation is in flight.
@@ -308,7 +301,7 @@ class SnapshotManager : public ReadStore {
   Network net_;
   std::vector<std::shared_ptr<SnapshotVersion>> versions_;
   /// The published version. A swap replaces it holding both mu_ and
-  /// current_mu_; CurrentVersionId and RegionOf read it under current_mu_
+  /// current_mu_; CurrentVersionId and Contains read it under current_mu_
   /// alone, so they never wait behind a delta-log append or a publish.
   mutable std::shared_mutex current_mu_;
   std::shared_ptr<SnapshotVersion> current_;

@@ -140,15 +140,6 @@ TEST_F(CliTest, ServeRunsLoadAndConserves) {
   EXPECT_NE(res.output.find("qps"), std::string::npos);
 }
 
-TEST_F(CliTest, ServeUnbatchedStillConserves) {
-  auto res = RunCli("serve " + Common() +
-                    " --qps 300 --duration-ms 200 --workers 2 --no-batching");
-  EXPECT_EQ(res.exit_code, 0) << res.output;
-  EXPECT_NE(res.output.find("unbatched"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("conserved: yes"), std::string::npos)
-      << res.output;
-}
-
 TEST_F(CliTest, UsageOnBadCommand) {
   auto res = RunCli("frobnicate");
   EXPECT_EQ(res.exit_code, 2);

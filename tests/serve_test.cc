@@ -1,7 +1,7 @@
 // Query-serving layer tests: DRR scheduler semantics, token-bucket
-// admission, the batched-vs-unbatched equivalence oracle (with exact
-// per-session I/O conservation) over a file and a snapshot store, typed
-// rejection of an unstored origin, admission prefetch (oracle answers and
+// admission, the served-vs-serial equivalence oracle (with exact
+// per-session I/O conservation) over a file, a snapshot store and a
+// sharded file, typed rejection of an unstored origin, admission prefetch (oracle answers and
 // conservation across pool and page sizes, a short read inside a
 // prefetch batch, a cancelling shutdown with hints pending),
 // anti-starvation under a flooding tenant, work conservation of the
@@ -34,6 +34,7 @@
 #include "src/serve/loadgen.h"
 #include "src/serve/query_service.h"
 #include "src/serve/scheduler.h"
+#include "src/shard/sharded_network_file.h"
 #include "src/storage/snapshot_manager.h"
 
 namespace ccam {
@@ -71,68 +72,67 @@ std::unique_ptr<Ccam> MakeFile(const Network& net, size_t page_size,
   return am;
 }
 
-QueuedRequest MakeQueued(uint32_t tenant, PageId region) {
+QueuedRequest MakeQueued(uint32_t tenant, uint64_t seq = 0) {
   QueuedRequest item;
   item.request.tenant = tenant;
   item.request.route.nodes = {0};
-  item.region = region;
+  item.enqueue_us = seq;
   item.ticket = std::make_shared<serve::ServeTicket>();
   return item;
 }
 
 // --- DRR scheduler -------------------------------------------------------
 
-TEST(DrrSchedulerTest, BatchesShareOneRegionAndConserveDepth) {
+TEST(DrrSchedulerTest, PopConservesDepth) {
   DrrScheduler sched(/*quantum=*/8);
-  for (int i = 0; i < 3; ++i) sched.Enqueue(MakeQueued(1, 10));
-  for (int i = 0; i < 2; ++i) sched.Enqueue(MakeQueued(2, 10));
-  sched.Enqueue(MakeQueued(3, 20));
+  for (int i = 0; i < 3; ++i) sched.Enqueue(MakeQueued(1));
+  for (int i = 0; i < 2; ++i) sched.Enqueue(MakeQueued(2));
+  sched.Enqueue(MakeQueued(3));
   EXPECT_EQ(sched.depth(), 6u);
+  EXPECT_EQ(sched.TenantDepth(1), 3u);
 
-  std::vector<QueuedRequest> batch;
-  EXPECT_EQ(sched.PopBatch(16, &batch), 5u);  // all region-10 work
-  for (const QueuedRequest& item : batch) EXPECT_EQ(item.region, 10u);
-  EXPECT_EQ(sched.depth(), 1u);
-
-  batch.clear();
-  EXPECT_EQ(sched.PopBatch(16, &batch), 1u);
-  EXPECT_EQ(batch.front().region, 20u);
+  QueuedRequest item;
+  for (size_t left = 5; sched.Pop(&item); --left) {
+    EXPECT_EQ(sched.depth(), left);
+  }
   EXPECT_TRUE(sched.empty());
-  EXPECT_EQ(sched.PopBatch(16, &batch), 0u);  // empty pop leaves it alone
-  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(sched.TenantDepth(1), 0u);
+  item.request.tenant = 99;
+  EXPECT_FALSE(sched.Pop(&item));  // empty pop leaves `out` alone
+  EXPECT_EQ(item.request.tenant, 99u);
 }
 
-TEST(DrrSchedulerTest, RoundRobinAlternatesTenantsAcrossRegions) {
+TEST(DrrSchedulerTest, RoundRobinAlternatesTenants) {
   DrrScheduler sched(/*quantum=*/1);
-  // Two tenants, disjoint regions: turns must alternate.
-  for (int i = 0; i < 3; ++i) sched.Enqueue(MakeQueued(1, 100));
-  for (int i = 0; i < 3; ++i) sched.Enqueue(MakeQueued(2, 200));
+  for (int i = 0; i < 3; ++i) sched.Enqueue(MakeQueued(1));
+  for (int i = 0; i < 3; ++i) sched.Enqueue(MakeQueued(2));
   std::vector<uint32_t> order;
-  std::vector<QueuedRequest> batch;
-  while (sched.PopBatch(1, &batch) > 0) {
-    order.push_back(batch.back().request.tenant);
-    batch.clear();
-  }
+  QueuedRequest item;
+  while (sched.Pop(&item)) order.push_back(item.request.tenant);
   EXPECT_EQ(order, (std::vector<uint32_t>{1, 2, 1, 2, 1, 2}));
 }
 
-TEST(DrrSchedulerTest, CrossTenantBatchingChargesTheOwner) {
-  DrrScheduler sched(/*quantum=*/2);
-  // Tenant 2's region-10 work is batched into tenant 1's turn; tenant 2
-  // then owes deficit and tenant 3 gets served before it.
-  sched.Enqueue(MakeQueued(1, 10));
-  for (int i = 0; i < 4; ++i) sched.Enqueue(MakeQueued(2, 10));
-  sched.Enqueue(MakeQueued(2, 30));
-  sched.Enqueue(MakeQueued(3, 40));
-  std::vector<QueuedRequest> batch;
-  EXPECT_EQ(sched.PopBatch(5, &batch), 5u);  // 1's head + 4 of tenant 2
-  batch.clear();
-  ASSERT_EQ(sched.PopBatch(1, &batch), 1u);
-  EXPECT_EQ(batch.front().request.tenant, 3u);  // tenant 2 is in debt
-  batch.clear();
-  ASSERT_EQ(sched.PopBatch(1, &batch), 1u);
-  EXPECT_EQ(batch.front().request.tenant, 2u);  // debt paid off, served
-  EXPECT_TRUE(sched.empty());
+// Backlogged tenants take turns of one quantum each; the last turns are
+// what is left. Within a tenant, requests leave in arrival order.
+TEST(DrrSchedulerTest, BackloggedTenantsTakeQuantumSizedTurns) {
+  DrrScheduler sched(/*quantum=*/8);
+  for (uint64_t i = 0; i < 20; ++i) {
+    sched.Enqueue(MakeQueued(1, i));
+    sched.Enqueue(MakeQueued(2, i));
+  }
+  std::vector<std::pair<uint32_t, int>> turns;  // {tenant, requests}
+  std::map<uint32_t, uint64_t> next_seq;
+  QueuedRequest item;
+  while (sched.Pop(&item)) {
+    const uint32_t tenant = item.request.tenant;
+    EXPECT_EQ(item.enqueue_us, next_seq[tenant]++) << "tenant " << tenant;
+    if (turns.empty() || turns.back().first != tenant) {
+      turns.push_back({tenant, 0});
+    }
+    ++turns.back().second;
+  }
+  EXPECT_EQ(turns, (std::vector<std::pair<uint32_t, int>>{
+                       {1, 8}, {2, 8}, {1, 8}, {2, 8}, {1, 4}, {2, 4}}));
 }
 
 // --- Admission control ---------------------------------------------------
@@ -249,7 +249,7 @@ TEST(AdmissionControllerTest, ThreeGatesRejectTyped) {
   EXPECT_GT(admitted, 0);
 }
 
-// --- Batched vs unbatched equivalence oracle -----------------------------
+// --- Served vs serial equivalence oracle ---------------------------------
 
 serve::ServeResponse Oracle(AccessMethod* session,
                             const ServeRequest& request) {
@@ -305,26 +305,37 @@ serve::ServeResponse Oracle(AccessMethod* session,
   return response;
 }
 
-// One store behind QueryService's one constructor, with the file whose
-// disk counters the service's session reads must sum to.
+// One store behind QueryService's one constructor, with the file its
+// requests are built from and the disk counters the service's session
+// reads must sum to.
 struct ServedStore {
   std::string name;
   std::unique_ptr<Ccam> file;
   std::unique_ptr<SnapshotManager> manager;
   std::unique_ptr<SnapshotSession> pin;  // holds the store's one version
+  std::unique_ptr<ShardedNetworkFile> sharded;
   ReadStore* store = nullptr;
-  NetworkFile* disk = nullptr;  // the file, or the pinned version's file
+  /// The file, the pinned version's file, or (sharded) the unsharded file
+  /// of the same network: BuildRequestPool reads it.
+  NetworkFile* requests_from = nullptr;
+
+  /// The store's data-disk reads so far: the file's, the pinned
+  /// version's, or the shards' sum.
+  uint64_t DiskReads() const {
+    return sharded != nullptr ? sharded->DataIoStats().reads
+                              : requests_from->DataIoStats().reads;
+  }
 };
 
-// A static CCAM file (with the CH overlay when `overlay`) and a quiesced
-// snapshot store (which keeps no overlay) over the same network, page
-// size and pool size.
-std::vector<ServedStore> BothStores(const Network& net, size_t page_size,
+// A static CCAM file (with the CH overlay when `overlay`), a quiesced
+// snapshot store and a 4-shard file (neither keeps an overlay) over the
+// same network, page size and pool size.
+std::vector<ServedStore> EveryStore(const Network& net, size_t page_size,
                                     size_t pool_pages, bool overlay) {
-  std::vector<ServedStore> stores(2);
+  std::vector<ServedStore> stores(3);
   stores[0].name = "file";
   stores[0].file = MakeFile(net, page_size, pool_pages, overlay);
-  stores[0].store = stores[0].disk = stores[0].file.get();
+  stores[0].store = stores[0].requests_from = stores[0].file.get();
 
   SnapshotOptions sopt;
   sopt.am.page_size = page_size;
@@ -342,24 +353,36 @@ std::vector<ServedStore> BothStores(const Network& net, size_t page_size,
   stores[1].manager = std::move(*manager);
   stores[1].pin = stores[1].manager->OpenSession();
   stores[1].store = stores[1].manager.get();
-  stores[1].disk = stores[1].pin->version()->file();
+  stores[1].requests_from = stores[1].pin->version()->file();
+
+  ShardedOptions shopt;
+  shopt.num_shards = 4;
+  shopt.am.page_size = page_size;
+  shopt.am.buffer_pool_pages = pool_pages;
+  stores[2].name = "sharded";
+  stores[2].sharded = std::make_unique<ShardedNetworkFile>(shopt);
+  EXPECT_TRUE(stores[2].sharded->Create(net).ok());
+  stores[2].file = MakeFile(net, page_size, pool_pages, /*overlay=*/false);
+  stores[2].store = stores[2].sharded.get();
+  stores[2].requests_from = stores[2].file.get();
   return stores;
 }
 
-TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
+TEST(QueryServiceTest, ServedMatchesSerialOracleAndConservesIo) {
   Network net = TestNetwork();
   for (size_t page_size : {512u, 2048u}) {
     for (ServedStore& row :
-         BothStores(net, page_size, /*pool_pages=*/16, /*overlay=*/true)) {
+         EveryStore(net, page_size, /*pool_pages=*/16, /*overlay=*/true)) {
       SCOPED_TRACE(row.name + " page_size=" + std::to_string(page_size));
-      ASSERT_EQ(row.disk->HasHierarchy(), row.name == "file");
+      ASSERT_EQ(row.requests_from->HasHierarchy(), row.name == "file");
 
       LoadgenOptions gen;
       gen.tenants = 6;
       gen.pool_size = 600;  // 500+ mixed requests, every operation served
       gen.zipf_theta = 0.8;
       gen.seed = 7 + page_size;
-      std::vector<ServeRequest> pool = serve::BuildRequestPool(row.disk, gen);
+      std::vector<ServeRequest> pool =
+          serve::BuildRequestPool(row.requests_from, gen);
       ASSERT_EQ(pool.size(), 600u);
 
       // Serial oracle on a plain session, before the service exists.
@@ -371,8 +394,8 @@ TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
         }
       }
 
-      const IoStats disk_before = row.disk->DataIoStats();
-      const IoStats hier_before = row.disk->HierarchyIoStats();
+      const uint64_t disk_before = row.DiskReads();
+      const IoStats hier_before = row.requests_from->HierarchyIoStats();
 
       QueryServiceOptions options;
       options.num_workers = 8;
@@ -380,7 +403,8 @@ TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
       options.max_tenant_depth = 100000;
       QueryService service(row.store, options);
 
-      // Concurrent submitters, so batches genuinely mix tenants/threads.
+      // Concurrent submitters, so the queue genuinely mixes tenants and
+      // threads.
       constexpr int kSubmitters = 4;
       std::vector<std::vector<ServeTicketPtr>> tickets(kSubmitters);
       {
@@ -405,7 +429,6 @@ TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
               got.path != want.path) {
             ++mismatches;
           }
-          EXPECT_GE(got.batch_size, 1u);
         }
       }
       EXPECT_EQ(mismatches, 0u);
@@ -415,26 +438,25 @@ TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
       EXPECT_EQ(stats.submitted, pool.size());
       EXPECT_EQ(stats.completed, pool.size());
       EXPECT_EQ(stats.rejected, 0u);
-      EXPECT_GT(stats.batched_requests, 0u);  // batching actually happened
 
       // Conservation: the service's per-session counters sum exactly to
       // the store's global disk-read deltas, data and overlay alike.
       EXPECT_EQ(service.TotalSessionIoStats().reads,
-                (row.disk->DataIoStats() - disk_before).reads);
+                row.DiskReads() - disk_before);
       EXPECT_EQ(service.TotalSessionHierarchyIoStats().reads,
-                (row.disk->HierarchyIoStats() - hier_before).reads);
+                (row.requests_from->HierarchyIoStats() - hier_before).reads);
     }
   }
 }
 
-// A request whose origin the store does not hold completes at once with
-// the store's typed NotFound: rejected, and never queued or executed.
-TEST(QueryServiceTest, UnknownOriginIsRejectedNotFoundOnBothStores) {
+// A request whose origin the store does not hold completes at once with a
+// typed NotFound: rejected, and never queued or executed.
+TEST(QueryServiceTest, UnknownOriginIsRejectedNotFoundOnEveryStore) {
   Network net = TestNetwork();
   NodeId unstored = 0;
   for (NodeId id : net.NodeIds()) unstored = std::max(unstored, id + 1);
   for (ServedStore& row :
-       BothStores(net, 1024, /*pool_pages=*/16, /*overlay=*/false)) {
+       EveryStore(net, 1024, /*pool_pages=*/16, /*overlay=*/false)) {
     SCOPED_TRACE(row.name);
     QueryService service(row.store, QueryServiceOptions{});
     ServeRequest request;
@@ -451,7 +473,6 @@ TEST(QueryServiceTest, UnknownOriginIsRejectedNotFoundOnBothStores) {
     EXPECT_EQ(stats.rejected, 1u);
     EXPECT_EQ(stats.admitted, 0u);
     EXPECT_EQ(stats.completed, 0u);
-    EXPECT_EQ(stats.batches, 0u);
     EXPECT_EQ(service.TotalSessionIoStats().reads, 0u);
   }
 }
@@ -745,9 +766,9 @@ TEST(QueryServiceTest, IdleWorkerTakesQueuedRequestOfAnotherRegion) {
   Network net = TestNetwork();
   auto file = MakeFile(net, 1024, /*pool_pages=*/16, /*overlay=*/false);
 
-  // Two origins on distinct even data pages: different regions, so they
-  // cannot share a batch, yet both would land on worker 0 under a
-  // `page % 2` dispatch.
+  // Two origins on distinct even data pages: neither request's read
+  // serves the other, yet both would land on worker 0 under a `page % 2`
+  // dispatch.
   std::vector<NodeId> origins;
   PageId first_page = kInvalidPageId;
   for (const auto& [node, page] : file->PageMap()) {

@@ -14,10 +14,10 @@
 //                     [--policy first-order|second-order|higher-order]
 //   ccam_cli serve    --net map.net --image file.img [--workers 8]
 //                     [--qps 2000] [--duration-ms 1000] [--tenants 4]
-//                     [--theta 0.9] [--rate-limit 0] [--no-batching]
+//                     [--theta 0.9] [--rate-limit 0]
 //                     (open-loop load against the in-process QueryService;
 //                     reports qps, latency percentiles, reject rate,
-//                     batch occupancy, and the conservation check)
+//                     hit rate, and the conservation check)
 //   ccam_cli shard    --net map.net [--shards 4] [--routes 64]
 //                     (coarse-partitions the network into N shard files,
 //                     evaluates sample routes sharded vs unsharded, and
@@ -56,8 +56,7 @@ class Args {
  public:
   Args(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--weighted") == 0 ||
-          std::strcmp(argv[i], "--no-batching") == 0) {
+      if (std::strcmp(argv[i], "--weighted") == 0) {
         flags_[argv[i] + 2] = true;  // boolean flag, no value
         continue;
       }
@@ -313,26 +312,24 @@ int CmdServe(const Args& args) {
   options.max_queue_depth =
       static_cast<size_t>(args.GetInt("queue-depth", 1024));
   options.tenant_rate = args.GetDouble("rate-limit", 0.0);
-  if (args.GetFlag("no-batching")) options.max_batch = 1;
   serve::QueryService service(am.get(), options);
   serve::LoadReport report =
       serve::RunLoad(&service, am.get(), pool, load);
   service.Shutdown(/*drain=*/true);
 
   std::printf(
-      "served %llu/%llu requests in %.2fs (%s, %d workers, %u tenants)\n"
+      "served %llu/%llu requests in %.2fs (%d workers, %u tenants)\n"
       "  qps %.0f, p50 %llu us, p95 %llu us, p99 %llu us\n"
-      "  reject rate %.3f, failed %llu, batch occupancy %.2f, hit rate %.3f\n"
+      "  reject rate %.3f, failed %llu, hit rate %.3f\n"
       "  session reads %llu, disk reads %llu, conserved: %s\n",
       static_cast<unsigned long long>(report.completed),
       static_cast<unsigned long long>(report.submitted), report.elapsed_sec,
-      options.max_batch > 1 ? "batched" : "unbatched",
       service.num_workers(), load.tenants, report.qps,
       static_cast<unsigned long long>(report.p50_us),
       static_cast<unsigned long long>(report.p95_us),
       static_cast<unsigned long long>(report.p99_us), report.reject_rate,
       static_cast<unsigned long long>(report.failed),
-      report.mean_batch_occupancy, report.hit_rate,
+      report.hit_rate,
       static_cast<unsigned long long>(report.session_reads),
       static_cast<unsigned long long>(report.disk_reads),
       report.conserved ? "yes" : "NO");
