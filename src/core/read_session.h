@@ -94,7 +94,7 @@ class ReadSession : public AccessMethod {
   /// bookkeeping only). Call at a deliberate ownership handoff — e.g. a
   /// serving worker adopting a session that the service constructed on its
   /// own thread — never to share one session between live threads.
-  void RebindToCurrentThread() {
+  virtual void RebindToCurrentThread() {
 #ifndef NDEBUG
     bound_thread_ = std::this_thread::get_id();
 #endif

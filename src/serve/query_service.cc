@@ -87,12 +87,11 @@ QueryService::QueryService(ReadStore* store,
     workers_.push_back(std::move(w));
   }
   prefetch_session_ = store_->OpenReadSession();
-  pool_ = std::make_unique<ThreadPool>(n + 1);
+  pool_ = std::make_unique<ThreadPool>(n);
   for (auto& w : workers_) {
     Worker* wp = w.get();
     pool_->Submit([this, wp] { WorkerLoop(wp); });
   }
-  pool_->Submit([this] { PrefetchLoop(); });
 }
 
 QueryService::~QueryService() { Shutdown(/*drain=*/true); }
@@ -164,8 +163,8 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
       return reject(std::move(allow), m_shed_breaker_);
     }
   }
-  // Built before the request moves into the queue; handed to the prefetch
-  // thread only if the request waits there.
+  // Built before the request moves into the queue; issued only if the
+  // request waits there.
   std::vector<ReadHint> hints;
   AppendRequestHints(request, &hints);
   bool waits = false;  // queued behind busy workers
@@ -217,14 +216,16 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
   if (m_admitted_ != nullptr) m_admitted_->Inc();
   queue_cv_.notify_one();
   if (waits && !hints.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(prefetch_mu_);
-      if (prefetch_stop_) return ticket;
-      prefetch_hints_.insert(prefetch_hints_.end(), hints.begin(),
-                             hints.end());
+    // Issuing waits for no device: the pages land stamped, and the worker
+    // that pops the request waits only for what is still in flight. A
+    // worker refreshing the session may hold prefetch_mu_ while a writer
+    // holds the snapshot manager's lock, so Submit only tries it.
+    std::unique_lock<std::mutex> lock(prefetch_mu_, std::try_to_lock);
+    if (lock.owns_lock() && prefetch_session_ != nullptr) {
+      prefetch_session_->RebindToCurrentThread();
+      prefetch_session_->ReadAhead(hints.data(), hints.size());
+      n_prefetched_.fetch_add(1, std::memory_order_relaxed);
     }
-    n_prefetched_.fetch_add(1, std::memory_order_relaxed);
-    prefetch_cv_.notify_one();
   }
   return ticket;
 }
@@ -251,30 +252,17 @@ void QueryService::WorkerLoop(Worker* worker) {
     // executing. An in-flight request never migrates versions — the
     // refresh happens strictly between requests, with no pins held — so a
     // reader drains off a retired version one request after a swap
-    // publishes.
+    // publishes. The prefetch session moves along here too, unless Submit
+    // is issuing through it.
     worker->session->Refresh();
+    {
+      std::unique_lock<std::mutex> prefetch(prefetch_mu_, std::try_to_lock);
+      if (prefetch.owns_lock()) {
+        prefetch_session_->RebindToCurrentThread();
+        prefetch_session_->Refresh();
+      }
+    }
     Execute(worker, &item);
-    lock.lock();
-  }
-}
-
-void QueryService::PrefetchLoop() {
-  prefetch_session_->RebindToCurrentThread();
-  std::vector<ReadHint> round;
-  std::unique_lock<std::mutex> lock(prefetch_mu_);
-  for (;;) {
-    prefetch_cv_.wait(lock, [&] {
-      return prefetch_stop_ || !prefetch_hints_.empty();
-    });
-    if (prefetch_stop_) return;
-    round.swap(prefetch_hints_);
-    lock.unlock();
-    // One call per round: the queued requests' misses, oldest first, share
-    // one device wait up to the pool's window, and the rest are dropped.
-    // A snapshot session first moves to the version the workers will read.
-    prefetch_session_->Refresh();
-    prefetch_session_->ReadAhead(round.data(), round.size());
-    round.clear();
     lock.lock();
   }
 }
@@ -431,16 +419,10 @@ void QueryService::Shutdown(bool drain) {
     stop_.store(true, std::memory_order_release);
     queue_cv_.notify_all();
   }
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    prefetch_stop_ = true;
-    prefetch_hints_ = {};
-  }
-  prefetch_cv_.notify_all();
   CancelAll(&cancelled, "cancelled: service shutting down");
   // Workers exit once the queue is empty (immediately after a cancelling
-  // drain; after executing the backlog otherwise) and the prefetch thread
-  // after its round in flight; destroying the pool joins them all.
+  // drain; after executing the backlog otherwise); destroying the pool
+  // joins them all.
   pool_.reset();
   // Close every session, which releases a snapshot session's version pin;
   // its counters stay in the totals.
@@ -451,6 +433,8 @@ void QueryService::Shutdown(bool drain) {
     session->reset();
   };
   for (auto& w : workers_) retire(&w->session);
+  // A Submit admitted before stop_ may still be issuing hints.
+  std::lock_guard<std::mutex> lock(prefetch_mu_);
   retire(&prefetch_session_);
 }
 

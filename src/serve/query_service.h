@@ -75,15 +75,16 @@ struct QueryServiceOptions {
 ///
 /// Admission prefetch: a request that Submit admits behind busy workers
 /// (more requests queued than workers idle) has its operator's leading
-/// known reads queued as read-ahead hints: a route's chained hops, an
-/// aggregate's distinct unit nodes, an A* search's target and source (CH
-/// reads only the overlay and hints nothing). The service's one prefetch
-/// thread, with its own read session, takes every pending hint oldest
-/// first and issues them as one ReadAhead per round, so the misses of
-/// several queued requests share one device wait and the worker that pops
-/// a request finds its pages resident or landing. The pool's window
-/// bounds a round; hints past it are dropped. The prefetch never changes
-/// an answer or an operator's demand-order page count (see
+/// known reads issued at once as one read-ahead: a route's chained hops,
+/// an aggregate's distinct unit nodes, an A* search's target and source
+/// (CH reads only the overlay and hints nothing). Submit issues them
+/// inline through the service's one prefetch session; the read-ahead
+/// waits for no device, so the misses of several queued requests are in
+/// flight together and the worker that pops a request finds its pages
+/// resident or landing. The pool's window bounds a request's hints; hints
+/// past it are dropped, and so are all of a request's hints when another
+/// thread holds the prefetch session. The prefetch never changes an
+/// answer or an operator's demand-order page count (see
 /// IoStats::DemandAccesses).
 ///
 /// Accounting: all reads go through the service's sessions — the
@@ -98,15 +99,17 @@ struct QueryServiceOptions {
 /// Shutdown or from the owning thread).
 class QueryService {
  public:
-  /// Serves `store`: every worker and the prefetch thread own one of its
-  /// read sessions. Over a NetworkFile they are QuerySessions, over a
+  /// Serves `store` with one thread per worker: every worker owns one of
+  /// its read sessions, and the service owns one more for admission
+  /// prefetch. Over a NetworkFile they are QuerySessions, over a
   /// ShardedNetworkFile ShardedQuerySessions. Over a SnapshotManager they
   /// are SnapshotSessions, each pinned to one published version and
-  /// refreshed only between requests (the prefetch session before each
-  /// round): an in-flight request keeps its version across a concurrent
-  /// swap, which is the session-drain contract the reorganizer's
-  /// retirement waits on. Mutations and background reorganizations may
-  /// run concurrently with serving.
+  /// refreshed only between requests (the prefetch session by a worker at
+  /// its request boundary, so Submit never takes the manager's lock): an
+  /// in-flight request keeps its version across a concurrent swap, which
+  /// is the session-drain contract the reorganizer's retirement waits on.
+  /// Mutations and background reorganizations may run concurrently with
+  /// serving.
   QueryService(ReadStore* store, const QueryServiceOptions& options);
 
   ~QueryService();
@@ -124,11 +127,11 @@ class QueryService {
   /// Stops the service. `drain` = true executes everything already
   /// queued before returning; false cancels queued-but-unstarted requests
   /// (their tickets complete with Overloaded("cancelled: ...")). Either
-  /// way no new request or prefetch hint is accepted once Shutdown
-  /// begins, pending hints are dropped, in-flight requests run to
-  /// completion, and every ever-issued ticket is complete when Shutdown
-  /// returns. Every thread is joined and every session closed (releasing
-  /// its snapshot version pin); the session totals stay readable.
+  /// way no new request is accepted once Shutdown begins, in-flight
+  /// requests run to completion, and every ever-issued ticket is complete
+  /// when Shutdown returns. Every thread is joined and every session
+  /// closed (releasing its snapshot version pin); the session totals stay
+  /// readable.
   /// Idempotent; the destructor drains.
   void Shutdown(bool drain = true);
 
@@ -161,7 +164,7 @@ class QueryService {
     uint64_t shed_breaker = 0;      // of rejected: circuit breaker open
     uint64_t retries = 0;           // re-execution attempts performed
     uint64_t prefetched = 0;  // of admitted: queued behind busy workers,
-                              // their reads hinted to the prefetch thread
+                              // their reads issued ahead by Submit
   };
   Stats GetStats() const;
 
@@ -180,8 +183,6 @@ class QueryService {
   };
 
   void WorkerLoop(Worker* worker);
-  /// The prefetch thread: one ReadAhead of every pending hint per round.
-  void PrefetchLoop();
   /// Executes one popped request (shedding it if its deadline passed in
   /// the queue, retrying retryable failures) and fulfills its ticket.
   void Execute(Worker* worker, QueuedRequest* item);
@@ -218,16 +219,13 @@ class QueryService {
   size_t idle_workers_ = 0;  // workers waiting for a request (queue_mu_)
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// The prefetch thread's session and its pending hints, oldest first
-  /// (prefetch_mu_, a leaf lock). A round takes all of them, so they hold
-  /// at most the requests admitted since the last round began.
+  /// The session Submit issues admission hints through, and that workers
+  /// refresh at their request boundaries; used only under prefetch_mu_,
+  /// which Submit and the workers take only by try_lock (a worker's
+  /// refresh may wait for the snapshot manager's lock).
   std::unique_ptr<ReadSession> prefetch_session_;
   std::mutex prefetch_mu_;
-  std::condition_variable prefetch_cv_;
-  std::vector<ReadHint> prefetch_hints_;
-  bool prefetch_stop_ = false;
-  /// The worker pool: one long-lived WorkerLoop task per worker plus the
-  /// PrefetchLoop task.
+  /// The worker pool: one long-lived WorkerLoop task per worker.
   std::unique_ptr<ThreadPool> pool_;
   /// Counters of the sessions Shutdown closed.
   IoStats retired_io_;

@@ -428,6 +428,11 @@ size_t ShardedQuerySession::ReadAhead(const ReadHint* hints, size_t n) {
   return covered;
 }
 
+void ShardedQuerySession::RebindToCurrentThread() {
+  ReadSession::RebindToCurrentThread();
+  for (const auto& session : sessions_) session->RebindToCurrentThread();
+}
+
 IoStats ShardedQuerySession::DataIoStats() const {
   IoStats sum;
   for (const auto& session : sessions_) {

@@ -224,9 +224,14 @@ class ShardedQuerySession : public ReadSession {
   /// Sends each entry to the shard session that will serve its read: a
   /// Find to the owner's shard, a Get-A-successor to `from`'s shard (the
   /// halo copy it reads). Covers entries until one does not fit its
-  /// shard's pool window, then reads each shard's part as one batch, so
-  /// every shard pool sees the window demand order would fill.
+  /// shard's pool window, then issues each shard's part as one batch, so
+  /// every shard pool sees the window demand order would fill. No part
+  /// waits for the device (BufferPool::ReadAhead), so a window's parts are
+  /// in flight together and its reads wait one latency, not one per shard.
   size_t ReadAhead(const ReadHint* hints, size_t n) override;
+
+  /// Also moves every shard session to the calling thread.
+  void RebindToCurrentThread() override;
 
   const ShardRouter& router() const { return file_->router(); }
   ShardedNetworkFile* file() const { return file_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -156,6 +157,15 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
         return Status::IOError("concurrent read of page " +
                                std::to_string(id) + " failed");
       }
+      if (frame.ready_at != std::chrono::steady_clock::time_point{}) {
+        // A read-ahead issued this page without waiting for the device:
+        // wait here, pinned and off the latch, until its batch is ready.
+        const auto ready = frame.ready_at;
+        lock.unlock();
+        std::this_thread::sleep_until(ready);
+        lock.lock();
+        frame.ready_at = {};
+      }
       const bool ahead = frame.read_ahead;
       if (ahead) {
         frame.read_ahead = false;  // its load already counted the miss
@@ -179,8 +189,8 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
     if (shard.frames.size() < shard.capacity) break;
     Status evicted = EvictOneLocked(&shard);
     if (evicted.ok()) break;
-    // A read-ahead batch pins its frames only until it lands: wait for
-    // one to land rather than fail, then look again (it may hold `id`).
+    // A read-ahead batch pins its frames only while it copies them: wait
+    // for one to land rather than fail, then look again (it may hold `id`).
     if (shard.ahead_loads == 0) return evicted;
     shard.io_cv.wait(lock);
   }
@@ -286,8 +296,11 @@ void BufferPool::ReadAhead(const ReadAheadWindow& window, IoStats* io) {
   }
   if (loads.empty()) return;
   std::vector<Status> statuses(loads.size());
-  disk_->ReadPages(ids.data(), outs.data(), ids.size(), statuses.data());
-  // Land the loads; they are grouped by shard, so each latch is taken once.
+  const auto ready =
+      disk_->ReadPages(ids.data(), outs.data(), ids.size(), statuses.data());
+  // Land the loads as soon as they are copied, stamped with the batch's
+  // ready time (their first fetch waits for it); they are grouped by
+  // shard, so each latch is taken once.
   for (size_t i = 0; i < loads.size();) {
     Shard& shard = *loads[i].shard;
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -297,6 +310,7 @@ void BufferPool::ReadAhead(const ReadAheadWindow& window, IoStats* io) {
       --shard.ahead_loads;
       if (statuses[i].ok()) {
         frame.read_ahead = true;
+        frame.ready_at = ready;
         --frame.pin_count;
         ++shard.misses;
         if (m_miss_ != nullptr) m_miss_->Inc();

@@ -2,6 +2,7 @@
 #define CCAM_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -116,16 +117,21 @@ class BufferPool {
     std::vector<PageId> pages_;      // distinct, first-touch order
   };
 
-  /// Reads `window` ahead. In first-touch order it moves the window's
-  /// resident pages to MRU and reserves frames for the missing ones,
-  /// evicting through the normal victim rule, then reads the missing pages
-  /// in one disk batch. Each load counts as a miss, charged to `io` when
-  /// given; the first fetch of a loaded page then scores neither a hit nor
-  /// a miss (FetchPage reports it in `was_ahead`). A page whose batch read
-  /// fails is charged to nobody, and its fetch re-reads it through the
-  /// usual retry and quarantine path: the page is dropped, or, when
-  /// fetches from other threads already wait for it, the first of them
-  /// reads it as its own miss. Quarantined pages are skipped.
+  /// Reads `window` ahead without waiting for the device. In first-touch
+  /// order it moves the window's resident pages to MRU and reserves frames
+  /// for the missing ones, evicting through the normal victim rule, then
+  /// issues the missing pages as one disk batch. The frames land unpinned
+  /// as soon as the batch is copied, stamped with its ready time; a fetch
+  /// of a stamped frame waits, pinned and off the shard latch, until that
+  /// time. So the batches of several windows or shards are in flight
+  /// together, and a stamped frame nobody fetched is evictable. Each load
+  /// counts as a miss at issue, charged to `io` when given; the first fetch
+  /// of a loaded page then scores neither a hit nor a miss (FetchPage
+  /// reports it in `was_ahead`). A page whose batch read fails is charged
+  /// to nobody, and its fetch re-reads it through the usual retry and
+  /// quarantine path: the page is dropped, or, when fetches from other
+  /// threads already wait for it, the first of them reads it as its own
+  /// miss. Quarantined pages are skipped.
   ///
   /// LRU only: with at most a shard's capacity of distinct pages per
   /// window, every demand miss would have evicted an untouched resident
@@ -221,6 +227,9 @@ class BufferPool {
     bool io_failed = false;   // the miss read failed; frame is unusable
     bool read_ahead = false;  // loaded ahead, not fetched since (counted)
     bool reread = false;  // its read-ahead load failed with fetches waiting
+    /// Ready time of the read-ahead batch that loaded the frame; fetches
+    /// wait until it. The epoch once a fetch has waited.
+    std::chrono::steady_clock::time_point ready_at{};
     Frame* prev = nullptr;
     Frame* next = nullptr;
   };
@@ -239,7 +248,7 @@ class BufferPool {
     Frame* tail = nullptr;
     Frame* hand = nullptr;  // CLOCK hand (null = start at head)
     size_t capacity = 0;
-    size_t ahead_loads = 0;  // read-ahead frames pinned until they land
+    size_t ahead_loads = 0;  // read-ahead frames pinned while copied
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t ahead_misses = 0;

@@ -130,17 +130,23 @@ Status DiskManager::FreePage(PageId id) {
 
 Status DiskManager::ReadPage(PageId id, char* out) {
   Status status;
-  ReadPages(&id, &out, 1, &status);
+  // Waited for outside the structure lock, so in-flight reads overlap.
+  const auto ready = ReadPages(&id, &out, 1, &status);
+  if (ready != std::chrono::steady_clock::time_point{}) {
+    std::this_thread::sleep_until(ready);
+  }
   return status;
 }
 
-void DiskManager::ReadPages(const PageId* ids, char* const* outs, size_t n,
-                            Status* statuses) {
+std::chrono::steady_clock::time_point DiskManager::ReadPages(
+    const PageId* ids, char* const* outs, size_t n, Status* statuses) {
+  using Clock = std::chrono::steady_clock;
   // Metric handles are written only while the device is quiescent (attach
-  // time), like the fault injector; the clock is read only when attached.
+  // time), like the fault injector; the clock is read only when needed.
   MetricHistogram* read_hist = m_read_us_;
-  std::chrono::steady_clock::time_point t0;
-  if (read_hist != nullptr) t0 = std::chrono::steady_clock::now();
+  const uint32_t latency = read_latency_us_.load(std::memory_order_relaxed);
+  Clock::time_point t0;
+  if (read_hist != nullptr) t0 = Clock::now();
   size_t done = 0;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -149,20 +155,19 @@ void DiskManager::ReadPages(const PageId* ids, char* const* outs, size_t n,
       if (statuses[i].ok()) ++done;
     }
   }
-  if (done == 0) return;
-  // Latency is modeled outside the lock so in-flight reads overlap, and
-  // once per batch: the batch's pages are queued at the device together.
-  uint32_t latency = read_latency_us_.load(std::memory_order_relaxed);
-  if (latency != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(latency));
-  }
+  if (done == 0) return {};
+  // One latency per batch: the batch's pages are queued at the device
+  // together. Without latency the batch is ready once copied.
+  Clock::time_point ready{};
+  if (latency != 0) ready = Clock::now() + std::chrono::microseconds(latency);
   if (read_hist != nullptr) {
+    const Clock::time_point end = latency != 0 ? ready : Clock::now();
     const auto elapsed = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
+        std::chrono::duration_cast<std::chrono::microseconds>(end - t0)
             .count());
     for (size_t i = 0; i < done; ++i) read_hist->Record(elapsed);
   }
+  return ready;
 }
 
 Status DiskManager::ReadLocked(PageId id, char* out) {

@@ -2,6 +2,7 @@
 #define CCAM_STORAGE_DISK_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
@@ -74,16 +75,23 @@ class DiskManager {
   /// An injected short read copies only a prefix and fills the tail of
   /// `out` with 0xCD; only complete transfers count toward the I/O stats.
   /// With checksum verification enabled, a page whose content does not
-  /// match its seal fails with Corruption naming the page id.
+  /// match its seal fails with Corruption naming the page id. Returns once
+  /// the page is ready: ReadPages of one page, then a sleep until its ready
+  /// time.
   Status ReadPage(PageId id, char* out);
 
-  /// Reads `n` pages as one batch: page `ids[i]` into `outs[i]`, with its
-  /// outcome in `statuses[i]`. Each page goes through ReadPage's copy,
-  /// failpoint, seal and counting steps (a failed page does not stop the
-  /// rest), then the simulated latency is slept once for the whole batch.
-  /// Read-ahead uses this to overlap the misses of a known access sequence.
-  void ReadPages(const PageId* ids, char* const* outs, size_t n,
-                 Status* statuses);
+  /// Issues `n` page reads as one batch without waiting for the device:
+  /// page `ids[i]` into `outs[i]`, with its outcome in `statuses[i]`. Each
+  /// page goes through the copy, failpoint, seal and counting steps (a
+  /// failed page does not stop the rest). Returns the batch's ready time,
+  /// issue + one simulated latency however many pages it holds; the
+  /// caller must not use the pages before it. A batch whose reads all
+  /// failed, or a device without latency, is ready at once (the epoch).
+  /// Read-ahead uses this to keep the misses of a known access sequence in
+  /// flight together.
+  std::chrono::steady_clock::time_point ReadPages(const PageId* ids,
+                                                  char* const* outs, size_t n,
+                                                  Status* statuses);
 
   /// Overwrites the page from `in` (page_size bytes). Counts a write.
   /// An injected torn write persists only a prefix (the page keeps its old
@@ -116,12 +124,14 @@ class DiskManager {
   /// that must not perturb experiment counters.
   void RestoreStats(const IoStats& snapshot);
 
-  /// Models disk latency for throughput experiments: every ReadPage, and
-  /// every ReadPages batch as a whole, sleeps this long *after* releasing
-  /// the structure lock, so concurrent misses overlap like requests queued
-  /// at a real device and a batch costs one latency however many pages it
-  /// holds. A call whose reads all failed does not sleep. 0 (the default)
-  /// keeps reads instantaneous; accounting is identical either way.
+  /// Models disk latency for throughput experiments. A read is issued
+  /// (copied) at once and becomes ready this long later: ReadPages returns
+  /// that ready time without waiting, ReadPage waits for it *after*
+  /// releasing the structure lock. So concurrent misses overlap like
+  /// requests queued at a real device, and a batch costs one latency
+  /// however many pages it holds. A call whose reads all failed is ready
+  /// at once. 0 (the default) keeps reads instantaneous; accounting is
+  /// identical either way.
   void SetSimulatedReadLatencyMicros(uint32_t micros) {
     read_latency_us_.store(micros, std::memory_order_relaxed);
   }
@@ -138,8 +148,9 @@ class DiskManager {
   /// "<prefix>.read" / "<prefix>.write" / "<prefix>.alloc" /
   /// "<prefix>.free" counters and feed "<prefix>.read_us" /
   /// "<prefix>.write_us" latency histograms (prefix as per
-  /// SetFailpointPrefix, default "disk"); a ReadPages batch records its
-  /// elapsed time once per page it read. Detached (the default), every
+  /// SetFailpointPrefix, default "disk"). A read records issue -> ready
+  /// time, once per page read, whether or not the caller waits for it: the
+  /// copy plus the simulated latency. Detached (the default), every
   /// instrumentation site is one null-pointer test — the simulated I/O
   /// accounting the paper's tables are built on is untouched either way.
   void SetMetrics(MetricsRegistry* metrics);

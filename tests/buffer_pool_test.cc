@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -466,6 +467,67 @@ TEST(BufferPoolReadAheadTest, FailedBatchReadIsReReadByAWaitingFetch) {
   EXPECT_EQ(pool.misses(), 2u);
   EXPECT_EQ(pool.PinCount(a), 0);
   EXPECT_EQ(faults.FiringLog().size(), 1u);
+}
+
+// ReadAhead issues its batch and returns without waiting for the device.
+// The first fetch of a loaded page waits for the batch's ready time, and
+// every counter reads as it would had the call waited.
+TEST(BufferPoolReadAheadTest, IssueReturnsBeforeTheBatchIsReady) {
+  DiskManager disk(64);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(*disk.AllocatePage());
+  disk.SetSimulatedReadLatencyMicros(40000);
+  BufferPool pool(&disk, 4, ReplacementPolicy::kLru, 1);
+  IoStats io;
+  const auto issue = std::chrono::steady_clock::now();
+  EXPECT_EQ(ReadAhead(&pool, ids, &io), 3u);
+  EXPECT_LT(std::chrono::steady_clock::now() - issue,
+            std::chrono::milliseconds(20));
+  // Charged at issue.
+  EXPECT_EQ(io.reads, 3u);
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(disk.stats().reads, 3u);
+  for (PageId id : ids) EXPECT_EQ(pool.PinCount(id), 0);
+
+  bool was_miss = true;
+  bool was_ahead = false;
+  ASSERT_TRUE(pool.FetchPage(ids[0], &was_miss, &was_ahead).ok());
+  EXPECT_GE(std::chrono::steady_clock::now() - issue,
+            std::chrono::milliseconds(40));
+  EXPECT_FALSE(was_miss);
+  EXPECT_TRUE(was_ahead);
+  ASSERT_TRUE(pool.UnpinPage(ids[0], false).ok());
+  for (PageId id : {ids[1], ids[2], ids[0]}) {
+    ASSERT_TRUE(pool.FetchPage(id, &was_miss, &was_ahead).ok());
+    EXPECT_FALSE(was_miss);
+    EXPECT_EQ(was_ahead, id != ids[0]);
+    ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  }
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(pool.GetCounters().ahead_misses, 3u);
+  EXPECT_EQ(disk.stats().reads, 3u);
+}
+
+// A stamped frame is not pinned: on a one-frame shard whose frame is a
+// read-ahead load nobody fetched yet, a fetch of another page evicts it.
+TEST(BufferPoolReadAheadTest, FetchOnAShardOfStampedFramesEvictsOne) {
+  DiskManager disk(64);
+  const PageId a = *disk.AllocatePage();
+  const PageId b = *disk.AllocatePage();
+  disk.SetSimulatedReadLatencyMicros(40000);
+  BufferPool pool(&disk, 1, ReplacementPolicy::kLru, 1);
+  IoStats io;
+  EXPECT_EQ(ReadAhead(&pool, {a}, &io), 1u);
+  ASSERT_TRUE(pool.Contains(a));
+  bool was_miss = false;
+  auto res = pool.FetchPage(b, &was_miss);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_TRUE(was_miss);
+  EXPECT_FALSE(pool.Contains(a));
+  ASSERT_TRUE(pool.UnpinPage(b, false).ok());
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(disk.stats().reads, 2u);
 }
 
 }  // namespace

@@ -616,7 +616,7 @@ TEST(QueryServicePrefetchTest, ShortReadInAPrefetchBatchLeavesAnswersExact) {
   QueryService service(file.get(), options);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   // The one worker sleeps in the blocker's overlay reads, 20 ms each, so
-  // the routes queue and the prefetch thread is the data disk's only
+  // the routes queue and Submit's prefetch is the data disk's only
   // reader: the first data read after arming is in its batch.
   ServeTicketPtr first = service.Submit(blocker);
   while (file->hierarchy()->disk()->stats().reads == 0) {
@@ -630,7 +630,7 @@ TEST(QueryServicePrefetchTest, ShortReadInAPrefetchBatchLeavesAnswersExact) {
     tickets.push_back(service.Submit(request));
   }
   // The faulted read happens while the worker is still inside the
-  // blocker: the prefetch thread made it.
+  // blocker: Submit's prefetch made it.
   while (faults.HitCount("disk.read") == 0) std::this_thread::yield();
   EXPECT_FALSE(first->done());
   const ServeResponse& b = first->Wait();
@@ -681,8 +681,8 @@ TEST(QueryServicePrefetchTest, CancellingShutdownWithHintsPendingNeverHangs) {
   QueryService::Stats stats = service.GetStats();
   EXPECT_GT(stats.prefetched, 0u);
   EXPECT_EQ(stats.completed + stats.rejected, pool.size());
-  // The prefetch thread is joined: nothing reads after Shutdown returns,
-  // and every read, prefetch loads included, is charged to a session.
+  // Every worker is joined: nothing reads after Shutdown returns, and
+  // every read, prefetch loads included, is charged to a session.
   const uint64_t reads = (file->DataIoStats() - disk_before).reads;
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ((file->DataIoStats() - disk_before).reads, reads);

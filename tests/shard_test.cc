@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -33,6 +34,7 @@
 #include "src/core/query_session.h"
 #include "src/graph/generator.h"
 #include "src/graph/route.h"
+#include "src/query/route_eval.h"
 #include "src/query/search.h"
 #include "src/query/spatial.h"
 #include "src/shard/shard_query.h"
@@ -570,6 +572,51 @@ TEST(ShardReadAheadTest, FacadeMatchesDemandOrderExactly) {
       }
     }
   }
+}
+
+// A window whose hints reach two shards issues both shards' parts without
+// waiting, so its reads wait for the device once, not once per shard.
+TEST(ShardReadAheadTest, WindowAcrossShardsWaitsOnce) {
+  const Network& net = PaperNet();
+  auto file = MakeSharded(net, 2);
+  const ShardRouter& router = file->router();
+  auto shard_of = [&](const ReadHint& hint) {
+    return router.ShardOf(hint.from == kInvalidNodeId ? hint.node : hint.from);
+  };
+  constexpr uint32_t kLatencyUs = 40000;
+  for (uint32_t s = 0; s < 2; ++s) {
+    file->shard(s)->disk()->SetSimulatedReadLatencyMicros(kLatencyUs);
+  }
+  auto session = file->OpenSession();
+  bool tried = false;
+  for (const Route& route : OracleRoutes(net, 200, 27)) {
+    std::vector<ReadHint> hints;
+    AppendRouteHints(route, &hints);
+    std::set<uint32_t> owners;
+    for (const ReadHint& hint : hints) owners.insert(shard_of(hint));
+    if (owners.size() < 2) continue;
+    ResetShards(file.get(), session.get());
+    const auto start = std::chrono::steady_clock::now();
+    const size_t covered = session->ReadAhead(hints.data(), hints.size());
+    const uint64_t loaded = file->DataIoStats().reads;
+    std::set<uint32_t> window_shards;
+    for (size_t i = 0; i < covered; ++i) {
+      window_shards.insert(shard_of(hints[i]));
+      auto read = hints[i].from == kInvalidNodeId
+                      ? session->Find(hints[i].node)
+                      : session->GetASuccessor(hints[i].from, hints[i].node);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    if (window_shards.size() < 2) continue;
+    tried = true;
+    // Every read of the window was loaded by it.
+    EXPECT_EQ(file->DataIoStats().reads, loaded);
+    EXPECT_GE(elapsed, std::chrono::microseconds(kLatencyUs));
+    EXPECT_LT(elapsed, std::chrono::microseconds(kLatencyUs * 3 / 2));
+    break;
+  }
+  EXPECT_TRUE(tried);
 }
 
 

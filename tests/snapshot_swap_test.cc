@@ -890,7 +890,11 @@ TEST(SnapshotServeTest, EmptyBaseStoreServesOverlayOnlyNodes) {
 // Submit checks a request's origin and every session refresh checks the
 // version without the manager lock, which a writer holds across its
 // delta-log append and a swap across its publish: a request submitted
-// while the lock is held elsewhere is admitted and served.
+// while the lock is held elsewhere is admitted and served. After a swap
+// every session of the service is stale, and moving one to the new
+// version takes the lock: the workers wait for it at their request
+// boundaries, but Submit, which issues hints through the service's own
+// session, still never does.
 TEST(SnapshotServeTest, SubmitNeverWaitsForTheManagerLock) {
   SnapshotOptions sopt = OptionsFor("ccam_serve_lock_store");
   const Network net = ReadAheadMap();
@@ -902,34 +906,58 @@ TEST(SnapshotServeTest, SubmitNeverWaitsForTheManagerLock) {
   serve::QueryServiceOptions options;
   options.num_workers = 2;
   serve::QueryService service(store, options);
-  std::vector<serve::ServeTicketPtr> tickets;
-  bool submitted = false;
-  bool served = false;
-  {
+  // Submits the workload while the manager lock is held; true when every
+  // Submit returned. With `served` given, it also reports whether every
+  // request was answered before the lock is released.
+  auto submit_held = [&](std::vector<serve::ServeTicketPtr>* tickets,
+                         bool* served) {
+    bool submitted = false;
     std::unique_lock<std::mutex> held = SnapshotManagerTestPeer::Lock(store);
     auto submit = std::async(std::launch::async, [&] {
       for (const serve::ServeRequest& request : w.requests) {
-        tickets.push_back(service.Submit(request));
+        tickets->push_back(service.Submit(request));
       }
     });
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     submitted = submit.wait_until(deadline) == std::future_status::ready;
-    while (submitted && !served &&
+    if (served != nullptr) *served = false;
+    while (submitted && served != nullptr && !*served &&
            std::chrono::steady_clock::now() < deadline) {
-      served = true;
-      for (const auto& ticket : tickets) served = served && ticket->done();
-      if (!served) std::this_thread::yield();
+      *served = true;
+      for (const auto& ticket : *tickets) {
+        *served = *served && ticket->done();
+      }
+      if (!*served) std::this_thread::yield();
     }
     held.unlock();
-  }  // a blocked Submit finishes here, so the test fails instead of hanging
-  EXPECT_TRUE(submitted);
+    // A blocked Submit finishes once the lock is released, so the test
+    // fails instead of hanging.
+    submit.wait();
+    return submitted;
+  };
+  auto expect_answers = [&](const std::vector<serve::ServeTicketPtr>& t) {
+    ASSERT_EQ(t.size(), w.requests.size());
+    for (size_t i = 0; i < t.size(); ++i) {
+      const serve::ServeResponse& r = t[i]->Wait();
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.cost, w.costs[i]);
+    }
+  };
+
+  std::vector<serve::ServeTicketPtr> tickets;
+  bool served = false;
+  EXPECT_TRUE(submit_held(&tickets, &served));
   EXPECT_TRUE(served);
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    const serve::ServeResponse& r = tickets[i]->Wait();
-    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-    EXPECT_EQ(r.cost, w.costs[i]);
-  }
+  expect_answers(tickets);
+
+  const uint64_t before = store->CurrentVersionId();
+  ASSERT_TRUE(store->ReorganizeNow().ok());
+  ASSERT_NE(store->CurrentVersionId(), before);
+  std::vector<serve::ServeTicketPtr> after_swap;
+  EXPECT_TRUE(submit_held(&after_swap, nullptr));
+  expect_answers(after_swap);
+  EXPECT_GT(service.GetStats().prefetched, 0u);
   service.Shutdown(/*drain=*/true);
 }
 
