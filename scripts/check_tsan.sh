@@ -12,10 +12,11 @@
 # breaker trips and mid-flight cancellation — chaos_serve_test), and the
 # sharded network file's 8-thread reader hammer (per-thread facade
 # sessions over 4 shards, with exact IoStats conservation — shard_test),
-# and the asynchronous read-ahead protocol: the buffer pool's issue,
-# stamp and wait-at-fetch unit tests (buffer_pool_test) and the operators'
-# read-ahead oracles over sessions (ReadAheadTest, SearchReadAheadTest —
-# query_test).
+# and the buffer pool's one load path: the issue, stamp and wait-at-fetch
+# unit tests of demand misses and read-ahead (buffer_pool_test), the
+# bounded re-reads and the 8-thread quarantine hammer (PoolRetryTest,
+# PageQuarantine — quarantine_test) and the operators' read-ahead oracles
+# over sessions (ReadAheadTest, SearchReadAheadTest — query_test).
 # Every serve worker shares the service's one run-queue lock and condition
 # variable, and races there show up only intermittently, so serve_test and
 # chaos_serve_test run three times (--repeat until-fail:3).
@@ -23,15 +24,15 @@
 set -euo pipefail
 
 BUILD="${1:-build-tsan}"
-TESTS='thread_pool_test|cluster_determinism_test|buffer_pool_test|buffer_pool_concurrency_test|metrics_test|hierarchy_test|snapshot_swap_test|shard_test|query_test'
+TESTS='thread_pool_test|cluster_determinism_test|buffer_pool_test|buffer_pool_concurrency_test|quarantine_test|metrics_test|hierarchy_test|snapshot_swap_test|shard_test|query_test'
 SERVE_TESTS='serve_test|chaos_serve_test'
 
 # No explicit generator: reuse whatever an existing cache was made with.
 cmake -B "$BUILD" -S . -DCCAM_TSAN=ON
 cmake --build "$BUILD" --target \
   thread_pool_test cluster_determinism_test buffer_pool_test \
-  buffer_pool_concurrency_test metrics_test hierarchy_test serve_test \
-  snapshot_swap_test chaos_serve_test shard_test query_test
+  buffer_pool_concurrency_test quarantine_test metrics_test hierarchy_test \
+  serve_test snapshot_swap_test chaos_serve_test shard_test query_test
 ctest --test-dir "$BUILD" -R "$TESTS" --output-on-failure
 ctest --test-dir "$BUILD" -R "$SERVE_TESTS" --repeat until-fail:3 \
   --output-on-failure

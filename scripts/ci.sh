@@ -54,8 +54,9 @@
 #                  TSan both define NDEBUG
 #  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory), with
-#                  buffer_pool_test and query_test for the pool's
-#                  asynchronous read-ahead (issue, stamp, wait at fetch)
+#                  buffer_pool_test, quarantine_test and query_test for
+#                  the pool's one load path (issue, stamp, wait at fetch;
+#                  bounded re-reads and quarantine)
 #  11. asan      — every target built, the whole tier-1 ctest suite,
 #                  then the hierarchy_crash_test and
 #                  crash_consistency_test (default, sampled) fault

@@ -31,11 +31,6 @@ void FaultInjector::Arm(const std::string& point, const FaultAction& action,
   p.hits = 0;
 }
 
-void FaultInjector::Disarm(const std::string& point) {
-  std::lock_guard<std::mutex> lock(mu_);
-  points_.erase(point);
-}
-
 void FaultInjector::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   points_.clear();

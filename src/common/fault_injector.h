@@ -98,7 +98,6 @@ class FaultInjector {
   /// Arms (or re-arms, resetting the hit count) a failpoint.
   void Arm(const std::string& point, const FaultAction& action,
            const FaultTrigger& trigger);
-  void Disarm(const std::string& point);
 
   /// Disarms every failpoint and clears hit counts and the firing log.
   void Reset();

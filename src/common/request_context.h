@@ -41,15 +41,6 @@ class RequestContext {
   /// Absolute deadline in NowMicros() scale; 0 means "no deadline".
   explicit RequestContext(int64_t deadline_us) : deadline_us_(deadline_us) {}
 
-  /// Context that expires `budget_us` from now.
-  static RequestContext WithTimeout(int64_t budget_us) {
-    return RequestContext(NowMicros() + budget_us);
-  }
-
-  /// Sets (or clears, with 0) the absolute deadline. Not thread-safe
-  /// against a concurrent Check(); set it before handing the context to
-  /// the executing thread.
-  void SetDeadline(int64_t deadline_us) { deadline_us_ = deadline_us; }
   int64_t deadline_us() const { return deadline_us_; }
 
   /// Raises the cancellation flag. Safe from any thread, idempotent.

@@ -49,9 +49,6 @@ struct AccessMethodOptions {
   /// Partition by edge access weights (maximize WCRR) instead of uniform
   /// weights (maximize CRR).
   bool use_access_weights = false;
-  /// Minimum page fill the clustering maintains (the paper's MinPgSize =
-  /// half a page). Lower values trade space for CRR.
-  double cluster_min_fill = 0.5;
   /// Maintain the paged B+ tree secondary index (CCAM's index; tracked
   /// under separate I/O counters because the paper's cost model assumes
   /// index pages are buffered).

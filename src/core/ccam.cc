@@ -35,7 +35,6 @@ Status Ccam::Create(const Network& network) {
     copts.per_record_overhead = SlottedPage::kSlotOverhead;
     copts.algorithm = options_.partitioner;
     copts.use_access_weights = options_.use_access_weights;
-    copts.min_fill_fraction = options_.cluster_min_fill;
     copts.seed = options_.seed;
     copts.num_threads = options_.num_threads;
     std::vector<std::vector<NodeId>> pages;

@@ -355,7 +355,6 @@ Status NetworkFile::SplitPage(PageId page, std::vector<NodeRecord> pending) {
   copts.per_record_overhead = SlottedPage::kSlotOverhead;
   copts.algorithm = options_.partitioner;
   copts.use_access_weights = false;
-  copts.min_fill_fraction = options_.cluster_min_fill;
   copts.seed = reorg_seed_++;
   copts.num_threads = options_.num_threads;
   std::vector<std::vector<NodeId>> subsets;
@@ -406,7 +405,6 @@ Status NetworkFile::Reorganize(std::vector<PageId> pages) {
   copts.per_record_overhead = SlottedPage::kSlotOverhead;
   copts.algorithm = options_.partitioner;
   copts.use_access_weights = false;
-  copts.min_fill_fraction = options_.cluster_min_fill;
   copts.seed = reorg_seed_++;
   copts.num_threads = options_.num_threads;
   std::vector<std::vector<NodeId>> subsets;

@@ -46,16 +46,4 @@ void AppendRouteHints(const Route& route, std::vector<ReadHint>* hints) {
   }
 }
 
-Result<double> MeanRouteEvalAccesses(AccessMethod* am,
-                                     const std::vector<Route>& routes) {
-  if (routes.empty()) return 0.0;
-  uint64_t total = 0;
-  for (const Route& route : routes) {
-    RouteEvalResult one;
-    CCAM_ASSIGN_OR_RETURN(one, EvaluateRoute(am, route));
-    total += one.page_accesses;
-  }
-  return static_cast<double>(total) / static_cast<double>(routes.size());
-}
-
 }  // namespace ccam

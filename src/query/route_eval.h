@@ -32,11 +32,6 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route);
 /// admission prefetch both read ahead from this list.
 void AppendRouteHints(const Route& route, std::vector<ReadHint>* hints);
 
-/// Evaluates a batch of routes and returns the mean page accesses per
-/// route — the quantity plotted in the paper's Figure 6.
-Result<double> MeanRouteEvalAccesses(AccessMethod* am,
-                                     const std::vector<Route>& routes);
-
 }  // namespace ccam
 
 #endif  // CCAM_QUERY_ROUTE_EVAL_H_

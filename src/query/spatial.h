@@ -68,7 +68,6 @@ class SpatialQueryEngine {
   Result<NearestResult> NearestNeighbors(double x, double y, size_t k);
 
   size_t NumIndexedNodes() const { return rtree_.NumEntries(); }
-  IoStats ZIndexIoStats() const { return zdisk_->stats(); }
 
  private:
   SpatialQueryEngine();

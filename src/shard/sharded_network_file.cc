@@ -135,7 +135,6 @@ Status ShardedNetworkFile::BuildShards(
   copts.per_record_overhead = SlottedPage::kSlotOverhead;
   copts.algorithm = options_.am.partitioner;
   copts.use_access_weights = options_.am.use_access_weights;
-  copts.min_fill_fraction = options_.am.cluster_min_fill;
   copts.seed = options_.am.seed;
   copts.num_threads = options_.am.num_threads;
 

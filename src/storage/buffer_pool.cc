@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 namespace ccam {
@@ -134,51 +133,26 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
                                     bool* was_ahead) {
   Shard& shard = ShardFor(id);
   std::unique_lock<std::mutex> lock(shard.mu);
-  Frame* miss = nullptr;  // the pinned frame this fetch reads into
-  for (;;) {
+  Frame* frame = nullptr;  // pinned by this fetch
+  bool loaded = false;     // by this fetch's own load: its miss
+  while (frame == nullptr) {
     auto it = shard.frames.find(id);
     if (it != shard.frames.end()) {
-      Frame& frame = it->second;
+      Frame& found = it->second;
+      if (found.io_failed) {
+        // A failed load's waiters still pin it: miss once it has left.
+        shard.io_cv.wait(lock);
+        continue;
+      }
       // Pin before any wait so the frame cannot be evicted under us.
-      ++frame.pin_count;
-      if (frame.io_pending) {
-        shard.io_cv.wait(lock, [&frame] { return !frame.io_pending; });
+      ++found.pin_count;
+      shard.io_cv.wait(lock, [&found] { return !found.io_pending; });
+      if (found.io_failed) {
+        UnpinFailedLocked(&shard, &found);  // then this fetch's own miss
+        continue;
       }
-      if (frame.reread) {
-        // The read-ahead load this fetch waited for failed: read the page
-        // as this fetch's own miss, through the retry and quarantine path.
-        frame.reread = false;
-        frame.io_pending = true;
-        miss = &frame;
-        break;
-      }
-      if (frame.io_failed) {
-        if (--frame.pin_count == 0) shard.frames.erase(id);
-        return Status::IOError("concurrent read of page " +
-                               std::to_string(id) + " failed");
-      }
-      if (frame.ready_at != std::chrono::steady_clock::time_point{}) {
-        // A read-ahead issued this page without waiting for the device:
-        // wait here, pinned and off the latch, until its batch is ready.
-        const auto ready = frame.ready_at;
-        lock.unlock();
-        std::this_thread::sleep_until(ready);
-        lock.lock();
-        frame.ready_at = {};
-      }
-      const bool ahead = frame.read_ahead;
-      if (ahead) {
-        frame.read_ahead = false;  // its load already counted the miss
-        ++shard.ahead_misses;
-      } else {
-        ++shard.hits;
-        if (m_hit_ != nullptr) m_hit_->Inc();
-      }
-      frame.ref_bit = true;
-      if (policy_ == ReplacementPolicy::kLru) ListMoveToBack(&shard, &frame);
-      if (was_miss != nullptr) *was_miss = false;
-      if (was_ahead != nullptr) *was_ahead = ahead;
-      return frame.data.get();
+      frame = &found;
+      break;
     }
     // Quarantined pages fail fast before a frame or disk read is spent on
     // them: their reads already failed the bounded retries, so re-paying
@@ -186,49 +160,92 @@ Result<char*> BufferPool::FetchPage(PageId id, bool* was_miss,
     if (quarantine_ != nullptr) {
       CCAM_RETURN_NOT_OK(quarantine_->Check(id));
     }
-    if (shard.frames.size() < shard.capacity) break;
-    Status evicted = EvictOneLocked(&shard);
-    if (evicted.ok()) break;
-    // A read-ahead batch pins its frames only while it copies them: wait
-    // for one to land rather than fail, then look again (it may hold `id`).
-    if (shard.ahead_loads == 0) return evicted;
-    shard.io_cv.wait(lock);
+    Result<Frame*> installed = InstallLocked(&shard, id, /*load=*/true);
+    if (!installed.ok()) {
+      // A read-ahead pins its frames only while it copies them: wait for
+      // a load to land rather than fail, then look again (it may hold id).
+      if (shard.loads == 0) return installed.status();
+      shard.io_cv.wait(lock);
+      continue;
+    }
+    // Issue the read outside the latch, so hits on other pages of the
+    // shard proceed. The pin keeps the frame alive, and unordered_map
+    // never moves its nodes.
+    Frame* load = *installed;
+    lock.unlock();
+    Clock::time_point ready;
+    Status read_status = ReadWithRetry(id, load->data.get(), &ready);
+    lock.lock();
+    if (!LandLocked(&shard, load, read_status, ready)) return read_status;
+    frame = load;
+    loaded = true;
   }
-  if (miss == nullptr) {
-    miss = &shard.frames[id];
-    miss->id = id;
-    miss->data = std::make_unique<char[]>(disk_->page_size());
-    miss->pin_count = 1;
-    miss->ref_bit = true;
-    miss->io_pending = true;
-    ListPushBack(&shard, miss);
+  // The one device wait, for demand and read-ahead loads alike: a landed
+  // frame is stamped with its read's ready time, and its fetches wait
+  // here, pinned and off the latch, until then.
+  if (frame->ready_at != Clock::time_point{}) {
+    const auto ready = frame->ready_at;
+    lock.unlock();
+    std::this_thread::sleep_until(ready);
+    lock.lock();
+    frame->ready_at = {};
   }
-  Frame& frame = *miss;
-  // Read outside the latch: misses in flight overlap (the simulated disk
-  // may model latency), and hits on other pages of the shard proceed.
-  // The pin keeps the frame alive; followers of the same page wait on the
-  // io_pending flag. `frame` stays valid across the unlock because
-  // unordered_map never moves its nodes.
-  lock.unlock();
-  Status read_status = ReadWithRetry(id, frame.data.get());
-  lock.lock();
-  frame.io_pending = false;
-  shard.io_cv.notify_all();
-  if (!read_status.ok()) {
-    frame.io_failed = true;
-    ListRemove(&shard, &frame);
-    if (--frame.pin_count == 0) shard.frames.erase(id);
-    return read_status;
+  const bool ahead = frame->read_ahead;
+  if (!loaded) {
+    if (ahead) {
+      frame->read_ahead = false;  // its load already counted the miss
+      ++shard.ahead_misses;
+    } else {
+      ++shard.hits;
+      if (m_hit_ != nullptr) m_hit_->Inc();
+    }
+    frame->ref_bit = true;
+    if (policy_ == ReplacementPolicy::kLru) ListMoveToBack(&shard, frame);
   }
-  // The miss is counted only now — after its disk read completed and
-  // under the shard latch — so a counter sample never sees a miss whose
-  // read is still in flight (or one that subsequently failed), and
-  // hits + misses always equals the successful fetches that returned.
-  ++shard.misses;
+  if (was_miss != nullptr) *was_miss = loaded;
+  if (was_ahead != nullptr) *was_ahead = ahead;
+  return frame->data.get();
+}
+
+Result<BufferPool::Frame*> BufferPool::InstallLocked(Shard* shard, PageId id,
+                                                     bool load) {
+  if (shard->frames.size() >= shard->capacity) {
+    CCAM_RETURN_NOT_OK(EvictOneLocked(shard));
+  }
+  Frame& frame = shard->frames[id];
+  frame.id = id;
+  frame.data = std::make_unique<char[]>(disk_->page_size());
+  frame.pin_count = 1;
+  frame.ref_bit = true;
+  frame.io_pending = load;
+  shard->loads += load;
+  ListPushBack(shard, &frame);
+  return &frame;
+}
+
+bool BufferPool::LandLocked(Shard* shard, Frame* frame, const Status& status,
+                            Clock::time_point ready) {
+  frame->io_pending = false;
+  --shard->loads;
+  shard->io_cv.notify_all();
+  if (!status.ok()) {
+    frame->io_failed = true;
+    ListRemove(shard, frame);
+    UnpinFailedLocked(shard, frame);
+    return false;
+  }
+  // Counted only now, under the latch: a counter sample never sees a miss
+  // whose read is still being copied or failed.
+  frame->ready_at = ready;
+  ++shard->misses;
   if (m_miss_ != nullptr) m_miss_->Inc();
-  if (was_miss != nullptr) *was_miss = true;
-  if (was_ahead != nullptr) *was_ahead = false;
-  return frame.data.get();
+  return true;
+}
+
+void BufferPool::UnpinFailedLocked(Shard* shard, Frame* frame) {
+  if (--frame->pin_count > 0) return;
+  shard->frames.erase(frame->id);
+  shard->io_cv.notify_all();
 }
 
 bool BufferPool::ReadAheadWindow::Admit(PageId id) {
@@ -277,21 +294,11 @@ void BufferPool::ReadAhead(const ReadAheadWindow& window, IoStats* io) {
       if (quarantine_ != nullptr && quarantine_->Contains(id)) continue;
       // Frames pinned by concurrent fetches can leave no victim: the rest
       // of this shard's window is then left to the demand fetches.
-      if (shard.frames.size() >= shard.capacity &&
-          !EvictOneLocked(&shard).ok()) {
-        break;
-      }
-      Frame& frame = shard.frames[id];
-      frame.id = id;
-      frame.data = std::make_unique<char[]>(disk_->page_size());
-      frame.pin_count = 1;
-      frame.ref_bit = true;
-      frame.io_pending = true;
-      ListPushBack(&shard, &frame);
-      ++shard.ahead_loads;
-      loads.push_back({&shard, &frame});
+      Result<Frame*> frame = InstallLocked(&shard, id, /*load=*/true);
+      if (!frame.ok()) break;
+      loads.push_back({&shard, *frame});
       ids.push_back(id);
-      outs.push_back(frame.data.get());
+      outs.push_back((*frame)->data.get());
     }
   }
   if (loads.empty()) return;
@@ -299,62 +306,43 @@ void BufferPool::ReadAhead(const ReadAheadWindow& window, IoStats* io) {
   const auto ready =
       disk_->ReadPages(ids.data(), outs.data(), ids.size(), statuses.data());
   // Land the loads as soon as they are copied, stamped with the batch's
-  // ready time (their first fetch waits for it); they are grouped by
-  // shard, so each latch is taken once.
+  // ready time and unpinned; they are grouped by shard, so each latch is
+  // taken once.
   for (size_t i = 0; i < loads.size();) {
     Shard& shard = *loads[i].shard;
     std::lock_guard<std::mutex> lock(shard.mu);
     for (; i < loads.size() && loads[i].shard == &shard; ++i) {
       Frame& frame = *loads[i].frame;
-      frame.io_pending = false;
-      --shard.ahead_loads;
-      if (statuses[i].ok()) {
-        frame.read_ahead = true;
-        frame.ready_at = ready;
-        --frame.pin_count;
-        ++shard.misses;
-        if (m_miss_ != nullptr) m_miss_->Inc();
-        if (io != nullptr) ++io->reads;
-      } else if (frame.pin_count > 1) {
-        // Fetches already wait for this page: the first of them re-reads
-        // it (see FetchPage), so a failed batch read never fails a fetch.
-        frame.reread = true;
-        --frame.pin_count;
-      } else {
-        frame.io_failed = true;
-        ListRemove(&shard, &frame);
-        if (--frame.pin_count == 0) shard.frames.erase(ids[i]);
-      }
+      if (!LandLocked(&shard, &frame, statuses[i], ready)) continue;
+      frame.read_ahead = true;
+      --frame.pin_count;
+      if (io != nullptr) ++io->reads;
     }
-    shard.io_cv.notify_all();
   }
 }
 
-Status BufferPool::ReadWithRetry(PageId id, char* data) {
-  Status read_status = disk_->ReadPage(id, data);
-  if (read_status.ok() || quarantine_ == nullptr) return read_status;
+Status BufferPool::ReadWithRetry(PageId id, char* data,
+                                 Clock::time_point* ready) {
+  Status status;
+  *ready = disk_->ReadPages(&id, &data, 1, &status);
   // Only damage-shaped failures are worth re-reading: a torn transfer or a
   // checksum mismatch may be a transient fault (the injector's whole
   // point), while e.g. NotFound is deterministic.
-  if (!read_status.IsCorruption() && !read_status.IsShortRead() &&
-      !read_status.IsIOError()) {
-    return read_status;
-  }
-  for (int attempt = 0; attempt < read_retries_; ++attempt) {
-    Status retry_status = disk_->ReadPage(id, data);
-    if (retry_status.ok()) {
-      quarantine_->NoteRetrySuccess();
-      return retry_status;
-    }
-    read_status = std::move(retry_status);
+  const bool retry = quarantine_ != nullptr &&
+                     (status.IsCorruption() || status.IsShortRead() ||
+                      status.IsIOError());
+  for (int attempt = 0; retry && !status.ok() && attempt < read_retries_;
+       ++attempt) {
+    *ready = disk_->ReadPages(&id, &data, 1, &status);
+    if (status.ok()) quarantine_->NoteRetrySuccess();
   }
   // Persistent damage: quarantine the page so later fetches fail fast
-  // (this caller still sees the original typed failure). Device-level
-  // IOError is not page damage — retried above, but never quarantined.
-  if (read_status.IsCorruption() || read_status.IsShortRead()) {
-    quarantine_->Add(id, read_status.ToString());
+  // (this caller still sees the typed failure). Device-level IOError is
+  // not page damage — retried above, but never quarantined.
+  if (retry && (status.IsCorruption() || status.IsShortRead())) {
+    quarantine_->Add(id, status.ToString());
   }
-  return read_status;
+  return status;
 }
 
 Status BufferPool::UnpinPage(PageId id, bool dirty) {
@@ -380,26 +368,17 @@ Status BufferPool::NewPage(PageId* id, char** data) {
   CCAM_ASSIGN_OR_RETURN(fresh, disk_->AllocatePage());
   Shard& shard = ShardFor(fresh);
   std::unique_lock<std::mutex> lock(shard.mu);
-  if (shard.frames.size() >= shard.capacity) {
-    Status evicted = EvictOneLocked(&shard);
-    if (!evicted.ok()) {
-      // Roll the allocation back so a full pool leaves the disk unchanged
-      // (the id returns to the free list and is reused next time).
-      lock.unlock();
-      (void)disk_->FreePage(fresh);
-      return evicted;
-    }
+  Result<Frame*> frame = InstallLocked(&shard, fresh, /*load=*/false);
+  if (!frame.ok()) {
+    // Roll the allocation back so a full pool leaves the disk unchanged
+    // (the id returns to the free list and is reused next time).
+    lock.unlock();
+    (void)disk_->FreePage(fresh);
+    return frame.status();
   }
-  Frame& frame = shard.frames[fresh];
-  frame.id = fresh;
-  frame.data = std::make_unique<char[]>(disk_->page_size());
-  std::memset(frame.data.get(), 0, disk_->page_size());
-  frame.pin_count = 1;
-  frame.dirty = true;  // never materialized on disk yet
-  frame.ref_bit = true;
-  ListPushBack(&shard, &frame);
+  (*frame)->dirty = true;  // never materialized on disk yet
   *id = fresh;
-  *data = frame.data.get();
+  *data = (*frame)->data.get();
   return Status::OK();
 }
 

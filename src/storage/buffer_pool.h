@@ -48,11 +48,17 @@ class PageGuard;
 /// its own latch; a page's shard is fixed by its id. Fetch / Unpin /
 /// Contains / PinCount and the hit/miss counters are safe to call from any
 /// number of threads concurrently; concurrent fetches of one page resolve
-/// to a single disk read (followers wait and score a hit). Miss I/O runs
-/// *outside* the shard latch, so misses in flight overlap even within one
-/// shard. Structural operations (NewPage, Discard, FlushAll, Reset) keep
-/// the file layer's single-writer discipline: they must not race with
-/// other calls on the same pages.
+/// to a single disk read (followers wait and score a hit). Structural
+/// operations (NewPage, Discard, FlushAll, Reset) keep the file layer's
+/// single-writer discipline: they must not race with other calls on the
+/// same pages.
+///
+/// One load path: a demand miss is a read-ahead of one page. A pinned
+/// frame is reserved under the latch, the read is issued outside it
+/// (DiskManager::ReadPages), and the copy lands stamped with the read's
+/// ready time, which every fetch of the frame waits for off the latch. A
+/// failed load leaves the pool; each fetch that waited on it retries as
+/// its own miss.
 ///
 /// Replacement state is per shard: each shard keeps its frames on an
 /// intrusive doubly-linked list (LRU order for kLru, load order for
@@ -86,7 +92,8 @@ class BufferPool {
   size_t NumBuffered() const;
 
   /// Returns the frame holding page `id`, reading it from disk on a miss,
-  /// and pins it. Fails when every frame of the page's shard is pinned.
+  /// and pins it. Fails when every frame of the page's shard is pinned, or
+  /// with the status of this fetch's own failed read.
   Result<char*> FetchPage(PageId id) { return FetchPage(id, nullptr); }
 
   /// FetchPage that additionally reports whether the fetch missed (i.e.
@@ -121,17 +128,16 @@ class BufferPool {
   /// order it moves the window's resident pages to MRU and reserves frames
   /// for the missing ones, evicting through the normal victim rule, then
   /// issues the missing pages as one disk batch. The frames land unpinned
-  /// as soon as the batch is copied, stamped with its ready time; a fetch
-  /// of a stamped frame waits, pinned and off the shard latch, until that
-  /// time. So the batches of several windows or shards are in flight
-  /// together, and a stamped frame nobody fetched is evictable. Each load
-  /// counts as a miss at issue, charged to `io` when given; the first fetch
-  /// of a loaded page then scores neither a hit nor a miss (FetchPage
-  /// reports it in `was_ahead`). A page whose batch read fails is charged
-  /// to nobody, and its fetch re-reads it through the usual retry and
-  /// quarantine path: the page is dropped, or, when fetches from other
-  /// threads already wait for it, the first of them reads it as its own
-  /// miss. Quarantined pages are skipped.
+  /// as soon as the batch is copied, stamped with its ready time, and a
+  /// fetch waits for the stamp as it does for its own miss. So the batches
+  /// of several windows or shards are in flight together, and a stamped
+  /// frame nobody fetched is evictable. Each load counts as a miss when it
+  /// lands, charged to `io` when given; the first fetch of a loaded page
+  /// then scores neither a hit nor a miss (FetchPage reports it in
+  /// `was_ahead`). A page whose batch read fails is charged to nobody and
+  /// leaves the pool like a failed demand load: its fetches read it as
+  /// their own misses, through the retry and quarantine path. Quarantined
+  /// pages are skipped.
   ///
   /// LRU only: with at most a shard's capacity of distinct pages per
   /// window, every demand miss would have evicted an untouched resident
@@ -165,16 +171,15 @@ class BufferPool {
   Status Reset();
 
   /// Hit/miss counters, sampled as one coherent pair. Both fields are
-  /// updated together under the owning shard's latch at the moment a fetch
-  /// *completes successfully* (a hit when the frame was resident or the
-  /// caller joined a landed single-flight read; a miss when this fetch's
-  /// own disk read completed) or a read-ahead load lands (a miss; the
-  /// first fetch of that page then counts as neither). So at any sampling
-  /// instant `hits + misses` equals the successful fetches that have
-  /// returned plus the read-ahead loads no fetch has claimed yet, even
-  /// while other threads are mid-fetch. Failed fetches and failed
-  /// read-ahead loads count as neither. `ahead_misses` counts those first
-  /// fetches of loaded pages (their loads are already in `misses`).
+  /// updated together under the owning shard's latch: a miss when a load's
+  /// copy lands (a demand miss and a read-ahead load alike), a hit when a
+  /// fetch of a resident or joined frame completes. The first fetch of a
+  /// read-ahead load counts as neither. So at any sampling instant
+  /// `hits + misses` equals the successful fetches that have returned plus
+  /// the landed loads whose fetch has not returned or claimed them yet,
+  /// even while other threads are mid-fetch. Failed fetches and failed
+  /// loads count as neither. `ahead_misses` counts those first fetches of
+  /// read-ahead loads (their loads are already in `misses`).
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -216,20 +221,20 @@ class BufferPool {
 
  private:
   struct Shard;
+  using Clock = std::chrono::steady_clock;
 
   struct Frame {
     std::unique_ptr<char[]> data;
     PageId id = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
-    bool ref_bit = false;   // referenced since the hand passed (CLOCK)
-    bool io_pending = false;  // the miss read is still in flight
-    bool io_failed = false;   // the miss read failed; frame is unusable
+    bool ref_bit = false;     // referenced since the hand passed (CLOCK)
+    bool io_pending = false;  // the load's copy is still in flight
+    bool io_failed = false;   // the load failed; the frame leaves the pool
     bool read_ahead = false;  // loaded ahead, not fetched since (counted)
-    bool reread = false;  // its read-ahead load failed with fetches waiting
-    /// Ready time of the read-ahead batch that loaded the frame; fetches
-    /// wait until it. The epoch once a fetch has waited.
-    std::chrono::steady_clock::time_point ready_at{};
+    /// Ready time of the read that loaded the frame; fetches wait until
+    /// it. The epoch once a fetch has waited.
+    Clock::time_point ready_at{};
     Frame* prev = nullptr;
     Frame* next = nullptr;
   };
@@ -242,13 +247,13 @@ class BufferPool {
   /// pair as a consistent unit.
   struct Shard {
     mutable std::mutex mu;
-    std::condition_variable io_cv;  // wakes waiters when a miss read lands
+    std::condition_variable io_cv;  // a load landed or a failed one left
     std::unordered_map<PageId, Frame> frames;
     Frame* head = nullptr;
     Frame* tail = nullptr;
     Frame* hand = nullptr;  // CLOCK hand (null = start at head)
     size_t capacity = 0;
-    size_t ahead_loads = 0;  // read-ahead frames pinned while copied
+    size_t loads = 0;  // frames whose copy is in flight (io_pending)
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t ahead_misses = 0;
@@ -267,10 +272,21 @@ class BufferPool {
   Status EvictOneLocked(Shard* shard);
   Status EvictFrameLocked(Shard* shard, Frame* frame);
 
-  /// The miss read plus its bounded retries; runs outside the shard latch.
-  /// Reports whether a retry rescued the fetch and, via quarantine_, files
-  /// persistent failures.
-  Status ReadWithRetry(PageId id, char* data);
+  /// The frame set-up of every miss, read-ahead load and NewPage: a
+  /// pinned, zeroed frame at the list's tail, after evicting a victim when
+  /// the shard is full. A `load` is io_pending and counted in `loads`.
+  Result<Frame*> InstallLocked(Shard* shard, PageId id, bool load);
+  /// Lands a load: stamped with `ready` and counted as a miss, still
+  /// pinned, or on failure dropped from the list and unpinned. False when
+  /// the read failed.
+  bool LandLocked(Shard* shard, Frame* frame, const Status& status,
+                  Clock::time_point ready);
+  /// The last pin out of a failed frame erases it.
+  void UnpinFailedLocked(Shard* shard, Frame* frame);
+
+  /// A miss's one-page ReadPages plus, with a quarantine attached, its
+  /// bounded re-reads; runs outside the shard latch.
+  Status ReadWithRetry(PageId id, char* data, Clock::time_point* ready);
 
   DiskManager* disk_;
   size_t capacity_;

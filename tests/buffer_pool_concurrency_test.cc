@@ -213,8 +213,8 @@ TEST(BufferPoolConcurrencyTest, FaultActiveHammerConservesState) {
   // Conservation under faults: every *successful* fetch is exactly one
   // pool hit or one completed disk read. A failed fetch is neither (the
   // frame is recycled, the read never completed), and followers that
-  // joined a failed single-flight I/O propagate the error without
-  // touching either counter.
+  // joined a failed single-flight I/O retry as their own misses, so only
+  // their own reads touch either counter.
   EXPECT_EQ(successes.load(), pool.hits() + disk.stats().reads);
   // No leaked pins or frames.
   for (PageId id : ids) EXPECT_EQ(pool.PinCount(id), 0) << id;

@@ -360,6 +360,73 @@ TEST(ShardedBufferPoolTest, TrackedFetchReportsMiss) {
   ASSERT_TRUE(pool.UnpinPage(p, false).ok());
 }
 
+// Two fetches of one page race a demand read that fails once. The loader
+// gets its typed status; a follower that waited on the failed load reads
+// the page as its own miss. The large page widens the window in which the
+// follower joins the failing copy; a follower that comes after the
+// failure misses on its own, and every check holds either way.
+TEST(DemandLoadTest, FollowerOfAFailedReadReReadsThePage) {
+  constexpr size_t kPageSize = size_t{4} << 20;
+  FaultInjector faults(1);
+  ASSERT_TRUE(faults.Configure("disk.read=short:8@1").ok());
+  DiskManager disk(kPageSize);
+  const PageId p = *disk.AllocatePage();
+  std::vector<char> bytes(kPageSize, 'x');
+  ASSERT_TRUE(disk.WritePage(p, bytes.data()).ok());
+  disk.SetFaultInjector(&faults);
+  BufferPool pool(&disk, 4, ReplacementPolicy::kLru, 1);
+
+  Status loader_status;
+  std::thread loader([&] { loader_status = pool.FetchPage(p).status(); });
+  while (faults.HitCount("disk.read") < 1) std::this_thread::yield();
+  bool was_miss = false;
+  auto res = pool.FetchPage(p, &was_miss);
+  loader.join();
+  EXPECT_TRUE(loader_status.IsShortRead()) << loader_status.ToString();
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(std::memcmp(*res, bytes.data(), kPageSize), 0);
+  EXPECT_TRUE(was_miss);
+  ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+  EXPECT_EQ(pool.PinCount(p), 0);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(disk.stats().reads, 1u);
+  EXPECT_EQ(faults.FiringLog().size(), 1u);
+}
+
+// A demand miss waits for its read's ready time like a read-ahead load,
+// and so does a follower that joins it: one disk read, the loader scores
+// the miss and the follower a hit.
+TEST(DemandLoadTest, MissAndItsFollowerWaitForTheReadyTime) {
+  DiskManager disk(64);
+  const PageId p = *disk.AllocatePage();
+  disk.SetSimulatedReadLatencyMicros(40000);
+  BufferPool pool(&disk, 4, ReplacementPolicy::kLru, 1);
+
+  const auto issue = std::chrono::steady_clock::now();
+  bool loader_miss = false;
+  std::chrono::steady_clock::time_point loader_done;
+  std::thread loader([&] {
+    auto res = pool.FetchPage(p, &loader_miss);
+    loader_done = std::chrono::steady_clock::now();
+    if (res.ok()) (void)pool.UnpinPage(p, false);
+  });
+  while (disk.stats().reads < 1) std::this_thread::yield();
+  bool follower_miss = true;
+  ASSERT_TRUE(pool.FetchPage(p, &follower_miss).ok());
+  const auto follower_done = std::chrono::steady_clock::now();
+  loader.join();
+  ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+  EXPECT_GE(loader_done - issue, std::chrono::milliseconds(40));
+  EXPECT_GE(follower_done - issue, std::chrono::milliseconds(40));
+  EXPECT_TRUE(loader_miss);
+  EXPECT_FALSE(follower_miss);
+  EXPECT_EQ(disk.stats().reads, 1u);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.PinCount(p), 0);
+}
+
 /// Admits `pages` into one read-ahead window until one does not fit, reads
 /// the window ahead and returns how many entries it covered.
 size_t ReadAhead(BufferPool* pool, const std::vector<PageId>& pages,
