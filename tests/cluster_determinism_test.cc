@@ -3,14 +3,18 @@
 // content (not spawn order), pages are emitted in subproblem-tree leaf
 // order, and pairwise refinement runs pair-disjoint batches from a sorted
 // pair list. These tests pin that contract for all four partitioners and
-// for the end-to-end CCAM-S build (page map and CRR/WCRR bit-equality).
+// for the end-to-end CCAM-S build (page map and CRR/WCRR bit-equality),
+// and pin the pages and nested-dissection orders themselves by digest.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "src/common/coding.h"
 #include "src/core/ccam.h"
 #include "src/graph/generator.h"
+#include "src/partition/nested_dissection.h"
 #include "src/partition/recursive_bisection.h"
 #include "src/storage/page.h"
 
@@ -121,6 +125,94 @@ TEST(ClusterDeterminismTest, DefaultThreadCountMatchesExplicitOne) {
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(defaulted.ok());
   EXPECT_EQ(*sequential, *defaulted);
+}
+
+// The outputs themselves are pinned, not only their agreement across
+// thread counts: the CRC32C of every partitioner's pages and of its
+// nested-dissection order, on the Minneapolis-like map and a 64x64 road
+// map. A faster bisection kernel must reproduce these bytes exactly.
+struct GoldenMap {
+  std::string name;
+  Network net;
+};
+
+std::vector<GoldenMap> GoldenMaps() {
+  RoadMapOptions road;
+  road.rows = 64;
+  road.cols = 64;
+  road.nodes_to_remove = 16;
+  road.seed = 1995;
+  std::vector<GoldenMap> maps;
+  maps.push_back({"minneapolis", TestMap()});
+  maps.push_back({"road-64", GenerateRoadMap(road)});
+  return maps;
+}
+
+uint32_t Digest(const std::vector<std::vector<NodeId>>& lists) {
+  std::string bytes;
+  for (const std::vector<NodeId>& list : lists) {
+    PutFixed32(&bytes, static_cast<uint32_t>(list.size()));
+    for (NodeId id : list) PutFixed32(&bytes, id);
+  }
+  return Crc32c(bytes.data(), bytes.size());
+}
+
+TEST(ClusterDeterminismTest, PagesMatchGoldenDigests) {
+  struct Golden {
+    size_t pages;
+    uint32_t crc;
+    uint32_t refined_crc;  // after two pairwise refinement rounds
+  };
+  // [map][algorithm], algorithms in kAllAlgorithms order.
+  const Golden golden[2][4] = {
+      {{134, 0xb4ce7e74, 0xad8fb2e4},
+       {131, 0x05021c3a, 0x8d1f3704},
+       {128, 0x9267ca59, 0x8632f264},
+       {128, 0x3093236e, 0x97305394}},
+      {{501, 0x0a75b464, 0xd98658f8},
+       {507, 0x2df53197, 0x6fab8ead},
+       {512, 0x63c1b288, 0xaa00f396},
+       {512, 0x6c49a428, 0xdb8851c3}}};
+  const std::vector<GoldenMap> maps = GoldenMaps();
+  for (size_t m = 0; m < maps.size(); ++m) {
+    for (size_t a = 0; a < 4; ++a) {
+      const PartitionAlgorithm algo = kAllAlgorithms[a];
+      SCOPED_TRACE(maps[m].name + " " + PartitionAlgorithmName(algo));
+      auto pages = ClusterNodesIntoPages(maps[m].net, maps[m].net.NodeIds(),
+                                         BaseOptions(algo));
+      ASSERT_TRUE(pages.ok());
+      EXPECT_EQ(pages->size(), golden[m][a].pages);
+      EXPECT_EQ(Digest(*pages), golden[m][a].crc);
+      RefinePagesPairwise(maps[m].net, &*pages, BaseOptions(algo), 2);
+      EXPECT_EQ(Digest(*pages), golden[m][a].refined_crc);
+    }
+  }
+}
+
+TEST(ClusterDeterminismTest, NestedDissectionMatchesGoldenDigests) {
+  struct Golden {
+    size_t nodes;
+    uint32_t crc;
+  };
+  const Golden golden[2][4] = {
+      {{1079, 0x080dc695}, {1079, 0x23333b0f},
+       {1079, 0xc362ca7c}, {1079, 0x3eb53321}},
+      {{4080, 0x2c673a7d}, {4080, 0x74337513},
+       {4080, 0xa6237110}, {4080, 0x07ee1ffc}}};
+  const std::vector<GoldenMap> maps = GoldenMaps();
+  for (size_t m = 0; m < maps.size(); ++m) {
+    for (size_t a = 0; a < 4; ++a) {
+      NestedDissectionOptions options;
+      options.algorithm = kAllAlgorithms[a];
+      SCOPED_TRACE(maps[m].name + " " +
+                   PartitionAlgorithmName(options.algorithm));
+      auto order =
+          NestedDissectionOrder(maps[m].net, maps[m].net.NodeIds(), options);
+      ASSERT_TRUE(order.ok());
+      EXPECT_EQ(order->size(), golden[m][a].nodes);
+      EXPECT_EQ(Digest({*order}), golden[m][a].crc);
+    }
+  }
 }
 
 }  // namespace
