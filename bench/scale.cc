@@ -12,6 +12,8 @@
 // asserts that by printing a single CRR column and a "same pages" flag.
 // Every (nodes, threads) cell is also appended to BENCH_scale.json at the
 // repository root as one machine-readable record (bench_util JSON schema).
+// The JSON holds counts only (CRR, pages, the "same pages" flag); the
+// wall-clock columns go to stdout, so two runs' artifacts diff exactly.
 
 #include <chrono>
 #include <cstdio>
@@ -36,24 +38,26 @@ int Run() {
                       "CCAM-D CRR", "CCAM-D ms", "BFS-AM CRR"});
 
   const std::vector<int> thread_counts = BenchThreadCounts();
+  std::vector<std::string> sweep_ms_headers;
+  for (int t : thread_counts) {
+    sweep_ms_headers.push_back("t=" + std::to_string(t) + " ms");
+  }
   TablePrinter threads_table([&] {
     std::vector<std::string> headers = {"nodes", "CRR", "pages"};
-    for (int t : thread_counts) {
-      headers.push_back("t=" + std::to_string(t) + " ms");
-    }
+    headers.insert(headers.end(), sweep_ms_headers.begin(),
+                   sweep_ms_headers.end());
     headers.push_back("same pages");
     return headers;
   }());
 
   BenchJsonWriter json("scale");
   auto emit = [&](const Network& net, const char* algorithm, int threads,
-                  double create_ms, double crr, size_t pages) {
+                  double crr, size_t pages) {
     json.AddRecord("thread_sweep",
                    {{"nodes", std::to_string(net.NumNodes())},
                     {"edges", std::to_string(net.NumEdges())},
                     {"algorithm", algorithm},
                     {"threads", std::to_string(threads)},
-                    {"create_ms", Fmt(create_ms, 3)},
                     {"crr", Fmt(crr, 6)},
                     {"pages", std::to_string(pages)}});
   };
@@ -117,7 +121,7 @@ int Run() {
       } else if (am.PageMap() != reference) {
         identical = false;
       }
-      emit(net, "ccam-s", threads, ms, ComputeCrr(net, am.PageMap()),
+      emit(net, "ccam-s", threads, ComputeCrr(net, am.PageMap()),
            am.NumDataPages());
     }
     row.push_back(Fmt(sweep_crr, 4));
@@ -127,7 +131,7 @@ int Run() {
     threads_table.AddRow(std::move(row));
   }
   table.Print();
-  json.AddTable("crr_vs_size", table);
+  json.AddTable("crr_vs_size", table, {"CCAM-S ms", "CCAM-D ms"});
   std::printf(
       "\nExpected shape: CCAM-S CRR roughly flat across sizes (clustering "
       "quality is local); CCAM-D close behind at a fraction of no cost "
@@ -136,7 +140,7 @@ int Run() {
   std::printf("\nCCAM-S create wall-clock vs clustering threads "
               "(CCAM_BENCH_THREADS to override the sweep)\n\n");
   threads_table.Print();
-  json.AddTable("create_wallclock", threads_table);
+  json.AddTable("create_wallclock", threads_table, sweep_ms_headers);
   std::printf(
       "\n\"same pages\" = every thread count produced the identical "
       "node-to-page assignment (the parallel clusterer's determinism "

@@ -24,11 +24,12 @@
 #   scripts/check_perf.sh baseline.json current.json [tolerance-pct]
 #   scripts/check_perf.sh --smoke [build-dir]
 #       builds the fastest bench plus the hierarchy-speedup bench (at its
-#       smallest scale point) and the shard-scaling bench (at a reduced
-#       route count), runs each twice, and diffs the artifact pairs — a
-#       self-test that the gate and the writers agree, and that the CH
-#       overlay's page accesses and the sharded file's read/cut/halo
-#       counts are run-to-run deterministic.
+#       smallest scale point), the shard-scaling bench (at a reduced
+#       route count) and the partitioner ablation, runs each twice, and
+#       diffs the artifact pairs — a self-test that the gate and the
+#       writers agree, and that the CH overlay's page accesses, the
+#       sharded file's read/cut/halo counts and every partitioner's CRR
+#       and pages are run-to-run deterministic.
 set -uo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
@@ -37,7 +38,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
   BUILD="${2:-build}"
   cmake -B "$BUILD" -S . >/dev/null &&
     cmake --build "$BUILD" --target fig5_crr hierarchy_speedup \
-      shard_scaling -j "$(nproc)" >/dev/null ||
+      shard_scaling ablation_partitioner -j "$(nproc)" >/dev/null ||
     { echo "check_perf: smoke build failed"; exit 1; }
   TMP="$(mktemp -d)"
   trap 'rm -rf "$TMP"' EXIT
@@ -60,6 +61,14 @@ if [[ "${1:-}" == "--smoke" ]]; then
     "$BUILD/bench/shard_scaling" >/dev/null || exit 1
   "$0" "$TMP/a/BENCH_shard_scaling.json" \
        "$TMP/b/BENCH_shard_scaling.json" || exit 1
+  # Partitioner ablation: CRR, refined CRR and pages of all four
+  # partitioners, and the thread sweep's "same pages" flags, exactly.
+  CCAM_BENCH_JSON_DIR="$TMP/a" "$BUILD/bench/ablation_partitioner" \
+    >/dev/null || exit 1
+  CCAM_BENCH_JSON_DIR="$TMP/b" "$BUILD/bench/ablation_partitioner" \
+    >/dev/null || exit 1
+  "$0" "$TMP/a/BENCH_ablation_partitioner.json" \
+       "$TMP/b/BENCH_ablation_partitioner.json" || exit 1
   set -- "$TMP/a/BENCH_fig5_crr.json" "$TMP/b/BENCH_fig5_crr.json"
 fi
 

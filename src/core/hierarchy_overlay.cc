@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -15,12 +14,13 @@ namespace ccam {
 namespace {
 
 /// One arc of the in-memory contraction core: the other endpoint (dense
-/// index), the current best cost, and the shortcut's middle node (or
-/// kInvalidNodeId for an original edge).
+/// index), the shortcut's middle node (or kInvalidNodeId for an original
+/// edge), and the current best cost. 16 bytes: the witness searches stream
+/// through these.
 struct CoreArc {
   uint32_t to;
-  double cost;
   NodeId via;
+  double cost;
 };
 
 /// Witness searches settle at most this many nodes. Exceeding the cap is
@@ -42,14 +42,82 @@ struct WitnessTargets {
   std::vector<uint32_t> slot;     // dense id -> target index, or kNone
 };
 
-/// One search's reusable state: tentative distances over dense core ids,
-/// valid only where `stamp` equals `generation`, and the open heap.
+/// One search's reusable state: the open set as an indexed 4-ary min-heap
+/// on (distance, dense id), whose entries hold the tentative distances, and
+/// per dense core id its heap position, valid only where `stamp` equals
+/// `generation` (the node was reached by this search). A shorter path to an
+/// open node moves its one entry up (decrease-key), so the heap never holds
+/// stale entries and pops each reached node once.
 struct WitnessScratch {
-  explicit WitnessScratch(size_t n) : dist(n), stamp(n, 0) {}
-  std::vector<double> dist;
+  static constexpr uint32_t kClosed = UINT32_MAX;
+  struct Open {
+    double dist;
+    uint32_t id;
+    bool operator<(const Open& o) const {
+      return dist != o.dist ? dist < o.dist : id < o.id;
+    }
+  };
+
+  explicit WitnessScratch(size_t n) : stamp(n, 0), heap_pos(n) {}
   std::vector<uint32_t> stamp;
   uint32_t generation = 0;
-  std::vector<std::pair<double, uint32_t>> heap;
+  std::vector<Open> heap;
+  std::vector<uint32_t> heap_pos;  // dense id -> heap position, or kClosed
+
+  /// Opens node u at distance d.
+  void Push(uint32_t u, double d) {
+    heap.push_back({d, u});
+    SiftUp(heap.size() - 1);
+  }
+
+  /// Lowers open node u's distance to d.
+  void DecreaseKey(uint32_t u, double d) {
+    heap[heap_pos[u]].dist = d;
+    SiftUp(heap_pos[u]);
+  }
+
+  /// Removes and returns the open node of least (distance, id).
+  Open PopMin() {
+    const Open top = heap[0];
+    heap_pos[top.id] = kClosed;
+    const Open last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) {
+      heap[0] = last;
+      SiftDown(0);
+    }
+    return top;
+  }
+
+ private:
+  void Place(size_t p, const Open& e) {
+    heap[p] = e;
+    heap_pos[e.id] = static_cast<uint32_t>(p);
+  }
+
+  void SiftUp(size_t p) {
+    const Open e = heap[p];
+    while (p > 0 && e < heap[(p - 1) / 4]) {
+      Place(p, heap[(p - 1) / 4]);
+      p = (p - 1) / 4;
+    }
+    Place(p, e);
+  }
+
+  void SiftDown(size_t p) {
+    const Open e = heap[p];
+    for (size_t first = 4 * p + 1; first < heap.size(); first = 4 * p + 1) {
+      size_t best = first;
+      const size_t end = std::min(first + 4, heap.size());
+      for (size_t c = first + 1; c < end; ++c) {
+        if (heap[c] < heap[best]) best = c;
+      }
+      if (!(heap[best] < e)) break;
+      Place(p, heap[best]);
+      p = best;
+    }
+    Place(p, e);
+  }
 };
 
 /// Bounded Dijkstra from `source` in the current core, never entering the
@@ -69,7 +137,6 @@ void WitnessSearch(const std::vector<std::vector<CoreArc>>& out,
                    const std::vector<CoreArc>& succs,
                    const WitnessTargets& targets, uint32_t source,
                    double pred_cost, WitnessScratch* s, double* found) {
-  using Entry = std::pair<double, uint32_t>;
   std::fill(found, found + succs.size(),
             std::numeric_limits<double>::infinity());
   if (++s->generation == 0) {
@@ -79,17 +146,12 @@ void WitnessSearch(const std::vector<std::vector<CoreArc>>& out,
   size_t unsettled = succs.size();
   size_t costliest = 0;  // position in by_cost of the costliest unsettled
   double bound = pred_cost + succs[targets.by_cost[0]].cost;
-  std::vector<Entry>& heap = s->heap;
-  heap.clear();
-  heap.push_back({0.0, source});
+  s->heap.clear();
   s->stamp[source] = s->generation;
-  s->dist[source] = 0.0;
+  s->Push(source, 0.0);
   size_t settled = 0;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>());
-    const auto [d, u] = heap.back();
-    heap.pop_back();
-    if (d > s->dist[u]) continue;  // stale entry
+  while (!s->heap.empty()) {
+    const auto [d, u] = s->PopMin();
     if (d > bound) break;
     ++settled;
     if (const uint32_t j = targets.slot[u]; j != WitnessTargets::kNone) {
@@ -106,11 +168,12 @@ void WitnessSearch(const std::vector<std::vector<CoreArc>>& out,
       if (arc.to == targets.excluded) continue;
       const double nd = d + arc.cost;
       if (nd > bound) continue;
-      if (s->stamp[arc.to] != s->generation || nd < s->dist[arc.to]) {
+      if (s->stamp[arc.to] != s->generation) {
         s->stamp[arc.to] = s->generation;
-        s->dist[arc.to] = nd;
-        heap.push_back({nd, arc.to});
-        std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
+        s->Push(arc.to, nd);
+      } else if (const uint32_t p = s->heap_pos[arc.to];
+                 p != WitnessScratch::kClosed && nd < s->heap[p].dist) {
+        s->DecreaseKey(arc.to, nd);
       }
     }
   }
@@ -179,7 +242,7 @@ Status Contract(const Network& network, const AccessMethodOptions& options,
       auto it = dense.find(e.node);
       if (it == dense.end() || it->second == i) continue;
       out[i].push_back(
-          {it->second, static_cast<double>(e.cost), kInvalidNodeId});
+          {it->second, kInvalidNodeId, static_cast<double>(e.cost)});
     }
     std::sort(out[i].begin(), out[i].end(),
               [](const CoreArc& a, const CoreArc& b) {
@@ -193,7 +256,7 @@ Status Contract(const Network& network, const AccessMethodOptions& options,
   }
   for (size_t i = 0; i < n; ++i) {
     for (const CoreArc& arc : out[i]) {
-      in[arc.to].push_back({static_cast<uint32_t>(i), arc.cost, arc.via});
+      in[arc.to].push_back({static_cast<uint32_t>(i), arc.via, arc.cost});
     }
   }
 
@@ -273,8 +336,8 @@ Status Contract(const Network& network, const AccessMethodOptions& options,
             mirror->via = order[pos];
           }
         } else {
-          out[su].push_back({w.to, need, order[pos]});
-          in[w.to].push_back({su, need, order[pos]});
+          out[su].push_back({w.to, order[pos], need});
+          in[w.to].push_back({su, order[pos], need});
         }
       }
     }

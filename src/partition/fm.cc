@@ -1,5 +1,4 @@
-#include <cmath>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/partition/bisect_internal.h"
@@ -9,6 +8,7 @@ namespace ccam {
 namespace {
 
 using partition_internal::BfsSeed;
+using partition_internal::GainHeap;
 using partition_internal::MoveGain;
 
 /// One Fiduccia–Mattheyses pass: tentatively moves every node at most once
@@ -17,41 +17,31 @@ using partition_internal::MoveGain;
 bool FmPass(const PartitionGraph& graph, std::vector<bool>* side,
             size_t* size_a, size_t* size_b, size_t min_side_size) {
   const size_t n = graph.NumNodes();
-  std::vector<double> gain(n);
-  std::set<std::pair<double, int>> pq;  // ordered ascending; best = rbegin
-  std::vector<bool> locked(n, false);
+  std::vector<double> initial(n);
   for (size_t i = 0; i < n; ++i) {
-    gain[i] = MoveGain(graph, *side, static_cast<int>(i));
-    pq.insert({gain[i], static_cast<int>(i)});
+    initial[i] = MoveGain(graph, *side, static_cast<int>(i));
   }
+  GainHeap pq(std::move(initial));
+  std::vector<bool> locked(n, false);
 
-  struct Move {
-    int node;
-    double gain;
-  };
-  std::vector<Move> moves;
+  std::vector<int> moves;
   moves.reserve(n);
   double cumulative = 0.0;
   double best = 0.0;
   size_t best_len = 0;
 
   size_t a = *size_a, b = *size_b;
-  while (!pq.empty()) {
-    // Highest-gain feasible move: moving i must leave its source side with
-    // at least min_side_size bytes (and at least one node implicitly,
-    // because sizes are positive).
-    int chosen = -1;
-    for (auto it = pq.rbegin(); it != pq.rend(); ++it) {
-      int i = it->second;
-      size_t source = (*side)[i] ? b : a;
-      if (source >= graph.node_sizes[i] &&
-          source - graph.node_sizes[i] >= min_side_size) {
-        chosen = i;
-        break;
-      }
-    }
+  // Moving i must leave its source side with at least min_side_size bytes
+  // (and at least one node implicitly, because sizes are positive).
+  auto feasible = [&](int i) {
+    size_t source = (*side)[i] ? b : a;
+    return source >= graph.node_sizes[i] &&
+           source - graph.node_sizes[i] >= min_side_size;
+  };
+  while (true) {
+    const int chosen = pq.BestFeasible(feasible);
     if (chosen < 0) break;
-    pq.erase({gain[chosen], chosen});
+    pq.Remove(chosen);
     locked[chosen] = true;
     // Apply tentatively.
     bool from_b = (*side)[chosen];
@@ -63,24 +53,21 @@ bool FmPass(const PartitionGraph& graph, std::vector<bool>* side,
       b += graph.node_sizes[chosen];
     }
     (*side)[chosen] = !from_b;
-    cumulative += gain[chosen];
-    moves.push_back({chosen, gain[chosen]});
+    cumulative += pq.gain(chosen);
+    moves.push_back(chosen);
     if (cumulative > best + 1e-12) {
       best = cumulative;
       best_len = moves.size();
     }
     // Update the gains of unlocked neighbors.
     for (const PartitionGraph::Adj& e : graph.Neighbors(chosen)) {
-      if (locked[e.to]) continue;
-      pq.erase({gain[e.to], e.to});
-      gain[e.to] = MoveGain(graph, *side, e.to);
-      pq.insert({gain[e.to], e.to});
+      if (!locked[e.to]) pq.Update(e.to, MoveGain(graph, *side, e.to));
     }
   }
 
   // Roll back moves beyond the best prefix.
   for (size_t k = moves.size(); k > best_len; --k) {
-    int i = moves[k - 1].node;
+    int i = moves[k - 1];
     bool from_b = (*side)[i];
     if (from_b) {
       b -= graph.node_sizes[i];

@@ -5,30 +5,14 @@
 #include <utility>
 
 #include "src/common/thread_pool.h"
+#include "src/partition/bisect_internal.h"
 
 namespace ccam {
 
 namespace {
 
-/// Splitmix64 finalizer (same permutation the clustering pipeline uses).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-/// Seed for the bisection of `nodes`, derived from the subproblem's node
-/// content, so the order is bit-identical for 1 vs N threads (a shared
-/// counter would hand out seeds in task-completion order).
-uint64_t SubsetSeed(uint64_t base, const std::vector<NodeId>& nodes) {
-  uint64_t h = Mix64(base ^ static_cast<uint64_t>(nodes.size()));
-  for (NodeId id : nodes) h = Mix64(h ^ id);
-  return h;
-}
+using partition_internal::SubsetSeed;
+using partition_internal::Subproblem;
 
 struct DissectContext {
   const Network* network = nullptr;
@@ -46,46 +30,43 @@ struct DissectNode {
   std::unique_ptr<DissectNode> right;
 };
 
-/// One dissection step: returns true when `nodes` terminates as a leaf
-/// (stored into `slot`); otherwise fills `slot->separator` and the two
+/// One dissection step: returns true when the subproblem terminates as a
+/// leaf (stored into `slot`); otherwise fills `slot->separator` and the two
 /// separator-free halves `left` / `right`.
-bool DissectStep(const DissectContext& ctx, std::vector<NodeId>* nodes,
-                 DissectNode* slot, std::vector<NodeId>* left,
-                 std::vector<NodeId>* right) {
-  if (nodes->size() <= ctx.options.leaf_size) {
-    slot->leaf = std::move(*nodes);
+bool DissectStep(const DissectContext& ctx, Subproblem* sub,
+                 DissectNode* slot, Subproblem* left, Subproblem* right) {
+  std::vector<NodeId>& nodes = sub->Nodes();
+  if (nodes.size() <= ctx.options.leaf_size) {
+    slot->leaf = std::move(nodes);
     std::sort(slot->leaf.begin(), slot->leaf.end());
     return true;
   }
-  PartitionGraph graph = PartitionGraph::FromNetwork(
-      *ctx.network, *nodes, /*use_access_weights=*/false);
+  if (!sub->graph) {
+    sub->graph = PartitionGraph::FromNetwork(*ctx.network, nodes,
+                                             /*use_access_weights=*/false);
+  }
+  const PartitionGraph& graph = *sub->graph;
   Bisection bisection = TwoWayPartition(
       graph, graph.TotalSize() / 4, ctx.options.algorithm,
-      SubsetSeed(ctx.options.seed, *nodes));
-  left->clear();
-  right->clear();
+      SubsetSeed(ctx.options.seed, nodes));
   slot->separator.clear();
-  bool any_a = false, any_b = false;
-  for (size_t i = 0; i < bisection.side.size(); ++i) {
-    (bisection.side[i] ? any_b : any_a) = true;
-  }
-  if (!any_a || !any_b) {
+  const size_t in_b =
+      std::count(bisection.side.begin(), bisection.side.end(), true);
+  if (in_b == 0 || in_b == bisection.side.size()) {
     // Degenerate split (one empty side) would recurse forever: fall back to
     // an id-ordered halving with no separator.
-    std::vector<NodeId> sorted = *nodes;
+    std::vector<NodeId> sorted = nodes;
     std::sort(sorted.begin(), sorted.end());
-    left->assign(sorted.begin(), sorted.begin() + sorted.size() / 2);
-    right->assign(sorted.begin() + sorted.size() / 2, sorted.end());
+    *left = {{sorted.begin(), sorted.begin() + sorted.size() / 2}, {}};
+    *right = {{sorted.begin() + sorted.size() / 2, sorted.end()}, {}};
     return false;
   }
   // Vertex separator: the side-B endpoints of cut edges. Removing it
   // disconnects the halves, so no shortcut ever needs to cross between
   // them below the separator's ranks.
+  std::vector<bool> keep_right(graph.NumNodes(), false);
   for (size_t i = 0; i < graph.NumNodes(); ++i) {
-    if (!bisection.side[i]) {
-      left->push_back(graph.ids[i]);
-      continue;
-    }
+    if (!bisection.side[i]) continue;
     bool boundary = false;
     for (const PartitionGraph::Adj& a : graph.Neighbors(static_cast<int>(i))) {
       if (!bisection.side[a.to]) {
@@ -93,21 +74,28 @@ bool DissectStep(const DissectContext& ctx, std::vector<NodeId>* nodes,
         break;
       }
     }
-    (boundary ? slot->separator : *right).push_back(graph.ids[i]);
+    if (boundary) {
+      slot->separator.push_back(graph.ids[i]);
+    } else {
+      keep_right[i] = true;
+    }
   }
   std::sort(slot->separator.begin(), slot->separator.end());
+  *right = {{}, graph.Induced(keep_right)};
+  bisection.side.flip();
+  *left = {{}, graph.Induced(bisection.side)};
   return false;
 }
 
 /// Sequential path: an explicit worklist over the same dissection tree
 /// (same seeds, same collection order) as the parallel solver.
-void SolveSequential(const DissectContext& ctx, std::vector<NodeId> nodes,
+void SolveSequential(const DissectContext& ctx, Subproblem root_problem,
                      DissectNode* root) {
-  std::vector<std::pair<std::vector<NodeId>, DissectNode*>> worklist;
-  worklist.emplace_back(std::move(nodes), root);
-  std::vector<NodeId> left, right;
+  std::vector<std::pair<Subproblem, DissectNode*>> worklist;
+  worklist.emplace_back(std::move(root_problem), root);
+  Subproblem left, right;
   while (!worklist.empty()) {
-    std::vector<NodeId> current = std::move(worklist.back().first);
+    Subproblem current = std::move(worklist.back().first);
     DissectNode* slot = worklist.back().second;
     worklist.pop_back();
     if (DissectStep(ctx, &current, slot, &left, &right)) continue;
@@ -127,20 +115,20 @@ class ParallelSolver {
   ParallelSolver(const DissectContext* ctx, ThreadPool* pool)
       : ctx_(ctx), pool_(pool) {}
 
-  void Spawn(std::vector<NodeId> nodes, DissectNode* slot) {
-    pool_->Submit([this, nodes = std::move(nodes), slot]() mutable {
-      Run(std::move(nodes), slot);
+  void Spawn(Subproblem sub, DissectNode* slot) {
+    pool_->Submit([this, sub = std::move(sub), slot]() mutable {
+      Run(std::move(sub), slot);
     });
   }
 
  private:
-  void Run(std::vector<NodeId> nodes, DissectNode* slot) {
-    std::vector<NodeId> left, right;
-    while (!DissectStep(*ctx_, &nodes, slot, &left, &right)) {
+  void Run(Subproblem sub, DissectNode* slot) {
+    Subproblem left, right;
+    while (!DissectStep(*ctx_, &sub, slot, &left, &right)) {
       slot->left = std::make_unique<DissectNode>();
       slot->right = std::make_unique<DissectNode>();
       Spawn(std::move(right), slot->right.get());
-      nodes = std::move(left);
+      sub = std::move(left);
       slot = slot->left.get();
     }
   }
@@ -207,10 +195,10 @@ Result<std::vector<NodeId>> NestedDissectionOrder(
   if (threads > 1 && n >= kMinParallelNodes) {
     ThreadPool pool(threads);
     ParallelSolver solver(&ctx, &pool);
-    solver.Spawn(std::move(nodes), &root);
+    solver.Spawn({std::move(nodes), {}}, &root);
     pool.WaitIdle();
   } else {
-    SolveSequential(ctx, std::move(nodes), &root);
+    SolveSequential(ctx, {std::move(nodes), {}}, &root);
   }
 
   std::vector<NodeId> order;

@@ -94,6 +94,28 @@ PartitionGraph PartitionGraph::FromNetwork(const Network& network,
   return g;
 }
 
+PartitionGraph PartitionGraph::Induced(const std::vector<bool>& keep) const {
+  PartitionGraph g;
+  const size_t n = NumNodes();
+  std::vector<int> index(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    if (!keep[i]) continue;
+    index[i] = static_cast<int>(g.ids.size());
+    g.ids.push_back(ids[i]);
+    g.node_sizes.push_back(node_sizes[i]);
+  }
+  g.adj_start.reserve(g.ids.size() + 1);
+  g.adj_start.push_back(0);
+  for (size_t i = 0; i < n; ++i) {
+    if (!keep[i]) continue;
+    for (const Adj& e : Neighbors(static_cast<int>(i))) {
+      if (keep[e.to]) g.adj.push_back({index[e.to], e.weight});
+    }
+    g.adj_start.push_back(static_cast<int>(g.adj.size()));
+  }
+  return g;
+}
+
 const char* PartitionAlgorithmName(PartitionAlgorithm algo) {
   switch (algo) {
     case PartitionAlgorithm::kRatioCut:

@@ -53,6 +53,14 @@ struct PartitionGraph {
                                     const std::vector<NodeId>& subset,
                                     bool use_access_weights,
                                     size_t extra_node_bytes = 0);
+
+  /// The subgraph induced by the nodes i with keep[i], indexed in this
+  /// graph's order. It equals FromNetwork over those ids with this graph's
+  /// arguments, without touching the network: node sizes carry over, a kept
+  /// edge's merged weight (the sum of at most two directed weights) is the
+  /// same in any subset holding both endpoints, and the order-preserving
+  /// index map keeps every adjacency range sorted.
+  PartitionGraph Induced(const std::vector<bool>& keep) const;
 };
 
 /// Result of a two-way partition: side[i] is false for side A, true for

@@ -1,5 +1,3 @@
-#include <cmath>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -10,6 +8,7 @@ namespace ccam {
 namespace {
 
 using partition_internal::BfsSeed;
+using partition_internal::GainHeap;
 using partition_internal::MoveGain;
 
 /// Ratio-cut objective (Cheng & Wei): cut / (|A| * |B|), with side sizes in
@@ -27,23 +26,24 @@ double Ratio(double cut, size_t size_a, size_t size_b) {
 /// applied prefix by the resulting ratio, keep the best prefix and roll
 /// back the rest. Returns true if the ratio improved.
 ///
-/// Selection is by cut gain from an ordered set rather than by evaluating
-/// the resulting ratio of every candidate at every step: the exhaustive
-/// rule costs O(n) per step — O(n^2) per pass — which made the *root*
-/// bisection dominate cluster-nodes-into-pages on large networks and put a
-/// hard Amdahl ceiling on the task-parallel clustering pipeline. The ratio
-/// objective still decides which prefix survives, so balanced natural cuts
-/// win as before, at O((n + m) log n) per pass.
+/// Each step moves the node of highest (cut gain, index) whose move keeps
+/// its source side at or above min_side_size, taken from the GainHeap that
+/// FmPass uses too; a neighbor's gain update is one sift. Scoring every
+/// candidate by the ratio it would leave costs O(n) per step, O(n^2) per
+/// pass, which made the *root* bisection dominate cluster-nodes-into-pages
+/// on large networks and put a hard Amdahl ceiling on the task-parallel
+/// clustering pipeline. The ratio objective still decides which prefix
+/// survives, so balanced natural cuts win as before, at O((n + m) log n)
+/// per pass plus the infeasible entries each step walks past.
 bool RatioCutPass(const PartitionGraph& graph, std::vector<bool>* side,
                   size_t* size_a, size_t* size_b, size_t min_side_size) {
   const size_t n = graph.NumNodes();
-  std::vector<double> gain(n);
-  std::vector<bool> locked(n, false);
-  std::set<std::pair<double, int>> pq;  // ascending; best gain = rbegin
+  std::vector<double> initial(n);
   for (size_t i = 0; i < n; ++i) {
-    gain[i] = MoveGain(graph, *side, static_cast<int>(i));
-    pq.insert({gain[i], static_cast<int>(i)});
+    initial[i] = MoveGain(graph, *side, static_cast<int>(i));
   }
+  GainHeap pq(std::move(initial));
+  std::vector<bool> locked(n, false);
   double cut = CutWeight(graph, *side);
   size_t a = *size_a, b = *size_b;
   const double initial_ratio = Ratio(cut, a, b);
@@ -53,20 +53,16 @@ bool RatioCutPass(const PartitionGraph& graph, std::vector<bool>* side,
   std::vector<int> moves;
   moves.reserve(n);
 
-  while (!pq.empty()) {
-    // Highest-gain move whose source side keeps min_side_size bytes.
-    int chosen = -1;
-    for (auto it = pq.rbegin(); it != pq.rend(); ++it) {
-      int i = it->second;
-      size_t sz = graph.node_sizes[i];
-      size_t source = (*side)[i] ? b : a;
-      if (source >= sz && source - sz >= min_side_size) {
-        chosen = i;
-        break;
-      }
-    }
+  // Highest-gain move whose source side keeps min_side_size bytes.
+  auto feasible = [&](int i) {
+    size_t sz = graph.node_sizes[i];
+    size_t source = (*side)[i] ? b : a;
+    return source >= sz && source - sz >= min_side_size;
+  };
+  while (true) {
+    const int chosen = pq.BestFeasible(feasible);
     if (chosen < 0) break;
-    pq.erase({gain[chosen], chosen});
+    pq.Remove(chosen);
 
     // Apply tentatively.
     locked[chosen] = true;
@@ -79,7 +75,7 @@ bool RatioCutPass(const PartitionGraph& graph, std::vector<bool>* side,
       b += sz;
     }
     (*side)[chosen] = !(*side)[chosen];
-    cut -= gain[chosen];
+    cut -= pq.gain(chosen);
     moves.push_back(chosen);
     double r = Ratio(cut, a, b);
     if (r < best_ratio - 1e-18) {
@@ -89,10 +85,7 @@ bool RatioCutPass(const PartitionGraph& graph, std::vector<bool>* side,
     // Moving `chosen` flips the sign of its contribution to each neighbor's
     // gain: a same-side edge became cross-side or vice versa.
     for (const PartitionGraph::Adj& e : graph.Neighbors(chosen)) {
-      if (locked[e.to]) continue;
-      pq.erase({gain[e.to], e.to});
-      gain[e.to] = MoveGain(graph, *side, e.to);
-      pq.insert({gain[e.to], e.to});
+      if (!locked[e.to]) pq.Update(e.to, MoveGain(graph, *side, e.to));
     }
   }
 

@@ -6,33 +6,16 @@
 #include <utility>
 
 #include "src/common/thread_pool.h"
+#include "src/partition/bisect_internal.h"
 #include "src/storage/record.h"
 
 namespace ccam {
 
 namespace {
 
-/// Splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-/// Seed for the bisection of `nodes`, derived from the subproblem's node
-/// content. A subproblem's node sequence is itself a deterministic function
-/// of the clustering input, so content-derived seeds make the page set
-/// bit-identical for 1 vs N threads — a shared `seed++` counter would hand
-/// out seeds in task-completion order instead.
-uint64_t SubsetSeed(uint64_t base, const std::vector<NodeId>& nodes) {
-  uint64_t h = Mix64(base ^ static_cast<uint64_t>(nodes.size()));
-  for (NodeId id : nodes) h = Mix64(h ^ id);
-  return h;
-}
+using partition_internal::Mix64;
+using partition_internal::SubsetSeed;
+using partition_internal::Subproblem;
 
 /// Read-only state shared by every subproblem of one clustering run. The
 /// per-node record sizes are computed exactly once here — previously
@@ -64,48 +47,55 @@ struct SubproblemNode {
   std::unique_ptr<SubproblemNode> right;
 };
 
-/// One worklist step (paper Figure 2): returns true when `nodes` fits a
-/// page (stored into `slot`); otherwise bisects it into `left` / `right`.
-bool BisectStep(const ClusterContext& ctx, std::vector<NodeId>* nodes,
-                SubproblemNode* slot, std::vector<NodeId>* left,
-                std::vector<NodeId>* right) {
-  if (nodes->empty() || ctx.SubsetBytes(*nodes) <= ctx.capacity) {
-    slot->page = std::move(*nodes);
+/// One worklist step (paper Figure 2): returns true when the subproblem
+/// fits a page (stored into `slot`); otherwise bisects it into `left` /
+/// `right`.
+bool BisectStep(const ClusterContext& ctx, Subproblem* sub,
+                SubproblemNode* slot, Subproblem* left, Subproblem* right) {
+  // A listed subproblem is sized, seeded and paged by its own list,
+  // duplicates included; a cut one by its graph's ids and sizes.
+  std::vector<NodeId>& nodes = sub->Nodes();
+  const size_t bytes =
+      sub->graph ? sub->graph->TotalSize() : ctx.SubsetBytes(nodes);
+  if (nodes.empty() || bytes <= ctx.capacity) {
+    slot->page = std::move(nodes);
     return true;
   }
-  PartitionGraph graph = PartitionGraph::FromNetwork(
-      *ctx.network, *nodes, ctx.options.use_access_weights,
-      ctx.options.per_record_overhead);
+  if (!sub->graph) {
+    sub->graph = PartitionGraph::FromNetwork(
+        *ctx.network, nodes, ctx.options.use_access_weights,
+        ctx.options.per_record_overhead);
+  }
+  const PartitionGraph& graph = *sub->graph;
   Bisection bisection =
       TwoWayPartition(graph, ctx.min_pg_size, ctx.options.algorithm,
-                      SubsetSeed(ctx.options.seed, *nodes));
-  left->clear();
-  right->clear();
-  left->reserve(graph.NumNodes());
-  right->reserve(graph.NumNodes());
-  for (size_t i = 0; i < graph.NumNodes(); ++i) {
-    (bisection.side[i] ? *right : *left).push_back(graph.ids[i]);
-  }
-  // Defensive fallback: a degenerate split (one empty side) would recurse
-  // forever, so split by id order instead.
-  if (left->empty() || right->empty()) {
-    std::vector<NodeId> sorted = *nodes;
+                      SubsetSeed(ctx.options.seed, nodes));
+  const size_t in_b =
+      std::count(bisection.side.begin(), bisection.side.end(), true);
+  if (in_b == 0 || in_b == graph.NumNodes()) {
+    // Defensive fallback: a degenerate split (one empty side) would recurse
+    // forever, so split by id order instead.
+    std::vector<NodeId> sorted = nodes;
     std::sort(sorted.begin(), sorted.end());
-    left->assign(sorted.begin(), sorted.begin() + sorted.size() / 2);
-    right->assign(sorted.begin() + sorted.size() / 2, sorted.end());
+    *left = {{sorted.begin(), sorted.begin() + sorted.size() / 2}, {}};
+    *right = {{sorted.begin() + sorted.size() / 2, sorted.end()}, {}};
+    return false;
   }
+  *right = {{}, graph.Induced(bisection.side)};
+  bisection.side.flip();
+  *left = {{}, graph.Induced(bisection.side)};
   return false;
 }
 
 /// Sequential legacy path: an explicit worklist over the same subproblem
 /// tree (same seeds, same leaf order) as the parallel solver.
-void SolveSequential(const ClusterContext& ctx, std::vector<NodeId> nodes,
+void SolveSequential(const ClusterContext& ctx, Subproblem root_problem,
                      SubproblemNode* root) {
-  std::vector<std::pair<std::vector<NodeId>, SubproblemNode*>> worklist;
-  worklist.emplace_back(std::move(nodes), root);
-  std::vector<NodeId> left, right;
+  std::vector<std::pair<Subproblem, SubproblemNode*>> worklist;
+  worklist.emplace_back(std::move(root_problem), root);
+  Subproblem left, right;
   while (!worklist.empty()) {
-    std::vector<NodeId> current = std::move(worklist.back().first);
+    Subproblem current = std::move(worklist.back().first);
     SubproblemNode* slot = worklist.back().second;
     worklist.pop_back();
     if (BisectStep(ctx, &current, slot, &left, &right)) continue;
@@ -125,20 +115,20 @@ class ParallelSolver {
   ParallelSolver(const ClusterContext* ctx, ThreadPool* pool)
       : ctx_(ctx), pool_(pool) {}
 
-  void Spawn(std::vector<NodeId> nodes, SubproblemNode* slot) {
-    pool_->Submit([this, nodes = std::move(nodes), slot]() mutable {
-      Run(std::move(nodes), slot);
+  void Spawn(Subproblem sub, SubproblemNode* slot) {
+    pool_->Submit([this, sub = std::move(sub), slot]() mutable {
+      Run(std::move(sub), slot);
     });
   }
 
  private:
-  void Run(std::vector<NodeId> nodes, SubproblemNode* slot) {
-    std::vector<NodeId> left, right;
-    while (!BisectStep(*ctx_, &nodes, slot, &left, &right)) {
+  void Run(Subproblem sub, SubproblemNode* slot) {
+    Subproblem left, right;
+    while (!BisectStep(*ctx_, &sub, slot, &left, &right)) {
       slot->left = std::make_unique<SubproblemNode>();
       slot->right = std::make_unique<SubproblemNode>();
       Spawn(std::move(right), slot->right.get());
-      nodes = std::move(left);
+      sub = std::move(left);
       slot = slot->left.get();
     }
   }
@@ -212,10 +202,10 @@ Result<std::vector<std::vector<NodeId>>> ClusterNodesIntoPages(
   if (threads > 1 && total_bytes > kMinParallelPages * ctx.capacity) {
     ThreadPool pool(threads);
     ParallelSolver solver(&ctx, &pool);
-    solver.Spawn(subset, &root);
+    solver.Spawn({subset, {}}, &root);
     pool.WaitIdle();
   } else {
-    SolveSequential(ctx, subset, &root);
+    SolveSequential(ctx, {subset, {}}, &root);
   }
 
   std::vector<std::vector<NodeId>> pages;
